@@ -4,7 +4,7 @@
 use crate::catalog::{design, endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
 use crate::output::{fmt_prob, print_table, save_json};
 use crate::pool;
-use crate::runner::{loss_load_curve, run_seeds, run_seeds_isolated, Fidelity};
+use crate::runner::Fidelity;
 use crate::sweep::Sweep;
 use eac::coexist::CoexistScenario;
 use eac::design::{Design, Group};
@@ -39,27 +39,48 @@ const CURVE_HEADER: [&str; 6] = [
     "probe-ovh",
 ];
 
-/// Run the four endpoint designs (each over its ε grid) plus the MBAC η
-/// sweep on `base`, printing one loss-load curve per design.
-fn loss_load_figure(id: &str, base: &Scenario, style: ProbeStyle, fid: Fidelity) -> Vec<Report> {
+/// One loss-load curve: a label, the scenario and the designs it sweeps.
+type Curve = (&'static str, Scenario, Vec<Design>);
+
+/// Run each curve as one sweep over the fidelity's seeds, print the
+/// loss-load table and save every point as `id`.
+fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
     let mut all = Vec::new();
     let mut rows = Vec::new();
-    for (label, signal, placement) in endpoint_designs(style) {
-        let designs: Vec<Design> = eps_grid(placement)
-            .into_iter()
-            .map(|e| design(signal, placement, style, e))
-            .collect();
-        let reports = loss_load_curve(base, &designs, fid);
+    for (label, base, designs) in curves {
+        let reports = Sweep::new(fid.apply(base))
+            .designs(&designs)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports();
         rows.extend(curve_rows(label, &reports));
         all.extend(reports);
     }
-    let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(base, &mbac, fid);
-    rows.extend(curve_rows("MBAC", &reports));
-    all.extend(reports);
     print_table(&CURVE_HEADER, &rows);
     save_json(id, &all);
-    all
+}
+
+/// The MBAC benchmark's η sweep on `base`.
+fn mbac_curve(base: Scenario) -> Curve {
+    let etas = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
+    ("MBAC", base, etas)
+}
+
+/// The four endpoint designs (each over its ε grid) plus the MBAC η
+/// sweep, all on `base`.
+fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
+    let mut curves: Vec<Curve> = endpoint_designs(style)
+        .into_iter()
+        .map(|(label, signal, placement)| {
+            let designs = eps_grid(placement)
+                .into_iter()
+                .map(|e| design(signal, placement, style, e))
+                .collect();
+            (label, base.clone(), designs)
+        })
+        .collect();
+    curves.push(mbac_curve(base));
+    curves
 }
 
 /// Fig 1 — fluid-model thrashing: utilization and in-band loss vs mean
@@ -102,35 +123,29 @@ pub fn fig1(fid: Fidelity) {
 /// Fig 2 — the basic scenario's loss-load curves (5 algorithms).
 pub fn fig2(fid: Fidelity) {
     println!("# Fig 2 — basic scenario (EXP1, tau=3.5s, slow-start probing)\n");
-    loss_load_figure(
-        "fig2",
-        &Workload::Basic.scenario(),
-        ProbeStyle::SlowStart,
-        fid,
-    );
+    let curves = design_curves(Workload::Basic.scenario(), ProbeStyle::SlowStart);
+    loss_load_figure("fig2", curves, fid);
 }
 
 /// Fig 3 — longer probing: 5 s vs 25 s slow-start, in-band dropping.
 pub fn fig3(fid: Fidelity) {
     println!("# Fig 3 — basic scenario with long probing (in-band dropping)\n");
-    let mut rows = Vec::new();
-    let mut all = Vec::new();
-    for (label, probe_s) in [("5 second probes", 5.0), ("25 second probes", 25.0)] {
-        let base = Workload::Basic.scenario().probe_secs(probe_s);
-        let designs: Vec<Design> = eps_grid(Placement::InBand)
-            .into_iter()
-            .map(|e| design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
-            .collect();
-        let reports = loss_load_curve(&base, &designs, fid);
-        rows.extend(curve_rows(label, &reports));
-        all.extend(reports);
-    }
-    let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(&Workload::Basic.scenario(), &mbac, fid);
-    rows.extend(curve_rows("MBAC", &reports));
-    all.extend(reports);
-    print_table(&CURVE_HEADER, &rows);
-    save_json("fig3", &all);
+    let mut curves: Vec<Curve> = [("5 second probes", 5.0), ("25 second probes", 25.0)]
+        .into_iter()
+        .map(|(label, probe_s)| {
+            let designs = eps_grid(Placement::InBand)
+                .into_iter()
+                .map(|e| design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
+                .collect();
+            (
+                label,
+                Workload::Basic.scenario().probe_secs(probe_s),
+                designs,
+            )
+        })
+        .collect();
+    curves.push(mbac_curve(Workload::Basic.scenario()));
+    loss_load_figure("fig3", curves, fid);
 }
 
 /// Figs 4–7 — high load (τ = 1 s): the three probing algorithms under
@@ -148,27 +163,22 @@ pub fn fig4to7(which: u8, fid: Fidelity) {
         design(signal, placement, ProbeStyle::Simple, 0.0).name()
     );
     let base = Workload::HighLoad.scenario();
-    let mut rows = Vec::new();
-    let mut all = Vec::new();
-    for (label, style) in [
+    let mut curves: Vec<Curve> = [
         ("Simple Probing", ProbeStyle::Simple),
         ("Slow Start", ProbeStyle::SlowStart),
         ("Early Reject", ProbeStyle::EarlyReject),
-    ] {
-        let designs: Vec<Design> = eps_grid(placement)
+    ]
+    .into_iter()
+    .map(|(label, style)| {
+        let designs = eps_grid(placement)
             .into_iter()
             .map(|e| design(signal, placement, style, e))
             .collect();
-        let reports = loss_load_curve(&base, &designs, fid);
-        rows.extend(curve_rows(label, &reports));
-        all.extend(reports);
-    }
-    let mbac: Vec<Design> = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    let reports = loss_load_curve(&base, &mbac, fid);
-    rows.extend(curve_rows("MBAC", &reports));
-    all.extend(reports);
-    print_table(&CURVE_HEADER, &rows);
-    save_json(&format!("fig{which}"), &all);
+        (label, base.clone(), designs)
+    })
+    .collect();
+    curves.push(mbac_curve(base));
+    loss_load_figure(&format!("fig{which}"), curves, fid);
 }
 
 /// Fig 8(a)–(f) — robustness across source models.
@@ -183,12 +193,8 @@ pub fn fig8(letter: char, fid: Fidelity) {
         _ => panic!("fig8 takes a..=f"),
     };
     println!("# Fig 8({letter}) — robustness: {}\n", w.name());
-    loss_load_figure(
-        &format!("fig8{letter}"),
-        &w.scenario(),
-        ProbeStyle::SlowStart,
-        fid,
-    );
+    let curves = design_curves(w.scenario(), ProbeStyle::SlowStart);
+    loss_load_figure(&format!("fig8{letter}"), curves, fid);
 }
 
 /// Fig 9 — loss at a fixed ε across all scenarios, per design.
@@ -202,7 +208,11 @@ pub fn fig9(fid: Fidelity) {
         for w in Workload::ALL {
             let d = design(signal, placement, ProbeStyle::SlowStart, eps);
             let s = fid.apply(w.scenario().design(d));
-            let r = run_seeds(&s, &fid.seeds());
+            let r = Sweep::new(s)
+                .seeds(&fid.seeds())
+                .run()
+                .expect_reports()
+                .remove(0);
             rows.push(vec![
                 label.to_string(),
                 w.name().to_string(),
@@ -233,7 +243,11 @@ pub fn table3(fid: Fidelity) {
         ];
         let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
         let s = fid.apply(Workload::Basic.scenario().groups(groups).design(d));
-        let r = run_seeds(&s, &fid.seeds());
+        let r = Sweep::new(s)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports()
+            .remove(0);
         rows.push(vec![
             label.to_string(),
             format!("{:.4}", r.groups[0].blocking),
@@ -257,7 +271,11 @@ pub fn table4(fid: Fidelity) {
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
     let mut run_one = |label: String, d: Design| {
         let s = fid.apply(Workload::Hetero.scenario().design(d));
-        let r = run_seeds(&s, &fid.seeds());
+        let r = Sweep::new(s)
+            .seeds(&fid.seeds())
+            .run()
+            .expect_reports()
+            .remove(0);
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
         let small: Vec<&eac::metrics::GroupReport> =
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
@@ -402,7 +420,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
             for dur in [1.0, 2.5, 5.0, 10.0, 25.0] {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let s = fid.apply(Workload::Basic.scenario().probe_secs(dur).design(d));
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{dur:.1}"),
                     format!("{:.4}", r.utilization),
@@ -423,7 +445,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Mark, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::Basic.scenario().design(d));
                 s.vq_factor = f;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{f:.2}"),
                     format!("{:.4}", r.utilization),
@@ -449,7 +475,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 );
                 let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
                 s.probe_pushout = push;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     label.to_string(),
                     format!("{:.4}", r.utilization),
@@ -466,7 +496,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::Basic.scenario().design(d));
                 s.buffer_pkts = b;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     format!("{b}"),
                     format!("{:.4}", r.utilization),
@@ -503,7 +537,11 @@ pub fn ablate(which: &str, fid: Fidelity) {
                 let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
                 let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
                 s.retry = retry;
-                let r = run_seeds(&s, &fid.seeds());
+                let r = Sweep::new(s)
+                    .seeds(&fid.seeds())
+                    .run()
+                    .expect_reports()
+                    .remove(0);
                 rows.push(vec![
                     label.to_string(),
                     format!("{:.4}", r.utilization),
@@ -555,9 +593,10 @@ pub fn robust_flap(fid: Fidelity) {
                     s = s.flap(down, up);
                 }
             }
-            let (avg, outcomes) = run_seeds_isolated(&s, &fid.seeds());
+            let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
+            let outcomes = result.outcomes.remove(0);
             let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-            match avg {
+            match result.reports.remove(0) {
                 Ok(mut r) => {
                     rows.push(vec![
                         label.to_string(),
@@ -626,9 +665,10 @@ pub fn robust_ctrl_loss(fid: Fidelity) {
             if let Some(t) = timeout {
                 s = s.verdict_timeout(t);
             }
-            let (avg, outcomes) = run_seeds_isolated(&s, &fid.seeds());
+            let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
+            let outcomes = result.outcomes.remove(0);
             let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-            match avg {
+            match result.reports.remove(0) {
                 Ok(mut r) => {
                     rows.push(vec![
                         format!("{p:.2}"),

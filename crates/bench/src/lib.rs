@@ -24,7 +24,7 @@ pub mod telemetry_session;
 pub use catalog::{Workload, EPS_IN_BAND, EPS_OUT_OF_BAND, ETAS_MBAC};
 pub use output::{print_table, save_json};
 pub use pool::{available_jobs, default_jobs, set_default_jobs};
-pub use runner::{loss_load_curve, run_seeds, run_seeds_isolated, Fidelity, SeedOutcome};
+pub use runner::Fidelity;
 pub use shapecheck::{check_targets, TargetSpec, Verdicts};
 pub use spec::catalog as spec_catalog;
-pub use sweep::{Sweep, SweepResult, SweepTelemetry};
+pub use sweep::{SeedOutcome, Sweep, SweepResult, SweepTelemetry};

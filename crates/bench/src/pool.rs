@@ -11,8 +11,8 @@
 //! to the serial path** regardless of worker count or scheduling.
 //!
 //! Each job runs under `catch_unwind`, so one panicking job is reported
-//! in its slot instead of poisoning the pool (the per-seed isolation
-//! that `run_seeds_isolated` used to hand-roll serially).
+//! in its slot instead of poisoning the pool (the per-seed isolation of
+//! [`crate::sweep::Sweep::isolated`]).
 //!
 //! No external dependencies: plain `std::thread::scope` (the offline-shim
 //! build rules out rayon).

@@ -1,12 +1,6 @@
-//! Run-length presets and compatibility shims over [`crate::sweep::Sweep`].
-//!
-//! The serial curve/seed runners that used to live here are now one-line
-//! wrappers around the pooled sweep builder; they keep their exact
-//! historical semantics (including error strings) at any worker count.
+//! Run-length presets: how long each experiment runs and over which
+//! seeds.
 
-use crate::sweep::Sweep;
-use eac::design::Design;
-use eac::metrics::Report;
 use eac::scenario::Scenario;
 
 /// How long and how many seeds to run.
@@ -58,67 +52,6 @@ impl Fidelity {
     }
 }
 
-/// Run `base` under each design, averaging across the fidelity's seeds;
-/// produces the points of one loss-load curve per design. Shim over
-/// [`Sweep`]; jobs come from the session default (`--jobs`).
-pub fn loss_load_curve(base: &Scenario, designs: &[Design], fid: Fidelity) -> Vec<Report> {
-    Sweep::new(fid.apply(base.clone()))
-        .designs(designs)
-        .seeds(&fid.seeds())
-        .run()
-        .expect_reports()
-}
-
-/// Run `base` across the fidelity's seeds under its own design, averaging
-/// the reports. Shim over [`Sweep`].
-pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Report {
-    Sweep::new(base.clone())
-        .seeds(seeds)
-        .run()
-        .expect_reports()
-        .remove(0)
-}
-
-/// What happened to one seed of an isolated multi-seed run.
-#[derive(Clone, Debug)]
-pub enum SeedOutcome {
-    /// The seed ran to completion.
-    Ok { seed: u64 },
-    /// The run returned a graceful error (audit failure, event budget,
-    /// time regression).
-    Error { seed: u64, message: String },
-    /// The run panicked; the panic was contained to this seed.
-    Panic { seed: u64, message: String },
-}
-
-impl SeedOutcome {
-    /// The seed this outcome belongs to.
-    pub fn seed(&self) -> u64 {
-        match self {
-            SeedOutcome::Ok { seed }
-            | SeedOutcome::Error { seed, .. }
-            | SeedOutcome::Panic { seed, .. } => *seed,
-        }
-    }
-
-    /// Whether the seed completed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, SeedOutcome::Ok { .. })
-    }
-}
-
-/// Run `base` once per seed with each seed isolated: a panic or graceful
-/// error in one seed is recorded and does not take down the sweep. Returns
-/// the average report over surviving seeds (Err if none survived) plus the
-/// per-seed outcomes. Shim over [`Sweep`] with `.isolated(true)`.
-pub fn run_seeds_isolated(
-    base: &Scenario,
-    seeds: &[u64],
-) -> (Result<Report, String>, Vec<SeedOutcome>) {
-    let mut result = Sweep::new(base.clone()).seeds(seeds).isolated(true).run();
-    (result.reports.remove(0), result.outcomes.remove(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,51 +65,5 @@ mod tests {
         assert_eq!((h, w), (14_000.0, 2_000.0));
         assert_eq!(Fidelity::Paper.seeds().len(), 7);
         assert!(Fidelity::Smoke.lengths().0 < Fidelity::Quick.lengths().0);
-    }
-
-    #[test]
-    fn curve_runner_produces_one_report_per_design() {
-        use eac::probe::{Placement, ProbeStyle, Signal};
-        let designs = vec![
-            Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.0),
-            Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.05),
-        ];
-        let base = eac::scenario::Scenario::basic().tau(30.0);
-        let reports = loss_load_curve(&base, &designs, Fidelity::Smoke);
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.measured_s > 0.0));
-    }
-
-    #[test]
-    fn isolated_runner_averages_surviving_seeds() {
-        let base = Scenario::basic().horizon_secs(400.0).warmup_secs(100.0);
-        let (avg, outcomes) = run_seeds_isolated(&base, &[1, 2]);
-        assert!(outcomes.iter().all(|o| o.is_ok()));
-        assert_eq!(outcomes.len(), 2);
-        assert!(avg.unwrap().measured_s > 0.0);
-    }
-
-    #[test]
-    fn isolated_runner_turns_budget_errors_into_outcomes() {
-        let base = Scenario::basic()
-            .horizon_secs(400.0)
-            .warmup_secs(100.0)
-            .event_budget(50);
-        let (avg, outcomes) = run_seeds_isolated(&base, &[1, 2]);
-        assert!(avg.is_err());
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, SeedOutcome::Error { .. })));
-    }
-
-    #[test]
-    fn isolated_runner_contains_panics() {
-        // warmup >= horizon trips an assert inside run(); the panic must
-        // stay confined to its seed.
-        let bad = Scenario::basic().horizon_secs(100.0).warmup_secs(100.0);
-        let (avg, outcomes) = run_seeds_isolated(&bad, &[7]);
-        assert!(avg.is_err());
-        assert!(matches!(outcomes[0], SeedOutcome::Panic { .. }));
-        assert_eq!(outcomes[0].seed(), 7);
     }
 }

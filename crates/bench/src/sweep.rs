@@ -1,10 +1,9 @@
 //! The sweep builder: one entry point for every multi-run experiment.
 //!
 //! A [`Sweep`] fans the design × seed grid out over the [`pool`] and
-//! averages each design's surviving seeds into one [`Report`]. It
-//! subsumes the old `run_seeds` (one design, several seeds),
-//! `loss_load_curve` (several designs) and `run_seeds_isolated` (per-seed
-//! panic/error containment) free functions, which remain as thin shims.
+//! averages each design's surviving seeds into one [`Report`]: one design
+//! over several seeds, a loss-load curve over several designs, and with
+//! [`Sweep::isolated`] per-seed panic/error containment.
 //!
 //! Determinism: jobs are laid out design-major (`design * seeds + seed`),
 //! results come back from the pool in job-index order, and each design's
@@ -13,7 +12,6 @@
 //! worker count.
 
 use crate::pool::{self, run_indexed};
-use crate::runner::SeedOutcome;
 use eac::design::Design;
 use eac::metrics::Report;
 use eac::scenario::Scenario;
@@ -29,6 +27,34 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         (*s).to_string()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+/// What happened to one seed of a sweep.
+#[derive(Clone, Debug)]
+pub enum SeedOutcome {
+    /// The seed ran to completion.
+    Ok { seed: u64 },
+    /// The run returned a graceful error (audit failure, event budget,
+    /// time regression).
+    Error { seed: u64, message: String },
+    /// The run panicked; the panic was contained to this seed.
+    Panic { seed: u64, message: String },
+}
+
+impl SeedOutcome {
+    /// The seed this outcome belongs to.
+    pub fn seed(&self) -> u64 {
+        match self {
+            SeedOutcome::Ok { seed }
+            | SeedOutcome::Error { seed, .. }
+            | SeedOutcome::Panic { seed, .. } => *seed,
+        }
+    }
+
+    /// Whether the seed completed.
+    pub fn is_ok(&self) -> bool {
+        matches!(self, SeedOutcome::Ok { .. })
     }
 }
 
@@ -357,6 +383,27 @@ mod tests {
         let ja = serde_json::to_string(&a).unwrap();
         let jb = serde_json::to_string(&b).unwrap();
         assert_eq!(ja, jb, "parallel sweep diverged from serial");
+    }
+
+    #[test]
+    fn one_report_per_design_in_design_order() {
+        use eac::probe::{Placement, ProbeStyle, Signal};
+        let designs: Vec<Design> = [0.0, 0.05]
+            .into_iter()
+            .map(|e| Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
+            .collect();
+        let result = Sweep::new(quick_base().tau(30.0))
+            .designs(&designs)
+            .seeds(&[1, 2])
+            .isolated(true)
+            .run();
+        assert!(result.all_ok());
+        assert!(result.outcomes.iter().all(|o| o.len() == 2));
+        let reports = result.expect_reports();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].param, 0.0);
+        assert_eq!(reports[1].param, 0.05);
+        assert!(reports.iter().all(|r| r.measured_s > 0.0));
     }
 
     #[test]

@@ -15,18 +15,19 @@
 //! control traffic is ~0.1% of the link so the distortion is negligible.
 
 use crate::design::{Design, Group};
-use crate::host::{HostAgent, HostConfig};
+use crate::driver::{fast_link, Plan, World};
+use crate::host::HostAgent;
 use crate::probe::{Placement, ProbeStyle, Signal};
-use crate::sink::{stage_grace, SinkAgent, SinkConfig};
+use crate::scenario::RunConfig;
+use crate::sink::{stage_grace, SinkAgent};
 use netsim::{
-    class_band_map, Agent, Api, Band, DropTail, Limit, LinkId, Network, Packet, Sim, StrictPrio,
-    TrafficClass,
+    class_band_map, Agent, Api, Band, Limit, LinkId, Network, Packet, Sim, StrictPrio, TrafficClass,
 };
 use serde::Serialize;
 use simcore::{SimDuration, SimRng, SimTime};
 use std::any::Any;
 use tcpsim::{TcpSenderBank, TcpSinkBank};
-use traffic::{Demography, SourceSpec};
+use traffic::SourceSpec;
 
 /// Samples per-class throughput on one link at a fixed interval.
 pub struct LinkSampler {
@@ -172,6 +173,25 @@ impl CoexistScenario {
 
     /// Build and run.
     pub fn run(&self) -> CoexistReport {
+        // No warm-up and no drain: the sampler's buckets cover the whole
+        // run and the tail means pick the window.
+        let plan = Plan {
+            design: Design::endpoint(
+                Signal::Drop,
+                Placement::InBand,
+                ProbeStyle::SlowStart,
+                self.epsilon,
+            ),
+            lifetime_s: self.lifetime_s,
+            probe_total: SimDuration::from_secs(5),
+            retry: None,
+            warmup_s: 0.0,
+            horizon_s: self.horizon_s,
+            drain: SimDuration::ZERO,
+            run_config: RunConfig::default(),
+            telemetry: None,
+            seed: self.seed,
+        };
         let root = SimRng::new(self.seed);
         let prop = SimDuration::from_secs_f64(self.prop_delay_ms / 1_000.0);
 
@@ -182,21 +202,16 @@ impl CoexistScenario {
         let dst = net.add_node(); // EAC sink + TCP receivers
         let sampler_n = net.add_node();
 
-        let fast = |n: &mut Network, a, b| {
-            n.add_link(
-                a,
-                b,
-                1_000_000_000,
-                SimDuration::from_micros(100),
-                Box::new(DropTail::new(Limit::Packets(100_000))),
-                None,
-            );
-        };
-        fast(&mut net, eac_host, router);
-        fast(&mut net, tcp_host, router);
-        fast(&mut net, router, eac_host);
-        fast(&mut net, router, tcp_host);
-        fast(&mut net, dst, router);
+        let access = SimDuration::from_micros(100);
+        for (a, b) in [
+            (eac_host, router),
+            (tcp_host, router),
+            (router, eac_host),
+            (router, tcp_host),
+            (dst, router),
+        ] {
+            fast_link(&mut net, a, b, access);
+        }
 
         // The legacy bottleneck: control in a tiny priority band (see
         // module docs), everything else in one shared drop-tail FIFO.
@@ -212,29 +227,13 @@ impl CoexistScenario {
         let bottleneck = net.add_link(router, dst, self.link_bps, prop, Box::new(legacy), None);
 
         let mut sim = Sim::new(net);
-
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let eac_start = SimTime::from_secs_f64(self.eac_start_s);
-
-        let host_cfg = HostConfig {
-            sink: dst,
-            design: Design::endpoint(
-                Signal::Drop,
-                Placement::InBand,
-                ProbeStyle::SlowStart,
-                self.epsilon,
-            ),
-            groups: vec![Group::new("EXP1", SourceSpec::exp1(), 1.0)],
-            demography: Demography::new(self.tau_s, self.lifetime_s),
-            probe_total: SimDuration::from_secs(5),
-            mbac_path: vec![],
-            stop_arrivals_at: horizon,
-            start_arrivals_at: eac_start,
-            retry: None,
-            verdict_timeout: None,
-            measure_start: SimTime::ZERO,
-            measure_end: horizon,
-        };
+        let mut host_cfg = plan.host(
+            dst,
+            vec![Group::new("EXP1", SourceSpec::exp1(), 1.0)],
+            self.tau_s,
+            vec![],
+        );
+        host_cfg.start_arrivals_at = SimTime::from_secs_f64(self.eac_start_s);
         sim.attach(eac_host, Box::new(HostAgent::new(host_cfg, root.derive(1))));
         sim.attach(
             tcp_host,
@@ -249,12 +248,10 @@ impl CoexistScenario {
         // The destination node must serve both the EAC sink protocol and
         // TCP acking; CombinedSink multiplexes by flow-id space.
         let buffer_bytes = (self.buffer_pkts as u32 * self.tcp_pkt_bytes) as u64;
-        let sink_cfg = SinkConfig {
-            signal: Signal::Drop,
-            eps_per_group: vec![self.epsilon],
-            grace: stage_grace(buffer_bytes, self.link_bps, prop),
-            flow_ttl: SimDuration::from_secs(70),
-        };
+        let sink_cfg = plan.sink(
+            vec![self.epsilon],
+            stage_grace(buffer_bytes, self.link_bps, prop),
+        );
         sim.attach(
             dst,
             Box::new(CombinedSink {
@@ -271,7 +268,17 @@ impl CoexistScenario {
             )),
         );
 
-        sim.run_until(horizon);
+        // The report reads the sampler and the host directly, so the
+        // window marks no endpoint.
+        let mut world = World {
+            sim,
+            hosts: &[],
+            sinks: &[],
+        };
+        if let Err(e) = plan.run(&mut world, |_| ()) {
+            panic!("{e}");
+        }
+        let sim = &mut world.sim;
 
         let series = {
             let s = sim.agent::<LinkSampler>(sampler_n).expect("sampler");

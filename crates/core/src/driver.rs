@@ -1,0 +1,336 @@
+//! The run procedure every scenario shares (§3.2, §4.6 Fig 10, §4.7
+//! Fig 11): build a topology, attach endpoint hosts and sinks, warm up,
+//! measure, drain and read the counters.
+//!
+//! A scenario states what it fixes about a run as a [`Plan`], builds its
+//! [`World`] from the plan's host and sink configurations, and hands it to
+//! [`Plan::run`]. That applies the [`RunConfig`], installs and recovers the
+//! telemetry hub, drives the measure window and dumps the flight recorder
+//! when the run fails. [`Plan::report`] then turns the hosts' and sinks'
+//! per-group counters into a [`Report`].
+
+use crate::design::{Design, Group};
+use crate::host::{HostAgent, HostConfig, RetryPolicy};
+use crate::mbac::MbacRegistry;
+use crate::metrics::{GroupReport, Report};
+use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
+use crate::sink::{SinkAgent, SinkConfig};
+use netsim::{DropTail, Limit, LinkId, Network, NodeId, Sim, TrafficClass};
+use simcore::{SimDuration, SimTime};
+use telemetry::{HistSummary, LogHistogram, Telemetry, TelemetryConfig};
+use traffic::Demography;
+
+/// What a scenario fixes about its run, whatever its topology.
+pub(crate) struct Plan<'a> {
+    pub design: Design,
+    pub lifetime_s: f64,
+    pub probe_total: SimDuration,
+    pub retry: Option<RetryPolicy>,
+    pub warmup_s: f64,
+    pub horizon_s: f64,
+    /// Simulated time past the horizon in which packets already sent
+    /// arrive or drop before the counters are read, so loss accounting
+    /// is exact.
+    pub drain: SimDuration,
+    pub run_config: RunConfig,
+    pub telemetry: Option<&'a TelemetryConfig>,
+    pub seed: u64,
+}
+
+/// A built simulation and the endpoints the measure window marks and the
+/// report reads.
+pub(crate) struct World<'a> {
+    pub sim: Sim,
+    pub hosts: &'a [NodeId],
+    pub sinks: &'a [NodeId],
+}
+
+/// What a scenario reads off its measured links at the horizon.
+pub(crate) struct Links {
+    /// Data utilization of each link over the measured interval.
+    pub utils: Vec<f64>,
+    /// Mean data drop fraction over the links.
+    pub loss: f64,
+    pub probe_overhead: f64,
+    pub mark_fraction: f64,
+}
+
+/// An uncongested 1 Gbps link with a 100 000-packet drop-tail buffer: the
+/// access links and the reverse path that carries verdicts.
+pub(crate) fn fast_link(net: &mut Network, a: NodeId, b: NodeId, prop: SimDuration) -> LinkId {
+    net.add_link(
+        a,
+        b,
+        1_000_000_000,
+        prop,
+        Box::new(DropTail::new(Limit::Packets(100_000))),
+        None,
+    )
+}
+
+/// `part / whole`, or zero when `whole` is.
+pub(crate) fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+fn loss(sent: u64, received: u64) -> f64 {
+    if sent == 0 {
+        0.0
+    } else {
+        1.0 - received as f64 / sent as f64
+    }
+}
+
+impl Plan<'_> {
+    fn warmup(&self) -> SimTime {
+        SimTime::from_secs_f64(self.warmup_s)
+    }
+
+    fn horizon(&self) -> SimTime {
+        SimTime::from_secs_f64(self.horizon_s)
+    }
+
+    fn measured(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.horizon_s - self.warmup_s)
+    }
+
+    /// A host generating `groups` at mean interarrival `tau_s` towards
+    /// `sink`; under MBAC it asks for admission along `mbac_path`. Flows
+    /// arrive from time zero until the horizon and count from the warm-up.
+    pub fn host(
+        &self,
+        sink: NodeId,
+        groups: Vec<Group>,
+        tau_s: f64,
+        mbac_path: Vec<LinkId>,
+    ) -> HostConfig {
+        HostConfig {
+            sink,
+            design: self.design,
+            groups,
+            demography: Demography::new(tau_s, self.lifetime_s),
+            probe_total: self.probe_total,
+            mbac_path,
+            stop_arrivals_at: self.horizon(),
+            start_arrivals_at: SimTime::ZERO,
+            retry: self.retry,
+            verdict_timeout: self
+                .run_config
+                .verdict_timeout_s
+                .map(SimDuration::from_secs_f64),
+            measure_start: self.warmup(),
+            measure_end: self.horizon(),
+        }
+    }
+
+    /// A sink judging each group's probes against `eps_per_group`.
+    pub fn sink(&self, eps_per_group: Vec<f64>, grace: SimDuration) -> SinkConfig {
+        SinkConfig {
+            signal: self.design.signal(),
+            eps_per_group,
+            grace,
+            flow_ttl: self.probe_total * 2 + SimDuration::from_secs(60),
+        }
+    }
+
+    /// Under MBAC, register `links` with a Measured Sum registry on the
+    /// blackboard and attach the meter that samples them every `period`
+    /// to the link-less node `meter`. Endpoint designs need neither.
+    pub fn install_mbac(
+        &self,
+        sim: &mut Sim,
+        meter: NodeId,
+        links: &[LinkId],
+        capacity_bps: u64,
+        window: SimDuration,
+        period: SimDuration,
+    ) {
+        let Design::Mbac { eta } = self.design else {
+            return;
+        };
+        let mut reg = MbacRegistry::new(eta);
+        for &l in links {
+            reg.register(l, capacity_bps as f64, window);
+        }
+        sim.net.blackboard = Some(Box::new(reg));
+        sim.attach(meter, Box::new(MeterAgent { period }));
+    }
+
+    /// Utilization and mean drop fraction of the data on `links`, which run
+    /// at `bps`. Probe overhead and mark fraction are left at zero for a
+    /// caller that measures them to fill in.
+    pub fn read_links(&self, sim: &Sim, links: &[LinkId], bps: u64) -> Links {
+        let utils = links
+            .iter()
+            .map(|&l| {
+                sim.net
+                    .link(l)
+                    .stats
+                    .utilization(TrafficClass::Data, bps, self.measured())
+            })
+            .collect();
+        let loss = links
+            .iter()
+            .map(|&l| sim.net.link(l).stats.drop_fraction(TrafficClass::Data))
+            .sum::<f64>()
+            / links.len() as f64;
+        Links {
+            utils,
+            loss,
+            probe_overhead: 0.0,
+            mark_fraction: 0.0,
+        }
+    }
+
+    /// Run `world` through the measure window: up to the warm-up, mark
+    /// every link, host and sink, on to the horizon where `at_horizon`
+    /// reads the links, then the drain and, if configured, the
+    /// conservation audit. Returns what `at_horizon` read and the telemetry
+    /// hub when one was configured. A failed run writes its flight
+    /// recorder to the telemetry config's dump directory, if it names one,
+    /// as `{label}-seed{seed}.flight.jsonl` before the error propagates.
+    pub fn run<T>(
+        &self,
+        world: &mut World,
+        at_horizon: impl FnOnce(&Sim) -> T,
+    ) -> Result<(T, Option<Box<Telemetry>>), ScenarioError> {
+        assert!(self.warmup_s < self.horizon_s);
+        // A budget also switches the calendar to lenient scheduling.
+        match self.run_config.event_budget {
+            Some(budget) => world.sim.set_event_budget(budget),
+            None => world.sim.set_lenient_scheduling(self.run_config.audit),
+        }
+        if let Some(cfg) = self.telemetry {
+            world.sim.net.telemetry = Some(Box::new(cfg.build()));
+        }
+        let measured = self.measure(world, at_horizon);
+        let tel = world.sim.net.telemetry.take();
+        match measured {
+            Ok(read) => Ok((read, tel)),
+            Err(e) => {
+                if let (Some(tel), Some(cfg)) = (&tel, self.telemetry) {
+                    // RunErrors were already recorded by the sim loop; the
+                    // audit fires after it, so note it here.
+                    if let ScenarioError::Audit(a) = &e {
+                        tel.recorder
+                            .record(world.sim.now(), "audit.error", a.to_string());
+                    }
+                    if let Some(dir) = &cfg.dump_dir {
+                        let path =
+                            dir.join(format!("{}-seed{}.flight.jsonl", cfg.label, self.seed));
+                        if let Err(io) = tel.recorder.dump_jsonl(&path) {
+                            eprintln!("flight-recorder dump to {} failed: {io}", path.display());
+                        }
+                    }
+                }
+                Err(e)
+            }
+        }
+    }
+
+    fn measure<T>(
+        &self,
+        world: &mut World,
+        at_horizon: impl FnOnce(&Sim) -> T,
+    ) -> Result<T, ScenarioError> {
+        let sim = &mut world.sim;
+        sim.try_run_until(self.warmup())?;
+        for l in sim.net.links_mut() {
+            l.stats.mark_all();
+        }
+        for &h in world.hosts {
+            sim.agent::<HostAgent>(h).expect("host").stats.mark_all();
+        }
+        for &s in world.sinks {
+            sim.agent::<SinkAgent>(s).expect("sink").stats.mark_all();
+        }
+        sim.try_run_until(self.horizon())?;
+        let read = at_horizon(sim);
+        sim.try_run_until(self.horizon() + self.drain)?;
+        if self.run_config.audit {
+            sim.check_conservation()?;
+        }
+        Ok(read)
+    }
+
+    /// The report of a finished run. Group `g` (the `g`th of `names`)
+    /// counts slot `g` of every host and sink: a scenario whose hosts each
+    /// generate one group gives every host the full group list, so the
+    /// slots line up. Delay mean and deviation are left at zero for a
+    /// caller that measures them to fill in.
+    pub fn report(
+        &self,
+        world: &mut World,
+        names: impl IntoIterator<Item = String>,
+        links: Links,
+    ) -> Report {
+        let mut groups: Vec<GroupReport> = names
+            .into_iter()
+            .map(|name| GroupReport {
+                name,
+                decided: 0,
+                accepted: 0,
+                rejected: 0,
+                blocking: 0.0,
+                data_sent: 0,
+                data_received: 0,
+                loss: 0.0,
+            })
+            .collect();
+        let (mut timeouts, mut leaked_flows) = (0, 0);
+        let mut delay = LogHistogram::new();
+        for &h in world.hosts {
+            let host = world.sim.agent::<HostAgent>(h).expect("host");
+            for (g, r) in groups.iter_mut().enumerate() {
+                r.decided += host.stats.decided[g].since_mark();
+                r.accepted += host.stats.accepted[g].since_mark();
+                r.rejected += host.stats.rejected[g].since_mark();
+                r.data_sent += host.stats.data_sent[g].since_mark();
+            }
+            timeouts += host.stats.timeouts.since_mark();
+            leaked_flows += host.stranded_flows() as u64;
+        }
+        for &s in world.sinks {
+            let sink = world.sim.agent::<SinkAgent>(s).expect("sink");
+            for (g, r) in groups.iter_mut().enumerate() {
+                r.data_received += sink.stats.data_received[g].since_mark();
+            }
+            leaked_flows += sink.undecided_flows() as u64;
+            delay.merge(&sink.stats.data_delay_hist);
+        }
+        for r in &mut groups {
+            r.blocking = share(r.rejected, r.decided);
+            r.loss = loss(r.data_sent, r.data_received);
+        }
+        let total = |f: fn(&GroupReport) -> u64| groups.iter().map(f).sum::<u64>();
+        let data_loss = loss(total(|r| r.data_sent), total(|r| r.data_received));
+        let blocking = share(total(|r| r.rejected), total(|r| r.decided));
+        Report {
+            design: self.design.name(),
+            param: match self.design {
+                Design::Endpoint { epsilon, .. } => epsilon,
+                Design::Mbac { eta } => eta,
+            },
+            utilization: links.utils.iter().sum::<f64>() / links.utils.len() as f64,
+            data_loss,
+            link_loss: links.loss,
+            blocking,
+            probe_overhead: links.probe_overhead,
+            mark_fraction: links.mark_fraction,
+            delay_ms_mean: 0.0,
+            delay_ms_std: 0.0,
+            delay_hist: HistSummary::from_nanos(&delay),
+            groups,
+            link_utils: links.utils,
+            timeouts,
+            leaked_flows,
+            measured_s: self.measured().as_secs_f64(),
+            events: world.sim.queue.events_fired(),
+            seed: self.seed,
+        }
+    }
+}

@@ -77,6 +77,7 @@
 
 pub mod coexist;
 pub mod design;
+mod driver;
 pub mod host;
 pub mod mbac;
 pub mod metrics;

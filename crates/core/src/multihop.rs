@@ -17,17 +17,15 @@
 //! ```
 
 use crate::design::{effective_epsilons, Design, Group};
-use crate::host::{HostAgent, HostConfig};
-use crate::mbac::MbacRegistry;
-use crate::metrics::{GroupReport, Report};
+use crate::driver::{fast_link, Plan, World};
+use crate::host::HostAgent;
+use crate::metrics::Report;
 use crate::probe::{Placement, Signal};
-use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
-use crate::sink::{stage_grace, SinkAgent, SinkConfig};
-use netsim::{
-    DropTail, Limit, LinkId, Network, NodeId, Sim, StrictPrio, TrafficClass, VirtualQueue,
-};
-use simcore::{SimDuration, SimRng, SimTime};
-use traffic::{Demography, SourceSpec};
+use crate::scenario::{RunConfig, ScenarioError};
+use crate::sink::{stage_grace, SinkAgent};
+use netsim::{Limit, LinkId, Network, NodeId, Sim, StrictPrio, VirtualQueue};
+use simcore::{SimDuration, SimRng};
+use traffic::SourceSpec;
 
 /// Configuration of the multi-hop experiment.
 #[derive(Clone, Debug)]
@@ -134,42 +132,26 @@ impl MultihopScenario {
         self
     }
 
-    fn ac_qdisc(&self) -> Box<StrictPrio> {
-        Box::new(StrictPrio::admission_queue(
-            Limit::Packets(self.buffer_pkts),
-            self.design.placement() == Placement::OutOfBand,
-        ))
-    }
-
-    fn marker(&self) -> Option<VirtualQueue> {
-        match self.design.signal() {
-            Signal::Mark => Some(VirtualQueue::new(
-                self.link_bps,
-                self.vq_factor,
-                (self.buffer_pkts as u32 * self.source.pkt_bytes) as f64,
-            )),
-            Signal::Drop => None,
-        }
-    }
-
     /// Build and run; returns a [`Report`] whose groups are
     /// `cross-0`, `cross-1`, `cross-2`, `long` (in that order), with
     /// `link_utils` holding the three backbone utilizations — or a
     /// graceful error, as configured by the scenario's [`RunConfig`].
     /// Without watchdogs armed it cannot fail.
     pub fn run(&self) -> Result<Report, ScenarioError> {
+        let plan = Plan {
+            design: self.design,
+            lifetime_s: self.lifetime_s,
+            probe_total: SimDuration::from_secs_f64(self.probe_total_s),
+            retry: None,
+            warmup_s: self.warmup_s,
+            horizon_s: self.horizon_s,
+            drain: SimDuration::from_secs(5),
+            run_config: self.run_config,
+            telemetry: None,
+            seed: self.seed,
+        };
         let root = SimRng::new(self.seed);
         let prop = SimDuration::from_secs_f64(self.prop_delay_ms / 1_000.0);
-        let fast = |n: &mut Network, a: NodeId, b: NodeId| {
-            n.add_link(
-                a,
-                b,
-                1_000_000_000,
-                prop,
-                Box::new(DropTail::new(Limit::Packets(100_000))),
-                None,
-            );
-        };
 
         let mut net = Network::new();
         let routers: Vec<NodeId> = net.add_nodes(4);
@@ -180,280 +162,93 @@ impl MultihopScenario {
         let meter_n = net.add_node();
 
         // Congested backbone (forward); fast reverse for verdicts.
+        let buffer_bytes = (self.buffer_pkts as u32 * self.source.pkt_bytes) as u64;
         let mut backbone: Vec<LinkId> = Vec::new();
         for i in 0..3 {
+            let qdisc = Box::new(StrictPrio::admission_queue(
+                Limit::Packets(self.buffer_pkts),
+                self.design.placement() == Placement::OutOfBand,
+            ));
+            let marker = match self.design.signal() {
+                Signal::Mark => Some(VirtualQueue::new(
+                    self.link_bps,
+                    self.vq_factor,
+                    buffer_bytes as f64,
+                )),
+                Signal::Drop => None,
+            };
             let l = net.add_link(
                 routers[i],
                 routers[i + 1],
                 self.link_bps,
                 prop,
-                self.ac_qdisc(),
-                self.marker(),
+                qdisc,
+                marker,
             );
             backbone.push(l);
-            fast(&mut net, routers[i + 1], routers[i]);
+            fast_link(&mut net, routers[i + 1], routers[i], prop);
         }
         // Access links (both directions, fast).
-        fast(&mut net, long_host, routers[0]);
-        fast(&mut net, routers[0], long_host);
-        fast(&mut net, routers[3], long_sink);
-        fast(&mut net, long_sink, routers[3]);
+        let mut access = vec![(long_host, routers[0]), (routers[3], long_sink)];
         for i in 0..3 {
-            fast(&mut net, cross_hosts[i], routers[i]);
-            fast(&mut net, routers[i], cross_hosts[i]);
-            fast(&mut net, routers[i + 1], cross_sinks[i]);
-            fast(&mut net, cross_sinks[i], routers[i + 1]);
+            access.push((cross_hosts[i], routers[i]));
+            access.push((routers[i + 1], cross_sinks[i]));
+        }
+        for (a, b) in access {
+            fast_link(&mut net, a, b, prop);
+            fast_link(&mut net, b, a, prop);
         }
 
         let mut sim = Sim::new(net);
-        if let Some(budget) = self.run_config.event_budget {
-            sim.set_event_budget(budget);
-        }
-        if self.run_config.wants_lenient() {
-            sim.set_lenient_scheduling(true);
-        }
+        plan.install_mbac(
+            &mut sim,
+            meter_n,
+            &backbone,
+            self.link_bps,
+            SimDuration::from_secs(1),
+            SimDuration::from_millis(100),
+        );
 
-        if let Design::Mbac { eta } = self.design {
-            let mut reg = MbacRegistry::new(eta);
-            for &l in &backbone {
-                reg.register(l, self.link_bps as f64, SimDuration::from_secs(1));
-            }
-            sim.net.blackboard = Some(Box::new(reg));
-            sim.attach(
-                meter_n,
-                Box::new(MeterAgent {
-                    period: SimDuration::from_millis(100),
-                }),
-            );
-        }
-
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let warmup = SimTime::from_secs_f64(self.warmup_s);
-        let buffer_bytes = (self.buffer_pkts as u32 * self.source.pkt_bytes) as u64;
-        // Long flows may queue at each of 3 hops: scale the grace period.
-        let grace = stage_grace(buffer_bytes, self.link_bps, prop) * 3;
-
-        // Group layout: every host/sink pair sees the same 4-group vector
-        // so group indices line up in reports; each host only *generates*
-        // its own group (weights on foreign groups are ~0 via dedicated
-        // HostConfig group lists of length 1 — instead we give each host a
-        // single group but tag it with the global group index).
-        //
-        // Simpler and robust: each host gets the full 4-group list but a
-        // demography of its own; it only ever picks its own group by
-        // weight. We implement that by per-host group lists with one
-        // entry, whose *name* encodes the global index, and sinks sized
-        // for 4 groups via eps vectors of length 4.
-        let group_names = ["cross-0", "cross-1", "cross-2", "long"];
-        let eps4 = {
-            let groups: Vec<Group> = group_names
-                .iter()
-                .map(|n| Group::new(*n, self.source.clone(), 1.0))
-                .collect();
-            effective_epsilons(&self.design, &groups)
-        };
-
-        let mk_host = |sink: NodeId, tau: f64, global_group: usize, path: Vec<LinkId>| {
-            // One-group host; the group index the *sink* sees must be the
-            // global one, so the host's single group is padded into a
-            // 4-slot list with zero-weight dummies replaced by weight on
-            // the right slot. HostAgent picks by weight, so give the
-            // global slot weight 1 and others an epsilon-weight that can
-            // never be drawn (weights must be > 0, so use tiny).
-            let groups: Vec<Group> = group_names
+        // Every host carries the same 4-slot group list so group indices
+        // line up at every sink; the slots other than its own weigh 1e-12,
+        // which no arrival draws.
+        let names = ["cross-0", "cross-1", "cross-2", "long"];
+        let groups = |own: usize| -> Vec<Group> {
+            names
                 .iter()
                 .enumerate()
                 .map(|(i, n)| {
-                    let w = if i == global_group { 1.0 } else { 1e-12 };
+                    let w = if i == own { 1.0 } else { 1e-12 };
                     Group::new(*n, self.source.clone(), w)
                 })
-                .collect();
-            HostConfig {
-                sink,
-                design: self.design,
-                groups,
-                demography: Demography::new(tau, self.lifetime_s),
-                probe_total: SimDuration::from_secs_f64(self.probe_total_s),
-                mbac_path: path,
-                stop_arrivals_at: horizon,
-                start_arrivals_at: SimTime::ZERO,
-                retry: None,
-                verdict_timeout: None,
-                measure_start: warmup,
-                measure_end: horizon,
-            }
+                .collect()
         };
-
-        // Cross hosts.
-        for i in 0..3 {
-            let cfg = mk_host(cross_sinks[i], self.tau_cross_s, i, vec![backbone[i]]);
-            let stream = 10 + i as u64;
-            sim.attach(
-                cross_hosts[i],
-                Box::new(HostAgent::new(cfg, root.derive(stream))),
-            );
-            let sink_cfg = SinkConfig {
-                signal: self.design.signal(),
-                eps_per_group: eps4.clone(),
-                grace,
-                flow_ttl: SimDuration::from_secs_f64(self.probe_total_s * 2.0 + 60.0),
-            };
-            sim.attach(cross_sinks[i], Box::new(SinkAgent::new(sink_cfg)));
-        }
-        // Long host.
-        let cfg = mk_host(long_sink, self.tau_long_s, 3, backbone.clone());
-        sim.attach(long_host, Box::new(HostAgent::new(cfg, root.derive(20))));
-        sim.attach(
-            long_sink,
-            Box::new(SinkAgent::new(SinkConfig {
-                signal: self.design.signal(),
-                eps_per_group: eps4,
-                grace,
-                flow_ttl: SimDuration::from_secs_f64(self.probe_total_s * 2.0 + 60.0),
-            })),
-        );
-
-        // Run with warm-up marking and a drain (as in the single-link
-        // scenario).
-        sim.try_run_until(warmup)?;
-        for l in sim.net.links_mut() {
-            l.stats.mark_all();
-        }
-        for &h in cross_hosts.iter().chain([long_host].iter()) {
-            sim.agent::<HostAgent>(h).expect("host").stats.mark_all();
-        }
-        for &s in cross_sinks.iter().chain([long_sink].iter()) {
-            sim.agent::<SinkAgent>(s).expect("sink").stats.mark_all();
-        }
-        sim.try_run_until(horizon)?;
-        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let link_utils: Vec<f64> = backbone
-            .iter()
-            .map(|&l| {
-                sim.net
-                    .link(l)
-                    .stats
-                    .utilization(TrafficClass::Data, self.link_bps, measured)
-            })
-            .collect();
-        let link_loss: f64 = backbone
-            .iter()
-            .map(|&l| sim.net.link(l).stats.drop_fraction(TrafficClass::Data))
-            .sum::<f64>()
-            / 3.0;
-        sim.try_run_until(horizon + SimDuration::from_secs(5))?;
-
-        // Collect per-population results. Host i's stats live in its own
-        // group slot; sinks count data per global group index.
-        let mut groups: Vec<GroupReport> = Vec::new();
+        let eps = effective_epsilons(&self.design, &groups(0));
+        // Long flows may queue at each of 3 hops: scale the grace period.
+        let grace = stage_grace(buffer_bytes, self.link_bps, prop) * 3;
         let hosts = [cross_hosts[0], cross_hosts[1], cross_hosts[2], long_host];
         let sinks = [cross_sinks[0], cross_sinks[1], cross_sinks[2], long_sink];
-        for gi in 0..4 {
-            let (decided, accepted, rejected, sent) = {
-                let h = sim.agent::<HostAgent>(hosts[gi]).expect("host");
-                (
-                    h.stats.decided[gi].since_mark(),
-                    h.stats.accepted[gi].since_mark(),
-                    h.stats.rejected[gi].since_mark(),
-                    h.stats.data_sent[gi].since_mark(),
-                )
+        for g in 0..4 {
+            let (tau, path, stream) = if g < 3 {
+                (self.tau_cross_s, vec![backbone[g]], 10 + g as u64)
+            } else {
+                (self.tau_long_s, backbone.clone(), 20)
             };
-            let received = {
-                let s = sim.agent::<SinkAgent>(sinks[gi]).expect("sink");
-                s.stats.data_received[gi].since_mark()
-            };
-            groups.push(GroupReport {
-                name: group_names[gi].to_string(),
-                decided,
-                accepted,
-                rejected,
-                blocking: if decided == 0 {
-                    0.0
-                } else {
-                    rejected as f64 / decided as f64
-                },
-                data_sent: sent,
-                data_received: received,
-                loss: if sent == 0 {
-                    0.0
-                } else {
-                    1.0 - received as f64 / sent as f64
-                },
-            });
+            let cfg = plan.host(sinks[g], groups(g), tau, path);
+            sim.attach(hosts[g], Box::new(HostAgent::new(cfg, root.derive(stream))));
+            let sink = SinkAgent::new(plan.sink(eps.clone(), grace));
+            sim.attach(sinks[g], Box::new(sink));
         }
 
-        let total_sent: u64 = groups.iter().map(|g| g.data_sent).sum();
-        let total_recv: u64 = groups.iter().map(|g| g.data_received).sum();
-        let total_dec: u64 = groups.iter().map(|g| g.decided).sum();
-        let total_rej: u64 = groups.iter().map(|g| g.rejected).sum();
-        let mut timeouts = 0u64;
-        let mut leaked_flows = 0u64;
-        let mut delay_hist = telemetry::LogHistogram::new();
-        for gi in 0..4 {
-            let h = sim.agent::<HostAgent>(hosts[gi]).expect("host");
-            timeouts += h.stats.timeouts.since_mark();
-            leaked_flows += h.stranded_flows() as u64;
-            let s = sim.agent::<SinkAgent>(sinks[gi]).expect("sink");
-            leaked_flows += s.undecided_flows() as u64;
-            delay_hist.merge(&s.stats.data_delay_hist);
-        }
-        let param = match self.design {
-            Design::Endpoint { epsilon, .. } => epsilon,
-            Design::Mbac { eta } => eta,
+        let mut world = World {
+            sim,
+            hosts: &hosts,
+            sinks: &sinks,
         };
-
-        if self.run_config.audit {
-            sim.check_conservation()?;
-        }
-
-        Ok(Report {
-            design: self.design.name(),
-            param,
-            utilization: link_utils.iter().sum::<f64>() / link_utils.len() as f64,
-            data_loss: if total_sent == 0 {
-                0.0
-            } else {
-                1.0 - total_recv as f64 / total_sent as f64
-            },
-            link_loss,
-            blocking: if total_dec == 0 {
-                0.0
-            } else {
-                total_rej as f64 / total_dec as f64
-            },
-            probe_overhead: 0.0,
-            mark_fraction: 0.0,
-            delay_ms_mean: 0.0,
-            delay_ms_std: 0.0,
-            delay_hist: telemetry::HistSummary::from_nanos(&delay_hist),
-            groups,
-            link_utils,
-            timeouts,
-            leaked_flows,
-            measured_s: measured.as_secs_f64(),
-            events: sim.queue.events_fired(),
-            seed: self.seed,
-        })
-    }
-
-    /// Like [`run`](Self::run) with the conservation audit forced on,
-    /// returning just the audit error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.audited().run()`, which reports all run errors"
-    )]
-    pub fn run_audited(&self) -> Result<Report, netsim::AuditError> {
-        match self.clone().audited().run() {
-            Ok(r) => Ok(r),
-            Err(ScenarioError::Audit(e)) => Err(e),
-            Err(ScenarioError::Run(e)) => panic!("{e}"),
-        }
-    }
-
-    /// Build and run, panicking on any [`ScenarioError`].
-    #[deprecated(since = "0.2.0", note = "use `run()` and handle the Result")]
-    pub fn run_or_panic(&self) -> Report {
-        self.run().unwrap_or_else(|e| panic!("{e}"))
+        let (links, _) = plan.run(&mut world, |sim| {
+            plan.read_links(sim, &backbone, self.link_bps)
+        })?;
+        Ok(plan.report(&mut world, names.map(String::from), links))
     }
 }
 
@@ -499,5 +294,20 @@ mod tests {
             cross_avg
         );
         assert!(r.link_utils.iter().all(|&u| u > 0.1), "{:?}", r.link_utils);
+    }
+
+    #[test]
+    fn exhausted_event_budget_is_an_error() {
+        let r = MultihopScenario::tables56().event_budget(50).run();
+        assert!(
+            matches!(
+                r,
+                Err(ScenarioError::Run(netsim::RunError::EventBudgetExceeded {
+                    budget: 50,
+                    ..
+                }))
+            ),
+            "{r:?}"
+        );
     }
 }

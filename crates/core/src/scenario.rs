@@ -10,19 +10,20 @@
 //! the ablation benches and the coexistence experiment).
 
 use crate::design::{effective_epsilons, Design, Group};
-use crate::host::{HostAgent, HostConfig};
+use crate::driver::{fast_link, share, Plan, World};
+use crate::host::HostAgent;
 use crate::mbac::MbacRegistry;
-use crate::metrics::{GroupReport, Report};
+use crate::metrics::Report;
 use crate::probe::{Placement, Signal};
-use crate::sink::{stage_grace, SinkAgent, SinkConfig};
+use crate::sink::{stage_grace, SinkAgent};
 use netsim::{
-    Agent, Api, AuditError, DropTail, FaultPlan, Impairment, Limit, Network, NodeId, Packet,
-    RunError, Sim, StrictPrio, TrafficClass, VirtualQueue,
+    Agent, Api, AuditError, FaultPlan, Impairment, Limit, Network, Packet, RunError, Sim,
+    StrictPrio, TrafficClass, VirtualQueue,
 };
 use simcore::{SimDuration, SimRng, SimTime};
 use std::any::Any;
 use telemetry::{Telemetry, TelemetryConfig};
-use traffic::{Demography, SourceSpec};
+use traffic::SourceSpec;
 
 /// The periodic load-sampler driving MBAC's Measured Sum estimators.
 pub struct MeterAgent {
@@ -101,14 +102,6 @@ pub struct RunConfig {
     /// Host-side verdict timeout, seconds (lost verdicts resolve as
     /// rejections after this long). `None` = wait forever.
     pub verdict_timeout_s: Option<f64>,
-}
-
-impl RunConfig {
-    /// True if any watchdog that wants graceful (non-panicking) failure
-    /// handling is armed.
-    pub fn wants_lenient(&self) -> bool {
-        self.audit || self.event_budget.is_some()
-    }
 }
 
 /// A single-bottleneck experiment configuration (builder style).
@@ -323,11 +316,7 @@ impl Scenario {
     /// Build and run the simulation, producing a [`Report`] or a graceful
     /// error (exhausted event budget, scheduling violation, failed
     /// conservation audit), as configured by the scenario's [`RunConfig`].
-    ///
-    /// This is the single entry point for every run. Without watchdogs
-    /// armed it cannot fail; callers that want the old infallible
-    /// behaviour can `.unwrap()` (or use the deprecated
-    /// [`run_or_panic`](Scenario::run_or_panic) shim).
+    /// Without watchdogs armed it cannot fail.
     pub fn run(&self) -> Result<Report, ScenarioError> {
         self.run_full().map(|o| o.report)
     }
@@ -339,7 +328,18 @@ impl Scenario {
     /// propagates (the recorder itself stays reachable through any
     /// [`TelemetryConfig::with_recorder`] handle the caller kept).
     pub fn run_full(&self) -> Result<RunOutput, ScenarioError> {
-        assert!(self.warmup_s < self.horizon_s);
+        let plan = Plan {
+            design: self.design,
+            lifetime_s: self.lifetime_s,
+            probe_total: SimDuration::from_secs_f64(self.probe_total_s),
+            retry: self.retry,
+            warmup_s: self.warmup_s,
+            horizon_s: self.horizon_s,
+            drain: SimDuration::from_secs(5),
+            run_config: self.run_config,
+            telemetry: self.telemetry.as_ref(),
+            seed: self.seed,
+        };
         let root = SimRng::new(self.seed);
 
         // Topology: host -> bottleneck -> sink, fast reverse path.
@@ -349,9 +349,9 @@ impl Scenario {
         let meter_n = net.add_node(); // timers only; no links
 
         let out_of_band = self.design.placement() == Placement::OutOfBand;
-        let buffer = Limit::Packets(self.buffer_pkts);
+        let buffer_bytes = (self.buffer_pkts as u32 * self.max_pkt_bytes()) as u64;
         let qdisc = Box::new(StrictPrio::admission_queue_opts(
-            buffer,
+            Limit::Packets(self.buffer_pkts),
             out_of_band,
             self.probe_pushout,
         ));
@@ -359,351 +359,86 @@ impl Scenario {
             Signal::Mark => Some(VirtualQueue::new(
                 self.link_bps,
                 self.vq_factor,
-                (self.buffer_pkts as u32 * self.max_pkt_bytes()) as f64,
+                buffer_bytes as f64,
             )),
             Signal::Drop => None,
         };
         let prop = SimDuration::from_secs_f64(self.prop_delay_ms / 1_000.0);
         let bottleneck = net.add_link(host_n, sink_n, self.link_bps, prop, qdisc, marker);
-        // Reverse path for verdicts: fast and uncongested.
-        let reverse = net.add_link(
-            sink_n,
-            host_n,
-            1_000_000_000,
-            prop,
-            Box::new(DropTail::new(Limit::Packets(100_000))),
-            None,
-        );
+        let reverse = fast_link(&mut net, sink_n, host_n, prop);
 
         let mut sim = Sim::new(net);
-
-        // MBAC registry + meter.
-        if let Design::Mbac { eta } = self.design {
-            let mut reg = MbacRegistry::new(eta);
-            reg.register(
-                bottleneck,
-                self.link_bps as f64,
-                SimDuration::from_secs_f64(self.mbac_window_s),
-            );
-            sim.net.blackboard = Some(Box::new(reg));
-            sim.attach(
-                meter_n,
-                Box::new(MeterAgent {
-                    period: SimDuration::from_secs_f64(self.mbac_sample_s),
-                }),
-            );
-        }
-
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let warmup = SimTime::from_secs_f64(self.warmup_s);
-        let probe_total = SimDuration::from_secs_f64(self.probe_total_s);
-
-        let host_cfg = HostConfig {
-            sink: sink_n,
-            design: self.design,
-            groups: self.groups.clone(),
-            demography: Demography::new(self.tau_s, self.lifetime_s),
-            probe_total,
-            mbac_path: vec![bottleneck],
-            stop_arrivals_at: horizon,
-            start_arrivals_at: SimTime::ZERO,
-            retry: self.retry,
-            verdict_timeout: self
-                .run_config
-                .verdict_timeout_s
-                .map(SimDuration::from_secs_f64),
-            measure_start: warmup,
-            measure_end: horizon,
-        };
+        plan.install_mbac(
+            &mut sim,
+            meter_n,
+            &[bottleneck],
+            self.link_bps,
+            SimDuration::from_secs_f64(self.mbac_window_s),
+            SimDuration::from_secs_f64(self.mbac_sample_s),
+        );
+        let host_cfg = plan.host(sink_n, self.groups.clone(), self.tau_s, vec![bottleneck]);
         sim.attach(host_n, Box::new(HostAgent::new(host_cfg, root.derive(1))));
-
-        let buffer_bytes = (self.buffer_pkts as u32 * self.max_pkt_bytes()) as u64;
-        let sink_cfg = SinkConfig {
-            signal: self.design.signal(),
-            eps_per_group: effective_epsilons(&self.design, &self.groups),
-            grace: stage_grace(buffer_bytes, self.link_bps, prop),
-            flow_ttl: probe_total * 2 + SimDuration::from_secs(60),
-        };
+        let sink_cfg = plan.sink(
+            effective_epsilons(&self.design, &self.groups),
+            stage_grace(buffer_bytes, self.link_bps, prop),
+        );
         sim.attach(sink_n, Box::new(SinkAgent::new(sink_cfg)));
 
         // Fault plan: control-packet loss on both directions of the
         // bottleneck path, plus any scheduled outages. The plan gets its
         // own derived RNG stream so enabling faults never perturbs the
         // traffic models' draws.
-        let mut plan = FaultPlan::new();
+        let mut faults = FaultPlan::new();
         if self.control_loss > 0.0 {
-            plan = plan
-                .impair(Impairment::loss(
-                    bottleneck,
-                    Some(TrafficClass::Control),
-                    self.control_loss,
-                ))
-                .impair(Impairment::loss(
-                    reverse,
+            for link in [bottleneck, reverse] {
+                faults = faults.impair(Impairment::loss(
+                    link,
                     Some(TrafficClass::Control),
                     self.control_loss,
                 ));
+            }
         }
         for &(down_s, up_s) in &self.flaps_s {
-            plan = plan.flap(
+            faults = faults.flap(
                 bottleneck,
                 SimTime::from_secs_f64(down_s),
                 SimTime::from_secs_f64(up_s),
             );
         }
-        if !plan.is_empty() {
-            sim.install_faults(plan, root.derive(99));
-        }
-        if let Some(budget) = self.run_config.event_budget {
-            sim.set_event_budget(budget);
-        }
-        if self.run_config.wants_lenient() {
-            sim.set_lenient_scheduling(true);
-        }
-        if let Some(tcfg) = &self.telemetry {
-            sim.net.telemetry = Some(Box::new(tcfg.build()));
+        if !faults.is_empty() {
+            sim.install_faults(faults, root.derive(99));
         }
 
-        let driven = self.drive(&mut sim, host_n, sink_n, bottleneck);
-        // Recover the hub before collecting so it survives both outcomes.
-        let tel = sim.net.telemetry.take();
-        match driven {
-            Ok(link_metrics) => Ok(RunOutput {
-                report: self.collect(&mut sim, host_n, sink_n, link_metrics),
-                telemetry: tel,
-            }),
-            Err(e) => {
-                if let Some(tel) = &tel {
-                    // RunErrors were already recorded by the sim loop; the
-                    // audit fires after it, so note it here.
-                    if let ScenarioError::Audit(a) = &e {
-                        tel.recorder
-                            .record(sim.queue.now(), "audit.error", a.to_string());
-                    }
-                    if let Some(dir) = self.telemetry.as_ref().and_then(|c| c.dump_dir.as_ref()) {
-                        let label = &self.telemetry.as_ref().expect("telemetry config").label;
-                        let path = dir.join(format!("{label}-seed{}.flight.jsonl", self.seed));
-                        if let Err(io) = tel.recorder.dump_jsonl(&path) {
-                            eprintln!("flight-recorder dump to {} failed: {io}", path.display());
-                        }
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Warm up, snapshot, measure, then drain so every in-window data
-    /// packet has either arrived or been dropped before counters are read
-    /// (exact loss accounting). Returns the bottleneck link metrics, which
-    /// must be sampled at the horizon rather than after the drain.
-    fn drive(
-        &self,
-        sim: &mut Sim,
-        host_n: NodeId,
-        sink_n: NodeId,
-        bottleneck: netsim::LinkId,
-    ) -> Result<(f64, f64, f64, f64), ScenarioError> {
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let warmup = SimTime::from_secs_f64(self.warmup_s);
-        sim.try_run_until(warmup)?;
-        for l in sim.net.links_mut() {
-            l.stats.mark_all();
-        }
-        sim.agent::<HostAgent>(host_n)
-            .expect("host")
-            .stats
-            .mark_all();
-        sim.agent::<SinkAgent>(sink_n)
+        let mut world = World {
+            sim,
+            hosts: &[host_n],
+            sinks: &[sink_n],
+        };
+        let (links, telemetry) = plan.run(&mut world, |sim| {
+            let mut links = plan.read_links(sim, &[bottleneck], self.link_bps);
+            let stats = &sim.net.link(bottleneck).stats;
+            let data = stats.class(TrafficClass::Data);
+            let data_b = data.transmitted_bytes.since_mark();
+            let probe_b = stats
+                .class(TrafficClass::Probe)
+                .transmitted_bytes
+                .since_mark();
+            links.probe_overhead = share(probe_b, data_b + probe_b);
+            links.mark_fraction = share(data.marked.since_mark(), data.transmitted.since_mark());
+            links
+        })?;
+        let names = self.groups.iter().map(|g| g.name.clone());
+        let mut report = plan.report(&mut world, names, links);
+        let delay = &world
+            .sim
+            .agent::<SinkAgent>(sink_n)
             .expect("sink")
             .stats
-            .mark_all();
-        sim.try_run_until(horizon)?;
-        let link_metrics = self.read_link_metrics(sim, bottleneck);
-        sim.try_run_until(horizon + SimDuration::from_secs(5))?;
-
-        if self.run_config.audit {
-            sim.check_conservation()?;
-        }
-        Ok(link_metrics)
+            .data_delay;
+        report.delay_ms_mean = delay.mean() * 1_000.0;
+        report.delay_ms_std = delay.std_dev() * 1_000.0;
+        Ok(RunOutput { report, telemetry })
     }
-
-    /// Build and run the simulation, producing a [`Report`] or a graceful
-    /// error.
-    #[deprecated(since = "0.2.0", note = "use `run()`, which is now fallible")]
-    pub fn try_run(&self) -> Result<Report, ScenarioError> {
-        self.run()
-    }
-
-    /// Build and run the simulation, panicking on any [`ScenarioError`].
-    #[deprecated(since = "0.2.0", note = "use `run()` and handle the Result")]
-    pub fn run_or_panic(&self) -> Report {
-        self.run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn read_link_metrics(&self, sim: &Sim, bottleneck: netsim::LinkId) -> (f64, f64, f64, f64) {
-        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let stats = &sim.net.link(bottleneck).stats;
-        let util = stats.utilization(TrafficClass::Data, self.link_bps, measured);
-        let loss = stats.drop_fraction(TrafficClass::Data);
-        let data_b = stats
-            .class(TrafficClass::Data)
-            .transmitted_bytes
-            .since_mark();
-        let probe_b = stats
-            .class(TrafficClass::Probe)
-            .transmitted_bytes
-            .since_mark();
-        let overhead = if data_b + probe_b == 0 {
-            0.0
-        } else {
-            probe_b as f64 / (data_b + probe_b) as f64
-        };
-        let marked = stats.class(TrafficClass::Data).marked.since_mark();
-        let transmitted = stats.class(TrafficClass::Data).transmitted.since_mark();
-        let mark_frac = if transmitted == 0 {
-            0.0
-        } else {
-            marked as f64 / transmitted as f64
-        };
-        (util, loss, overhead, mark_frac)
-    }
-
-    fn collect(
-        &self,
-        sim: &mut Sim,
-        host_n: NodeId,
-        sink_n: NodeId,
-        link_metrics: (f64, f64, f64, f64),
-    ) -> Report {
-        let measured = SimDuration::from_secs_f64(self.horizon_s - self.warmup_s);
-        let (utilization, link_loss, probe_overhead, mark_fraction) = link_metrics;
-
-        // Host/sink per-group counters.
-        let (decided, accepted, rejected, sent, timeouts, host_stranded): (
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            u64,
-            u64,
-        ) = {
-            let host = sim.agent::<HostAgent>(host_n).expect("host");
-            (
-                host.stats.decided.iter().map(|c| c.since_mark()).collect(),
-                host.stats.accepted.iter().map(|c| c.since_mark()).collect(),
-                host.stats.rejected.iter().map(|c| c.since_mark()).collect(),
-                host.stats
-                    .data_sent
-                    .iter()
-                    .map(|c| c.since_mark())
-                    .collect(),
-                host.stats.timeouts.since_mark(),
-                host.stranded_flows() as u64,
-            )
-        };
-        let (received, delay_ms_mean, delay_ms_std, delay_hist, sink_undecided): (
-            Vec<u64>,
-            f64,
-            f64,
-            telemetry::HistSummary,
-            u64,
-        ) = {
-            let sink = sim.agent::<SinkAgent>(sink_n).expect("sink");
-            (
-                sink.stats
-                    .data_received
-                    .iter()
-                    .map(|c| c.since_mark())
-                    .collect(),
-                sink.stats.data_delay.mean() * 1_000.0,
-                sink.stats.data_delay.std_dev() * 1_000.0,
-                telemetry::HistSummary::from_nanos(&sink.stats.data_delay_hist),
-                sink.undecided_flows() as u64,
-            )
-        };
-
-        let groups: Vec<GroupReport> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let dec = decided[i];
-                let rej = rejected[i];
-                GroupReport {
-                    name: g.name.clone(),
-                    decided: dec,
-                    accepted: accepted[i],
-                    rejected: rej,
-                    blocking: if dec == 0 {
-                        0.0
-                    } else {
-                        rej as f64 / dec as f64
-                    },
-                    data_sent: sent[i],
-                    data_received: received[i],
-                    loss: if sent[i] == 0 {
-                        0.0
-                    } else {
-                        1.0 - received[i] as f64 / sent[i] as f64
-                    },
-                }
-            })
-            .collect();
-
-        let total_sent: u64 = sent.iter().sum();
-        let total_recv: u64 = received.iter().sum();
-        let total_dec: u64 = decided.iter().sum();
-        let total_rej: u64 = rejected.iter().sum();
-
-        let param = match self.design {
-            Design::Endpoint { epsilon, .. } => epsilon,
-            Design::Mbac { eta } => eta,
-        };
-
-        Report {
-            design: self.design.name(),
-            param,
-            utilization,
-            data_loss: if total_sent == 0 {
-                0.0
-            } else {
-                1.0 - total_recv as f64 / total_sent as f64
-            },
-            link_loss,
-            blocking: if total_dec == 0 {
-                0.0
-            } else {
-                total_rej as f64 / total_dec as f64
-            },
-            probe_overhead,
-            mark_fraction,
-            delay_ms_mean,
-            delay_ms_std,
-            delay_hist,
-            groups,
-            link_utils: vec![utilization],
-            timeouts,
-            leaked_flows: host_stranded + sink_undecided,
-            measured_s: measured.as_secs_f64(),
-            events: sim.queue.events_fired(),
-            seed: self.seed,
-        }
-    }
-}
-
-/// Run a scenario across several seeds and average the reports.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the bench crate's `Sweep` builder, which parallelizes and isolates"
-)]
-pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Report {
-    assert!(!seeds.is_empty());
-    let reports: Vec<Report> = seeds
-        .iter()
-        .map(|&s| base.clone().seed(s).run().unwrap_or_else(|e| panic!("{e}")))
-        .collect();
-    Report::average(&reports)
 }
 
 #[cfg(test)]

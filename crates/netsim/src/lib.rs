@@ -28,7 +28,6 @@ pub mod packet;
 pub mod qdisc;
 pub mod sim;
 pub mod topo;
-pub mod trace;
 
 pub use audit::{check_conservation, AuditCounters, AuditError};
 pub use fault::{FaultPlan, FaultStats, Impairment, LinkFlap};
@@ -40,4 +39,3 @@ pub use qdisc::{
 };
 pub use sim::{Agent, Api, Event, RunError, Sim};
 pub use topo::Network;
-pub use trace::{TraceKind, TraceRecord, Tracer};

@@ -3,7 +3,6 @@
 
 use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Dequeue, Qdisc, VirtualQueue};
-use crate::trace::{TraceKind, Tracer};
 use simcore::stats::Counter;
 use simcore::{SimDuration, SimTime};
 
@@ -161,9 +160,8 @@ impl Link {
         }
     }
 
-    /// Offer a packet to the link's queue, updating statistics and (if
-    /// tracing is enabled) the trace.
-    pub fn receive(&mut self, mut pkt: Packet, now: SimTime, tracer: &mut Option<Tracer>) {
+    /// Offer a packet to the link's queue, updating statistics.
+    pub fn receive(&mut self, mut pkt: Packet, now: SimTime) {
         let class = pkt.class;
         self.stats.class_mut(class).offered.inc();
         self.stats
@@ -177,24 +175,13 @@ impl Link {
                 self.stats.class_mut(class).marked.inc();
             }
         }
-        let id = self.id;
-        let (flow, seq, size) = (pkt.flow.0, pkt.seq, pkt.size);
-        if let Some(t) = tracer.as_mut() {
-            t.record(now, TraceKind::Enqueue, Some(id), &pkt);
-        }
         self.evict_buf.clear();
         let accepted = self.qdisc.enqueue_into(pkt, now, &mut self.evict_buf);
         if !accepted {
             self.stats.class_mut(class).dropped.inc();
-            if let Some(t) = tracer.as_mut() {
-                t.record_raw(now, TraceKind::Drop, Some(id), flow, class, seq, size);
-            }
         }
         for victim in self.evict_buf.drain(..) {
             self.stats.class_mut(victim.class).dropped.inc();
-            if let Some(t) = tracer.as_mut() {
-                t.record(now, TraceKind::Evict, Some(id), &victim);
-            }
         }
     }
 
@@ -226,7 +213,7 @@ impl Link {
 
     /// Complete the in-flight transmission; returns the packet (now to be
     /// propagated to `self.to`).
-    pub fn tx_complete(&mut self, now: SimTime, tracer: &mut Option<Tracer>) -> Packet {
+    pub fn tx_complete(&mut self) -> Packet {
         let p = self
             .in_flight
             .take()
@@ -234,9 +221,6 @@ impl Link {
         let cs = self.stats.class_mut(p.class);
         cs.transmitted.inc();
         cs.transmitted_bytes.add(p.size as u64);
-        if let Some(t) = tracer.as_mut() {
-            t.record(now, TraceKind::Transmit, Some(self.id), &p);
-        }
         p
     }
 
@@ -308,13 +292,13 @@ mod tests {
     fn transmit_cycle() {
         let mut l = link();
         let t0 = SimTime::ZERO;
-        l.receive(pkt(0), t0, &mut None);
+        l.receive(pkt(0), t0);
         match l.try_start(t0) {
             LinkAction::TxCompleteAt(t) => {
                 // 125 B at 10 Mbps = 100 us.
                 assert_eq!(t, t0 + SimDuration::from_micros(100));
                 assert!(l.is_busy());
-                let p = l.tx_complete(t, &mut None);
+                let p = l.tx_complete();
                 assert_eq!(p.id, 0);
                 assert!(!l.is_busy());
             }
@@ -326,8 +310,8 @@ mod tests {
     #[test]
     fn busy_link_does_not_restart() {
         let mut l = link();
-        l.receive(pkt(0), SimTime::ZERO, &mut None);
-        l.receive(pkt(1), SimTime::ZERO, &mut None);
+        l.receive(pkt(0), SimTime::ZERO);
+        l.receive(pkt(1), SimTime::ZERO);
         assert!(matches!(
             l.try_start(SimTime::ZERO),
             LinkAction::TxCompleteAt(_)
@@ -339,7 +323,7 @@ mod tests {
     fn overflow_counts_drops() {
         let mut l = link();
         for i in 0..5 {
-            l.receive(pkt(i), SimTime::ZERO, &mut None);
+            l.receive(pkt(i), SimTime::ZERO);
         }
         assert_eq!(l.stats.class(TrafficClass::Data).offered.total(), 5);
         assert_eq!(l.stats.class(TrafficClass::Data).dropped.total(), 3);
@@ -359,7 +343,7 @@ mod tests {
         );
         // Burst enough packets at one instant to overwhelm the tiny VQ.
         for i in 0..10 {
-            l.receive(pkt(i), SimTime::ZERO, &mut None);
+            l.receive(pkt(i), SimTime::ZERO);
         }
         assert!(l.stats.class(TrafficClass::Data).marked.total() >= 8);
         // Marked packets are still queued (marking, not dropping).
@@ -370,9 +354,9 @@ mod tests {
     fn utilization_math() {
         let mut l = link();
         let t0 = SimTime::ZERO;
-        l.receive(pkt(0), t0, &mut None);
-        if let LinkAction::TxCompleteAt(t) = l.try_start(t0) {
-            l.tx_complete(t, &mut None);
+        l.receive(pkt(0), t0);
+        if let LinkAction::TxCompleteAt(_) = l.try_start(t0) {
+            l.tx_complete();
         }
         // 125 bytes over 1 second at 10 Mbps reference = 1e3 bits / 1e7.
         let u = l
@@ -385,7 +369,7 @@ mod tests {
     fn warmup_marking_resets_ratios() {
         let mut l = link();
         for i in 0..5 {
-            l.receive(pkt(i), SimTime::ZERO, &mut None);
+            l.receive(pkt(i), SimTime::ZERO);
         }
         l.stats.mark_all();
         assert_eq!(l.stats.drop_fraction(TrafficClass::Data), 0.0);

@@ -255,14 +255,6 @@ impl Sim {
                     return;
                 }
                 self.net.audit.delivered += 1;
-                if let Some(t) = self.net.tracer.as_mut() {
-                    t.record(
-                        self.queue.now(),
-                        crate::trace::TraceKind::Deliver,
-                        None,
-                        &packet,
-                    );
-                }
                 let idx = node.0 as usize;
                 match self.agents[idx].take() {
                     Some(mut agent) => {
@@ -598,79 +590,5 @@ mod tests {
             (sim.queue.events_fired(), sim.now())
         };
         assert_eq!(run(), run());
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::packet::{FlowId, TrafficClass};
-    use crate::qdisc::{DropTail, Limit};
-    use crate::trace::{TraceKind, Tracer};
-    use std::any::Any;
-
-    struct OneShot {
-        peer: NodeId,
-    }
-    impl Agent for OneShot {
-        fn on_start(&mut self, api: &mut Api) {
-            api.timer_in(SimDuration::ZERO, 0, 0);
-        }
-        fn on_packet(&mut self, _p: Packet, _api: &mut Api) {}
-        fn on_timer(&mut self, _k: u32, _d: u64, api: &mut Api) {
-            let p = Packet::new(
-                0,
-                FlowId(5),
-                api.node,
-                self.peer,
-                125,
-                TrafficClass::Data,
-                0,
-                api.now(),
-            );
-            api.send(p);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-    struct Sink;
-    impl Agent for Sink {
-        fn on_packet(&mut self, _p: Packet, _api: &mut Api) {}
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    #[test]
-    fn tracer_sees_full_packet_lifecycle() {
-        let mut net = crate::Network::new();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.add_link(
-            a,
-            b,
-            10_000_000,
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(Limit::Packets(10))),
-            None,
-        );
-        net.tracer = Some(Tracer::new(100));
-        let mut sim = Sim::new(net);
-        sim.attach(a, Box::new(OneShot { peer: b }));
-        sim.attach(b, Box::new(Sink));
-        sim.run_to_completion();
-        let t = sim.net.tracer.as_ref().unwrap();
-        assert_eq!(t.count(TraceKind::Enqueue), 1);
-        assert_eq!(t.count(TraceKind::Transmit), 1);
-        assert_eq!(t.count(TraceKind::Deliver), 1);
-        assert_eq!(t.count(TraceKind::Drop), 0);
-        // Lifecycle ordering: enqueue before transmit before deliver.
-        let kinds: Vec<TraceKind> = t.records().iter().map(|r| r.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![TraceKind::Enqueue, TraceKind::Transmit, TraceKind::Deliver]
-        );
-        assert!(t.records().iter().all(|r| r.flow == 5));
     }
 }

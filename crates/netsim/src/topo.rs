@@ -10,7 +10,6 @@ use crate::link::{Link, LinkAction};
 use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Qdisc, VirtualQueue};
 use crate::sim::Event;
-use crate::trace::TraceKind;
 use simcore::{EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 use telemetry::Telemetry;
@@ -35,11 +34,9 @@ pub struct Network {
     routes_dirty: bool,
     /// Packets delivered to a node with no agent expecting them.
     pub orphan_packets: u64,
-    /// Optional packet-event tracer (see [`crate::trace`]).
-    pub tracer: Option<crate::trace::Tracer>,
-    /// Optional telemetry hub (metrics + sampler + flight recorder). Like
-    /// the tracer, `None` is the fast path: every instrumented touch point
-    /// is behind one `Option` check.
+    /// Optional telemetry hub (metrics + sampler + flight recorder).
+    /// `None` is the fast path: every instrumented touch point is behind
+    /// one `Option` check.
     pub telemetry: Option<Box<Telemetry>>,
     /// Per-link counter snapshots at the previous sample tick.
     tele_prev: Vec<LinkPrev>,
@@ -72,7 +69,6 @@ impl Network {
             routes_dirty: false,
             orphan_packets: 0,
             blackboard: None,
-            tracer: None,
             telemetry: None,
             tele_prev: Vec::new(),
             tele_gauges: Vec::new(),
@@ -239,9 +235,6 @@ impl Network {
         }
         let Some(lid) = self.route(node, pkt.dst) else {
             self.audit.no_route_drops += 1;
-            if let Some(t) = self.tracer.as_mut() {
-                t.record(q.now(), TraceKind::Drop, None, &pkt);
-            }
             if let Some(tel) = self.telemetry.as_deref_mut() {
                 tel.metrics.inc("net.drops.no_route", 1);
                 tel.recorder.record(
@@ -261,7 +254,7 @@ impl Network {
         } else {
             0
         };
-        link.receive(pkt, now, &mut self.tracer);
+        link.receive(pkt, now);
         let action = link.try_start(now);
         if tel_on {
             let dropped = link.stats.total_dropped() - drops_before;
@@ -285,15 +278,12 @@ impl Network {
     pub fn tx_complete(&mut self, lid: LinkId, q: &mut EventQueue<Event>) {
         let now = q.now();
         let link = &mut self.links[lid.0 as usize];
-        let pkt = link.tx_complete(now, &mut self.tracer);
+        let pkt = link.tx_complete();
         let to = link.to;
         let delay = link.prop_delay;
         if !link.is_up() {
             if let Some(f) = self.faults.as_mut() {
                 f.stats.down_drops += 1;
-            }
-            if let Some(t) = self.tracer.as_mut() {
-                t.record(now, TraceKind::Drop, Some(lid), &pkt);
             }
             if let Some(tel) = self.telemetry.as_deref_mut() {
                 tel.metrics.inc("net.drops.down_link", 1);
@@ -314,9 +304,6 @@ impl Network {
         };
         match fate {
             WireFate::Lost => {
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(now, TraceKind::Drop, Some(lid), &pkt);
-                }
                 if let Some(tel) = self.telemetry.as_deref_mut() {
                     tel.metrics.inc("net.drops.wire", 1);
                     tel.recorder.record(

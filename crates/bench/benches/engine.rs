@@ -5,8 +5,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use netsim::{
-    Agent, Api, Dequeue, DropTail, Drr, FlowId, Limit, Network, NodeId, Packet, Qdisc, Red,
-    RedMode, RedParams, Sim, StrictPrio, TokenBucket, TrafficClass, VirtualQueue,
+    Agent, Api, Dequeue, DropTail, Drr, FlowId, Limit, Network, NodeId, Packet, Qdisc, Sim,
+    StrictPrio, TokenBucket, TrafficClass, VirtualQueue,
 };
 use simcore::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
 use traffic::{OnOff, PacketProcess, PeriodDist};
@@ -116,17 +116,6 @@ fn bench_qdiscs(c: &mut Criterion) {
         b.iter(|| {
             let mut q = StrictPrio::admission_queue(Limit::Packets(256), true);
             black_box(run_qdisc(&mut q, 10_000, TrafficClass::Probe))
-        })
-    });
-    g.bench_function("red (drop mode)", |b| {
-        b.iter(|| {
-            let mut q = Red::new(
-                Limit::Packets(256),
-                RedParams::default(),
-                RedMode::Drop,
-                SimRng::new(1),
-            );
-            black_box(run_qdisc(&mut q, 10_000, TrafficClass::Data))
         })
     });
     g.bench_function("drr (64 flows)", |b| {

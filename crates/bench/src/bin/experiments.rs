@@ -3,14 +3,9 @@
 //! ```text
 //! experiments <target> [--smoke|--quick|--paper] [--jobs N] [--telemetry DIR]
 //!
-//! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7
-//!          fig8a fig8b fig8c fig8d fig8e fig8f fig9 fig11
-//!          table3 table4 tables56
-//!          ablate-probe-duration ablate-vq-factor ablate-pushout ablate-buffer ablate-retry
-//!          robust-flap robust-ctrl-loss
-//!          bench-sweep  (pooled vs serial wall-clock, saves BENCH_sweep.json)
-//!          all          (everything above except bench-sweep)
-//!          check        (reproduction gate; see below)
+//! targets: the names in eac_bench::experiments::TARGETS (the usage
+//!          message lists them); `all` runs every one but bench-sweep;
+//!          `check` is the reproduction gate (see below)
 //!
 //! --jobs N sets the worker count for every sweep (default: available
 //! parallelism; --jobs 1 forces the serial path). Results are
@@ -30,69 +25,35 @@
 //! VERDICTS markers in EXPERIMENTS.md (path override: EAC_DOCS_PATH).
 //! ```
 
-use eac_bench::experiments as ex;
+use eac_bench::experiments::TARGETS;
 use eac_bench::pool;
 use eac_bench::runner::Fidelity;
 
-/// Parse `--jobs N` / `--jobs=N`; exits with usage on a malformed value.
-fn parse_jobs(args: &[String]) -> Option<usize> {
+/// The value of `--name V` / `--name=V`, parsed by `parse`. Exits 2 with
+/// "`name` takes `what`" on a missing, flag-like or unparsable value.
+fn flag_value<T>(
+    args: &[String],
+    name: &str,
+    what: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Option<T> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let val = if a == "--jobs" {
+        let val = if a == name {
             it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
+        } else if let Some(v) = a.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
             Some(v.to_string())
         } else {
             continue;
         };
-        match val.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n >= 1 => return Some(n),
-            _ => {
-                eprintln!("--jobs takes a positive integer (got {val:?})");
-                std::process::exit(2);
-            }
-        }
-    }
-    None
-}
-
-/// Parse `--telemetry DIR` / `--telemetry=DIR`; exits on a missing value.
-fn parse_telemetry(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = if a == "--telemetry" {
-            it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--telemetry=") {
-            Some(v.to_string())
-        } else {
-            continue;
-        };
-        match val {
-            Some(dir) if !dir.is_empty() && !dir.starts_with("--") => return Some(dir),
-            _ => {
-                eprintln!("--telemetry takes an output directory (got {val:?})");
-                std::process::exit(2);
-            }
-        }
-    }
-    None
-}
-
-/// Parse `--target T` / `--target=T` for the check mode.
-fn parse_target(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = if a == "--target" {
-            it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--target=") {
-            Some(v.to_string())
-        } else {
-            continue;
-        };
-        match val {
-            Some(t) if !t.is_empty() && !t.starts_with("--") => return Some(t),
-            _ => {
-                eprintln!("--target takes a target name (got {val:?})");
+        match val
+            .as_deref()
+            .filter(|v| !v.is_empty() && !v.starts_with("--"))
+            .and_then(parse)
+        {
+            Some(v) => return Some(v),
+            None => {
+                eprintln!("{name} takes {what} (got {val:?})");
                 std::process::exit(2);
             }
         }
@@ -107,7 +68,7 @@ fn run_check(args: &[String]) -> ! {
     use eac_bench::shapecheck;
 
     let specs = eac_bench::spec::catalog();
-    let only = parse_target(args);
+    let only = flag_value(args, "--target", "a target name", |v| Some(v.to_string()));
     if let Some(t) = &only {
         if !specs.iter().any(|s| s.target == t.as_str()) {
             eprintln!("unknown check target '{t}'");
@@ -115,10 +76,8 @@ fn run_check(args: &[String]) -> ! {
         }
     }
     let write_docs = args.iter().any(|a| a == "--write-docs");
-    let dir = std::path::PathBuf::from(
-        std::env::var("EAC_RESULTS_DIR").unwrap_or_else(|_| "results".into()),
-    );
-    let verdicts = shapecheck::check_targets(&dir, &specs, only.as_deref());
+    let verdicts =
+        shapecheck::check_targets(&eac_bench::output::results_dir(), &specs, only.as_deref());
     for t in &verdicts.results {
         println!(
             "{} {} ({}/{} checks)",
@@ -169,10 +128,12 @@ fn main() {
         run_check(&args);
     }
     let fid = Fidelity::from_args(&args);
-    if let Some(n) = parse_jobs(&args) {
+    let positive = |v: &str| v.parse().ok().filter(|&n: &usize| n >= 1);
+    if let Some(n) = flag_value(&args, "--jobs", "a positive integer", positive) {
         pool::set_default_jobs(n);
     }
-    if let Some(dir) = parse_telemetry(&args) {
+    let text = |v: &str| Some(v.to_string());
+    if let Some(dir) = flag_value(&args, "--telemetry", "an output directory", text) {
         eac_bench::telemetry_session::set_session_dir(dir);
     }
     let mut skip_value = false;
@@ -194,84 +155,35 @@ fn main() {
             eprintln!(
                 "usage: experiments <target> [--smoke|--quick|--paper] [--jobs N] [--telemetry DIR]"
             );
-            eprintln!("targets: fig1 fig2 fig3 fig4..fig7 fig8a..fig8f fig9 fig11");
-            eprintln!("         table3 table4 tables56 ablate-* robust-* bench-sweep all");
+            let mut line = String::from("targets:");
+            for t in TARGETS {
+                if line.len() + t.name.len() >= 72 {
+                    eprintln!("{line}");
+                    line = " ".repeat(8);
+                }
+                line = format!("{line} {}", t.name);
+            }
+            eprintln!("{line}");
+            eprintln!("         all  (every target above but bench-sweep)");
             eprintln!("         check [--target T] [--write-docs]  (reproduction gate)");
             std::process::exit(2);
         });
 
     let t0 = std::time::Instant::now();
-    run(&target, fid);
+    if target == "all" {
+        for t in TARGETS.iter().filter(|t| t.in_all) {
+            println!("\n=============== {} ===============", t.name);
+            (t.run)(fid);
+        }
+    } else if let Some(t) = TARGETS.iter().find(|t| t.name == target) {
+        (t.run)(fid);
+    } else {
+        eprintln!("unknown target '{target}'");
+        std::process::exit(2);
+    }
     eprintln!(
         "\n[{target} done in {:.1?} at {fid:?} fidelity, {} worker(s)]",
         t0.elapsed(),
         pool::default_jobs()
     );
-}
-
-fn run(target: &str, fid: Fidelity) {
-    match target {
-        "fig1" => ex::fig1(fid),
-        "fig2" => ex::fig2(fid),
-        "fig3" => ex::fig3(fid),
-        "fig4" => ex::fig4to7(4, fid),
-        "fig5" => ex::fig4to7(5, fid),
-        "fig6" => ex::fig4to7(6, fid),
-        "fig7" => ex::fig4to7(7, fid),
-        "fig8a" => ex::fig8('a', fid),
-        "fig8b" => ex::fig8('b', fid),
-        "fig8c" => ex::fig8('c', fid),
-        "fig8d" => ex::fig8('d', fid),
-        "fig8e" => ex::fig8('e', fid),
-        "fig8f" => ex::fig8('f', fid),
-        "fig9" => ex::fig9(fid),
-        "fig11" => ex::fig11(fid),
-        "table3" => ex::table3(fid),
-        "table4" => ex::table4(fid),
-        "tables56" => ex::tables56(fid),
-        "ablate-probe-duration" => ex::ablate("probe-duration", fid),
-        "ablate-vq-factor" => ex::ablate("vq-factor", fid),
-        "ablate-pushout" => ex::ablate("pushout", fid),
-        "ablate-buffer" => ex::ablate("buffer", fid),
-        "ablate-retry" => ex::ablate("retry", fid),
-        "robust-flap" => ex::robust_flap(fid),
-        "robust-ctrl-loss" => ex::robust_ctrl_loss(fid),
-        "bench-sweep" => ex::bench_sweep(fid),
-        "all" => {
-            for t in [
-                "fig1",
-                "fig2",
-                "fig3",
-                "fig4",
-                "fig5",
-                "fig6",
-                "fig7",
-                "fig8a",
-                "fig8b",
-                "fig8c",
-                "fig8d",
-                "fig8e",
-                "fig8f",
-                "fig9",
-                "table3",
-                "table4",
-                "tables56",
-                "fig11",
-                "ablate-probe-duration",
-                "ablate-vq-factor",
-                "ablate-pushout",
-                "ablate-buffer",
-                "ablate-retry",
-                "robust-flap",
-                "robust-ctrl-loss",
-            ] {
-                println!("\n=============== {t} ===============");
-                run(t, fid);
-            }
-        }
-        other => {
-            eprintln!("unknown target '{other}'");
-            std::process::exit(2);
-        }
-    }
 }

@@ -86,9 +86,8 @@ impl Workload {
     }
 }
 
-/// The four endpoint prototype designs, with the probing `style` applied.
-pub fn endpoint_designs(style: ProbeStyle) -> Vec<(&'static str, Signal, Placement)> {
-    let _ = style;
+/// The four endpoint prototype designs: label, signal and placement.
+pub fn endpoint_designs() -> Vec<(&'static str, Signal, Placement)> {
     vec![
         ("drop (in band)", Signal::Drop, Placement::InBand),
         ("drop (out of band)", Signal::Drop, Placement::OutOfBand),

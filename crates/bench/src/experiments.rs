@@ -1,5 +1,6 @@
 //! One function per table/figure of the paper. Each prints the same
 //! rows/series the paper reports and persists raw JSON under `results/`.
+//! [`TARGETS`] names them for the `experiments` CLI.
 
 use crate::catalog::{design, endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
 use crate::output::{fmt_prob, print_table, save_json};
@@ -13,6 +14,60 @@ use eac::multihop::{product_blocking, MultihopScenario};
 use eac::probe::{Placement, ProbeStyle, Signal};
 use eac::scenario::Scenario;
 use traffic::SourceSpec;
+
+/// One `experiments` CLI target.
+pub struct Target {
+    /// The name the CLI takes.
+    pub name: &'static str,
+    /// Runs the target at a fidelity.
+    pub run: fn(Fidelity),
+    /// Whether `experiments all` runs it.
+    pub in_all: bool,
+}
+
+const fn target(name: &'static str, run: fn(Fidelity)) -> Target {
+    Target {
+        name,
+        run,
+        in_all: true,
+    }
+}
+
+/// Every target, in the order `experiments all` runs them. The order
+/// fixes the `--telemetry` sweep numbering, so append new targets.
+pub const TARGETS: &[Target] = &[
+    target("fig1", fig1),
+    target("fig2", fig2),
+    target("fig3", fig3),
+    target("fig4", |fid| fig4to7(4, fid)),
+    target("fig5", |fid| fig4to7(5, fid)),
+    target("fig6", |fid| fig4to7(6, fid)),
+    target("fig7", |fid| fig4to7(7, fid)),
+    target("fig8a", |fid| fig8('a', fid)),
+    target("fig8b", |fid| fig8('b', fid)),
+    target("fig8c", |fid| fig8('c', fid)),
+    target("fig8d", |fid| fig8('d', fid)),
+    target("fig8e", |fid| fig8('e', fid)),
+    target("fig8f", |fid| fig8('f', fid)),
+    target("fig9", fig9),
+    target("table3", table3),
+    target("table4", table4),
+    target("tables56", tables56),
+    target("fig11", fig11),
+    target("ablate-probe-duration", ablate_probe_duration),
+    target("ablate-vq-factor", ablate_vq_factor),
+    target("ablate-pushout", ablate_pushout),
+    target("ablate-buffer", ablate_buffer),
+    target("ablate-retry", ablate_retry),
+    target("robust-flap", robust_flap),
+    target("robust-ctrl-loss", robust_ctrl_loss),
+    // Wall-clock, not a result: saves BENCH_sweep.json.
+    Target {
+        name: "bench-sweep",
+        run: bench_sweep,
+        in_all: false,
+    },
+];
 
 fn curve_rows(label: &str, reports: &[Report]) -> Vec<Vec<String>> {
     reports
@@ -60,6 +115,15 @@ fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
     save_json(id, &all);
 }
 
+/// Run `s` at the fidelity's run length and return its seed average.
+fn point(fid: Fidelity, s: Scenario) -> Report {
+    Sweep::new(fid.apply(s))
+        .seeds(&fid.seeds())
+        .run()
+        .expect_reports()
+        .remove(0)
+}
+
 /// The MBAC benchmark's η sweep on `base`.
 fn mbac_curve(base: Scenario) -> Curve {
     let etas = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
@@ -69,7 +133,7 @@ fn mbac_curve(base: Scenario) -> Curve {
 /// The four endpoint designs (each over its ε grid) plus the MBAC η
 /// sweep, all on `base`.
 fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
-    let mut curves: Vec<Curve> = endpoint_designs(style)
+    let mut curves: Vec<Curve> = endpoint_designs()
         .into_iter()
         .map(|(label, signal, placement)| {
             let designs = eps_grid(placement)
@@ -85,7 +149,7 @@ fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
 
 /// Fig 1 — fluid-model thrashing: utilization and in-band loss vs mean
 /// probe duration.
-pub fn fig1(fid: Fidelity) {
+fn fig1(fid: Fidelity) {
     println!("# Fig 1 — thrashing in the fluid model");
     println!("# utilization applies to in-band AND out-of-band probing;");
     println!("# the loss column is in-band (out-of-band data loss is 0)\n");
@@ -121,14 +185,14 @@ pub fn fig1(fid: Fidelity) {
 }
 
 /// Fig 2 — the basic scenario's loss-load curves (5 algorithms).
-pub fn fig2(fid: Fidelity) {
+fn fig2(fid: Fidelity) {
     println!("# Fig 2 — basic scenario (EXP1, tau=3.5s, slow-start probing)\n");
     let curves = design_curves(Workload::Basic.scenario(), ProbeStyle::SlowStart);
     loss_load_figure("fig2", curves, fid);
 }
 
 /// Fig 3 — longer probing: 5 s vs 25 s slow-start, in-band dropping.
-pub fn fig3(fid: Fidelity) {
+fn fig3(fid: Fidelity) {
     println!("# Fig 3 — basic scenario with long probing (in-band dropping)\n");
     let mut curves: Vec<Curve> = [("5 second probes", 5.0), ("25 second probes", 25.0)]
         .into_iter()
@@ -150,7 +214,7 @@ pub fn fig3(fid: Fidelity) {
 
 /// Figs 4–7 — high load (τ = 1 s): the three probing algorithms under
 /// each prototype design, against MBAC.
-pub fn fig4to7(which: u8, fid: Fidelity) {
+fn fig4to7(which: u8, fid: Fidelity) {
     let (signal, placement) = match which {
         4 => (Signal::Drop, Placement::InBand),
         5 => (Signal::Drop, Placement::OutOfBand),
@@ -182,7 +246,7 @@ pub fn fig4to7(which: u8, fid: Fidelity) {
 }
 
 /// Fig 8(a)–(f) — robustness across source models.
-pub fn fig8(letter: char, fid: Fidelity) {
+fn fig8(letter: char, fid: Fidelity) {
     let w = match letter {
         'a' => Workload::Exp2,
         'b' => Workload::Exp3,
@@ -198,21 +262,16 @@ pub fn fig8(letter: char, fid: Fidelity) {
 }
 
 /// Fig 9 — loss at a fixed ε across all scenarios, per design.
-pub fn fig9(fid: Fidelity) {
+fn fig9(fid: Fidelity) {
     println!("# Fig 9 — loss for many scenarios at fixed eps");
     println!("# (eps = 0.01 in-band, 0.05 out-of-band)\n");
     let mut rows = Vec::new();
     let mut ser: Vec<(String, String, f64)> = Vec::new();
-    for (label, signal, placement) in endpoint_designs(ProbeStyle::SlowStart) {
+    for (label, signal, placement) in endpoint_designs() {
         let eps = fig9_eps(placement);
         for w in Workload::ALL {
             let d = design(signal, placement, ProbeStyle::SlowStart, eps);
-            let s = fid.apply(w.scenario().design(d));
-            let r = Sweep::new(s)
-                .seeds(&fid.seeds())
-                .run()
-                .expect_reports()
-                .remove(0);
+            let r = point(fid, w.scenario().design(d));
             rows.push(vec![
                 label.to_string(),
                 w.name().to_string(),
@@ -228,11 +287,11 @@ pub fn fig9(fid: Fidelity) {
 }
 
 /// Table 3 — heterogeneous thresholds: blocking for low- vs high-ε flows.
-pub fn table3(fid: Fidelity) {
+fn table3(fid: Fidelity) {
     println!("# Table 3 — blocking probabilities for low and high eps\n");
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, signal, placement) in endpoint_designs(ProbeStyle::SlowStart) {
+    for (label, signal, placement) in endpoint_designs() {
         let high = match placement {
             Placement::InBand => 0.05,
             Placement::OutOfBand => 0.20,
@@ -242,12 +301,7 @@ pub fn table3(fid: Fidelity) {
             Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
         ];
         let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
-        let s = fid.apply(Workload::Basic.scenario().groups(groups).design(d));
-        let r = Sweep::new(s)
-            .seeds(&fid.seeds())
-            .run()
-            .expect_reports()
-            .remove(0);
+        let r = point(fid, Workload::Basic.scenario().groups(groups).design(d));
         rows.push(vec![
             label.to_string(),
             format!("{:.4}", r.groups[0].blocking),
@@ -264,18 +318,13 @@ pub fn table3(fid: Fidelity) {
 }
 
 /// Table 4 — blocking for small vs large flows in the heterogeneous mix.
-pub fn table4(fid: Fidelity) {
+fn table4(fid: Fidelity) {
     println!("# Table 4 — blocking for small vs large flows (heterogeneous mix)");
     println!("# large = EXP2 (token rate 1024k, 4x the others)\n");
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
     let mut run_one = |label: String, d: Design| {
-        let s = fid.apply(Workload::Hetero.scenario().design(d));
-        let r = Sweep::new(s)
-            .seeds(&fid.seeds())
-            .run()
-            .expect_reports()
-            .remove(0);
+        let r = point(fid, Workload::Hetero.scenario().design(d));
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
         let small: Vec<&eac::metrics::GroupReport> =
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
@@ -294,7 +343,7 @@ pub fn table4(fid: Fidelity) {
         ]);
         ser.push((label, small_b, large_b));
     };
-    for (label, signal, placement) in endpoint_designs(ProbeStyle::SlowStart) {
+    for (label, signal, placement) in endpoint_designs() {
         let eps = fig9_eps(placement);
         run_one(
             label.to_string(),
@@ -308,7 +357,7 @@ pub fn table4(fid: Fidelity) {
 
 /// Tables 5 and 6 — the multi-hop topology: per-class loss and blocking
 /// with the product approximation.
-pub fn tables56(fid: Fidelity) {
+fn tables56(fid: Fidelity) {
     println!("# Tables 5 & 6 — multi-hop topology (Fig 10), eps = 0\n");
     let mut loss_rows = Vec::new();
     let mut block_rows = Vec::new();
@@ -352,7 +401,7 @@ pub fn tables56(fid: Fidelity) {
         ]);
         ser.push(r);
     };
-    for (label, signal, placement) in endpoint_designs(ProbeStyle::SlowStart) {
+    for (label, signal, placement) in endpoint_designs() {
         run_one(
             label.to_string(),
             design(signal, placement, ProbeStyle::SlowStart, 0.0),
@@ -377,7 +426,7 @@ pub fn tables56(fid: Fidelity) {
 }
 
 /// Fig 11 — TCP coexistence at a legacy drop-tail router.
-pub fn fig11(fid: Fidelity) {
+fn fig11(fid: Fidelity) {
     println!("# Fig 11 — TCP utilization vs admission-controlled traffic");
     println!("# (20 TCP Reno flows from t=0; EAC in-band dropping from t=50s)\n");
     let (horizon, steady) = match fid {
@@ -411,154 +460,143 @@ pub fn fig11(fid: Fidelity) {
     save_json("fig11", &ser);
 }
 
-/// Ablations of design choices DESIGN.md calls out.
-pub fn ablate(which: &str, fid: Fidelity) {
-    match which {
-        "probe-duration" => {
-            println!("# Ablation — probe duration (in-band dropping, eps=0.01)\n");
-            let mut rows = Vec::new();
-            for dur in [1.0, 2.5, 5.0, 10.0, 25.0] {
-                let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
-                let s = fid.apply(Workload::Basic.scenario().probe_secs(dur).design(d));
-                let r = Sweep::new(s)
-                    .seeds(&fid.seeds())
-                    .run()
-                    .expect_reports()
-                    .remove(0);
-                rows.push(vec![
-                    format!("{dur:.1}"),
-                    format!("{:.4}", r.utilization),
-                    fmt_prob(r.data_loss),
-                    format!("{:.4}", r.blocking),
-                    format!("{:.4}", r.probe_overhead),
-                ]);
-            }
-            print_table(
-                &["probe-s", "utilization", "loss", "blocking", "probe-ovh"],
-                &rows,
-            );
-        }
-        "vq-factor" => {
-            println!("# Ablation — virtual-queue rate factor (in-band marking, eps=0.01)\n");
-            let mut rows = Vec::new();
-            for f in [0.8, 0.85, 0.9, 0.95, 1.0] {
-                let d = design(Signal::Mark, Placement::InBand, ProbeStyle::SlowStart, 0.01);
-                let mut s = fid.apply(Workload::Basic.scenario().design(d));
-                s.vq_factor = f;
-                let r = Sweep::new(s)
-                    .seeds(&fid.seeds())
-                    .run()
-                    .expect_reports()
-                    .remove(0);
-                rows.push(vec![
-                    format!("{f:.2}"),
-                    format!("{:.4}", r.utilization),
-                    fmt_prob(r.data_loss),
-                    format!("{:.4}", r.blocking),
-                    format!("{:.4}", r.mark_fraction),
-                ]);
-            }
-            print_table(
-                &["vq-factor", "utilization", "loss", "blocking", "mark-frac"],
-                &rows,
-            );
-        }
-        "pushout" => {
-            println!("# Ablation — probe push-out (out-of-band dropping, eps=0.05)\n");
-            let mut rows = Vec::new();
-            for (label, push) in [("push-out on", true), ("push-out off", false)] {
-                let d = design(
-                    Signal::Drop,
-                    Placement::OutOfBand,
-                    ProbeStyle::SlowStart,
-                    0.05,
-                );
-                let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
-                s.probe_pushout = push;
-                let r = Sweep::new(s)
-                    .seeds(&fid.seeds())
-                    .run()
-                    .expect_reports()
-                    .remove(0);
-                rows.push(vec![
-                    label.to_string(),
-                    format!("{:.4}", r.utilization),
-                    fmt_prob(r.data_loss),
-                    format!("{:.4}", r.blocking),
-                ]);
-            }
-            print_table(&["variant", "utilization", "loss", "blocking"], &rows);
-        }
-        "buffer" => {
-            println!("# Ablation — bottleneck buffer size (in-band dropping, eps=0.01)\n");
-            let mut rows = Vec::new();
-            for b in [50usize, 100, 200, 400] {
-                let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
-                let mut s = fid.apply(Workload::Basic.scenario().design(d));
-                s.buffer_pkts = b;
-                let r = Sweep::new(s)
-                    .seeds(&fid.seeds())
-                    .run()
-                    .expect_reports()
-                    .remove(0);
-                rows.push(vec![
-                    format!("{b}"),
-                    format!("{:.4}", r.utilization),
-                    fmt_prob(r.data_loss),
-                    format!("{:.4}", r.blocking),
-                ]);
-            }
-            print_table(&["buffer-pkts", "utilization", "loss", "blocking"], &rows);
-        }
-        "retry" => {
-            println!("# Ablation — footnote-10 retry extension (in-band dropping,");
-            println!("# eps=0.01, ~400% offered load): retries act as extra offered");
-            println!("# load, trading blocking statistics for utilization\n");
-            let mut rows = Vec::new();
-            for (label, retry) in [
-                ("no retries (paper)", None),
-                (
-                    "3 retries, 5s base backoff",
-                    Some(eac::host::RetryPolicy {
-                        max_attempts: 3,
-                        base_backoff: simcore::SimDuration::from_secs(5),
-                        max_backoff: simcore::SimDuration::from_secs(60),
-                    }),
-                ),
-                (
-                    "5 retries, 10s base backoff",
-                    Some(eac::host::RetryPolicy {
-                        max_attempts: 5,
-                        base_backoff: simcore::SimDuration::from_secs(10),
-                        max_backoff: simcore::SimDuration::from_secs(120),
-                    }),
-                ),
-            ] {
-                let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
-                let mut s = fid.apply(Workload::HighLoad.scenario().design(d));
-                s.retry = retry;
-                let r = Sweep::new(s)
-                    .seeds(&fid.seeds())
-                    .run()
-                    .expect_reports()
-                    .remove(0);
-                rows.push(vec![
-                    label.to_string(),
-                    format!("{:.4}", r.utilization),
-                    fmt_prob(r.data_loss),
-                    format!("{:.4}", r.blocking),
-                ]);
-            }
-            print_table(&["variant", "utilization", "loss", "blocking"], &rows);
-        }
-        "red" => {
-            println!("# Ablation — drop-tail vs RED is exercised at qdisc level;");
-            println!("# see netsim::qdisc::red tests and the engine bench.");
-        }
-        other => {
-            eprintln!("unknown ablation '{other}' (probe-duration, vq-factor, pushout, buffer)");
-        }
-    }
+/// An ablation's optional last column: its header and the report field.
+type Extra = Option<(&'static str, fn(&Report) -> f64)>;
+
+/// Run one ablation: print `title`, run each labelled variant as one
+/// point and tabulate its utilization, loss, blocking and `extra`.
+fn ablation(
+    fid: Fidelity,
+    title: &str,
+    label: &str,
+    extra: Extra,
+    variants: impl IntoIterator<Item = (String, Scenario)>,
+) {
+    println!("{title}\n");
+    let mut header = vec![label, "utilization", "loss", "blocking"];
+    header.extend(extra.map(|(name, _)| name));
+    let rows: Vec<Vec<String>> = variants
+        .into_iter()
+        .map(|(label, s)| {
+            let r = point(fid, s);
+            let mut row = vec![
+                label,
+                format!("{:.4}", r.utilization),
+                fmt_prob(r.data_loss),
+                format!("{:.4}", r.blocking),
+            ];
+            row.extend(extra.map(|(_, field)| format!("{:.4}", field(&r))));
+            row
+        })
+        .collect();
+    print_table(&header, &rows);
+}
+
+/// The scenario every ablation but push-out and retry varies: the basic
+/// workload under `signal` in-band at ε = 0.01.
+fn basic_in_band(signal: Signal) -> Scenario {
+    let d = design(signal, Placement::InBand, ProbeStyle::SlowStart, 0.01);
+    Workload::Basic.scenario().design(d)
+}
+
+/// ablate-probe-duration — how long slow-start probing lasts.
+fn ablate_probe_duration(fid: Fidelity) {
+    let variants = [1.0, 2.5, 5.0, 10.0, 25.0].map(|dur| {
+        (
+            format!("{dur:.1}"),
+            basic_in_band(Signal::Drop).probe_secs(dur),
+        )
+    });
+    ablation(
+        fid,
+        "# Ablation — probe duration (in-band dropping, eps=0.01)",
+        "probe-s",
+        Some(("probe-ovh", |r| r.probe_overhead)),
+        variants,
+    );
+}
+
+/// ablate-vq-factor — the virtual queue's share of the link rate.
+fn ablate_vq_factor(fid: Fidelity) {
+    let variants = [0.8, 0.85, 0.9, 0.95, 1.0].map(|f| {
+        let mut s = basic_in_band(Signal::Mark);
+        s.vq_factor = f;
+        (format!("{f:.2}"), s)
+    });
+    ablation(
+        fid,
+        "# Ablation — virtual-queue rate factor (in-band marking, eps=0.01)",
+        "vq-factor",
+        Some(("mark-frac", |r| r.mark_fraction)),
+        variants,
+    );
+}
+
+/// ablate-pushout — data pushing resident probes out of a full buffer.
+fn ablate_pushout(fid: Fidelity) {
+    let d = design(
+        Signal::Drop,
+        Placement::OutOfBand,
+        ProbeStyle::SlowStart,
+        0.05,
+    );
+    let variants = [("push-out on", true), ("push-out off", false)].map(|(label, push)| {
+        let mut s = Workload::HighLoad.scenario().design(d);
+        s.probe_pushout = push;
+        (label.to_string(), s)
+    });
+    ablation(
+        fid,
+        "# Ablation — probe push-out (out-of-band dropping, eps=0.05)",
+        "variant",
+        None,
+        variants,
+    );
+}
+
+/// ablate-buffer — the bottleneck buffer size.
+fn ablate_buffer(fid: Fidelity) {
+    let variants = [50usize, 100, 200, 400].map(|b| {
+        let mut s = basic_in_band(Signal::Drop);
+        s.buffer_pkts = b;
+        (format!("{b}"), s)
+    });
+    ablation(
+        fid,
+        "# Ablation — bottleneck buffer size (in-band dropping, eps=0.01)",
+        "buffer-pkts",
+        None,
+        variants,
+    );
+}
+
+/// ablate-retry — footnote 10's retries after a rejection.
+fn ablate_retry(fid: Fidelity) {
+    let policy = |max_attempts, base_s, max_s| eac::host::RetryPolicy {
+        max_attempts,
+        base_backoff: simcore::SimDuration::from_secs(base_s),
+        max_backoff: simcore::SimDuration::from_secs(max_s),
+    };
+    let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
+    let variants = [
+        ("no retries (paper)", None),
+        ("3 retries, 5s base backoff", Some(policy(3, 5, 60))),
+        ("5 retries, 10s base backoff", Some(policy(5, 10, 120))),
+    ]
+    .map(|(label, retry)| {
+        let mut s = Workload::HighLoad.scenario().design(d);
+        s.retry = retry;
+        (label.to_string(), s)
+    });
+    ablation(
+        fid,
+        "# Ablation — footnote-10 retry extension (in-band dropping,\n\
+         # eps=0.01, ~400% offered load): retries act as extra offered\n\
+         # load, trading blocking statistics for utilization",
+        "variant",
+        None,
+        variants,
+    );
 }
 
 /// robust-flap — the Fig 2 loss-load point under a flapping bottleneck.
@@ -569,7 +607,7 @@ pub fn ablate(which: &str, fid: Fidelity) {
 /// timeout instead of stranding the flow. The conservation audit and event
 /// budget run on every seed; seeds are isolated so one pathological run
 /// cannot take down the sweep.
-pub fn robust_flap(fid: Fidelity) {
+fn robust_flap(fid: Fidelity) {
     println!("# robust-flap — in-band dropping under a flapping bottleneck");
     println!("# (5 s verdict timeout; packet-conservation audit on every seed)\n");
     let (h, w) = fid.lengths();
@@ -649,7 +687,7 @@ pub fn robust_flap(fid: Fidelity) {
 /// the bottleneck path. With the timeout, a lost Accept/Reject resolves as
 /// a counted rejection and blocking stays bounded; without it, flows strand
 /// in AwaitDecision and show up as leaked per-flow state.
-pub fn robust_ctrl_loss(fid: Fidelity) {
+fn robust_ctrl_loss(fid: Fidelity) {
     println!("# robust-ctrl-loss — Bernoulli loss on the control channel");
     println!("# (in-band dropping, eps=0.01; audit + event budget on every seed)\n");
     let mut rows = Vec::new();
@@ -744,7 +782,7 @@ pub struct SweepBenchRecord {
 /// The same grid runs twice — once with one worker (the serial loop,
 /// no threads) and once with the session's worker count — and the two
 /// result sets are compared byte-for-byte after serialization.
-pub fn bench_sweep(fid: Fidelity) {
+fn bench_sweep(fid: Fidelity) {
     println!("# bench-sweep — pooled vs serial executor (Fig 2 in-band dropping)\n");
     let designs: Vec<Design> = eps_grid(Placement::InBand)
         .into_iter()

@@ -1,9 +1,9 @@
 //! # eac-bench — the experiment harness
 //!
-//! One entry point per table and figure of the paper (see the
-//! `experiments` binary), plus shared machinery: the workload catalogue
-//! (§3.2/Table 2), the design sweeps (§3.2's ε grids), run-length
-//! presets (`--quick` vs `--paper`), the work pool and [`sweep::Sweep`]
+//! One entry point per table and figure of the paper, named by
+//! [`experiments::TARGETS`] for the `experiments` binary, plus shared
+//! machinery: the workload catalogue (§3.2/Table 2), the design sweeps
+//! (§3.2's ε grids), run-length presets (`--quick` vs `--paper`), the work pool and [`sweep::Sweep`]
 //! builder that parallelize every multi-run experiment deterministically,
 //! aligned table printing and JSON persistence under `results/`.
 //!

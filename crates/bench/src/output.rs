@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 use std::fs;
-use std::path::Path;
+use std::path::PathBuf;
 
 /// Print an aligned table: a header row then data rows.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
@@ -31,26 +31,22 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Serialize `value` to `<dir>/<id>.json` (creating the directory).
-/// The directory is `$EAC_RESULTS_DIR` when set, else `results/`.
+/// Where results live: `$EAC_RESULTS_DIR` when set, else `results/`.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(std::env::var("EAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
+}
+
+/// Serialize `value` to `<results_dir>/<id>.json`, creating the
+/// directory. A run that cannot save its results exits with status 1.
 pub fn save_json<T: Serialize>(id: &str, value: &T) {
-    let dir = std::env::var("EAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = Path::new(&dir);
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
+    let dir = results_dir();
     let path = dir.join(format!("{id}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialize {id}: {e}"),
+    let json = serde_json::to_string_pretty(value).expect("results serialize");
+    if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, json)) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    println!("[saved {}]", path.display());
 }
 
 /// Format a probability for tables: fixed for large values, scientific

@@ -194,13 +194,6 @@ impl Sweep {
         self
     }
 
-    /// Like [`telemetry`](Sweep::telemetry) with full control of the
-    /// sampling period and ring capacity.
-    pub fn telemetry_config(mut self, cfg: SweepTelemetry) -> Self {
-        self.telemetry = Some(cfg);
-        self
-    }
-
     /// Run the design × seed grid on the pool and fold the results.
     pub fn run(&self) -> SweepResult {
         let n_seeds = self.seeds.len();

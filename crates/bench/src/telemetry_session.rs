@@ -36,15 +36,3 @@ pub(crate) fn next_sweep_config() -> Option<SweepTelemetry> {
     let n = SWEEP_COUNTER.fetch_add(1, Ordering::Relaxed);
     Some(SweepTelemetry::new(dir.join(format!("sweep{n:03}"))))
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unset_session_yields_no_config() {
-        // Note: other tests in this binary must not set the session dir;
-        // the experiments CLI is the only production caller.
-        assert!(next_sweep_config().is_none() || session_dir().is_some());
-    }
-}

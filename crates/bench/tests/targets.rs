@@ -1,0 +1,64 @@
+//! The `experiments` CLI and its target table: every gated result file
+//! has a target that regenerates it, and the binary fails loudly.
+
+use eac_bench::experiments::TARGETS;
+use std::process::Command;
+
+#[test]
+fn every_gated_file_has_a_target_that_all_runs() {
+    for spec in eac_bench::spec::catalog() {
+        let name = if spec.target == "BENCH_sweep" {
+            "bench-sweep"
+        } else {
+            spec.target
+        };
+        let target = TARGETS
+            .iter()
+            .find(|t| t.name == name)
+            .unwrap_or_else(|| panic!("{} has no target", spec.target));
+        assert_eq!(
+            target.in_all,
+            name != "bench-sweep",
+            "{name}: only bench-sweep stays out of `all`"
+        );
+    }
+}
+
+#[test]
+fn target_names_are_unique() {
+    for (i, t) in TARGETS.iter().enumerate() {
+        assert!(
+            TARGETS[..i].iter().all(|u| u.name != t.name),
+            "{} twice",
+            t.name
+        );
+    }
+}
+
+fn experiments(args: &[&str], results_dir: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .env("EAC_RESULTS_DIR", results_dir)
+        .output()
+        .expect("run experiments")
+}
+
+#[test]
+fn unknown_target_exits_2() {
+    let out = experiments(&["no-such-target", "--smoke"], &std::env::temp_dir());
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn lost_results_fail_the_run() {
+    // A results "directory" that is a regular file cannot hold fig1.json.
+    let file = std::env::temp_dir().join(format!("eac-results-file-{}", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let out = experiments(&["fig1", "--smoke"], &file);
+    std::fs::remove_file(&file).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a run that saved nothing must fail"
+    );
+}

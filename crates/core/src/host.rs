@@ -12,7 +12,7 @@
 //! (idealised, serialised signalling — exactly the property §2.2.3
 //! credits router-based admission with).
 
-use crate::design::{effective_epsilons, Design, Group};
+use crate::design::{Design, Group};
 use crate::mbac::MbacRegistry;
 use crate::msg::{data_aux, probe_aux, Msg};
 use crate::probe::ProbePlan;
@@ -165,16 +165,6 @@ impl HostStats {
             rej as f64 / dec as f64
         }
     }
-
-    /// Blocking probability of one group since the mark.
-    pub fn group_blocking(&self, g: usize) -> f64 {
-        let dec = self.decided[g].since_mark();
-        if dec == 0 {
-            0.0
-        } else {
-            self.rejected[g].since_mark() as f64 / dec as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +198,6 @@ struct HostFlow {
 /// The sending-host agent.
 pub struct HostAgent {
     cfg: HostConfig,
-    eps: Vec<f64>,
     cum_weights: Vec<f64>,
     rng: SimRng,
     flows: HashMap<u64, HostFlow>,
@@ -222,7 +211,6 @@ impl HostAgent {
     /// Build a host; `rng` should be a derived stream unique to this host.
     pub fn new(cfg: HostConfig, rng: SimRng) -> Self {
         assert!(!cfg.groups.is_empty());
-        let eps = effective_epsilons(&cfg.design, &cfg.groups);
         let mut cum = 0.0;
         let cum_weights: Vec<f64> = cfg
             .groups
@@ -235,7 +223,6 @@ impl HostAgent {
         let n = cfg.groups.len();
         HostAgent {
             cfg,
-            eps,
             cum_weights,
             rng,
             flows: HashMap::new(),
@@ -243,11 +230,6 @@ impl HostAgent {
             flow_base: 0,
             stats: HostStats::new(n),
         }
-    }
-
-    /// The effective ε of each group.
-    pub fn epsilons(&self) -> &[f64] {
-        &self.eps
     }
 
     /// Flows stuck waiting for a verdict right now. Nonzero at the end of

@@ -126,12 +126,6 @@ impl MultihopScenario {
         self
     }
 
-    /// Replace the whole run supervision config at once.
-    pub fn with_run_config(mut self, cfg: RunConfig) -> Self {
-        self.run_config = cfg;
-        self
-    }
-
     /// Build and run; returns a [`Report`] whose groups are
     /// `cross-0`, `cross-1`, `cross-2`, `long` (in that order), with
     /// `link_utils` holding the three backbone utilizations — or a

@@ -168,8 +168,7 @@ pub struct RunOutput {
 impl Scenario {
     /// The basic scenario of §4.1: EXP1 sources, τ = 3.5 s, 10 Mbps link,
     /// slow-start in-band dropping with ε = 0.01. The paper runs 14 000 s
-    /// with a 2 000 s warm-up; the default here is a faster 3 000/500 s —
-    /// pass `.paper_length()` for full fidelity.
+    /// with a 2 000 s warm-up; the default here is a faster 3 000/500 s.
     pub fn basic() -> Self {
         Scenario {
             design: Design::endpoint(
@@ -245,13 +244,6 @@ impl Scenario {
         self
     }
 
-    /// The paper's full-length run: 14 000 s, first 2 000 s discarded.
-    pub fn paper_length(mut self) -> Self {
-        self.horizon_s = 14_000.0;
-        self.warmup_s = 2_000.0;
-        self
-    }
-
     /// Set the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -288,12 +280,6 @@ impl Scenario {
     /// Cap total simulation events (event-storm watchdog).
     pub fn event_budget(mut self, budget: u64) -> Self {
         self.run_config.event_budget = Some(budget);
-        self
-    }
-
-    /// Replace the whole run supervision config at once.
-    pub fn with_run_config(mut self, cfg: RunConfig) -> Self {
-        self.run_config = cfg;
         self
     }
 

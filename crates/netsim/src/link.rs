@@ -13,7 +13,7 @@ pub struct ClassStats {
     pub offered: Counter,
     /// Bytes offered.
     pub offered_bytes: Counter,
-    /// Packets dropped (tail drop, RED drop, or push-out eviction).
+    /// Packets dropped (tail drop or push-out eviction).
     pub dropped: Counter,
     /// Packets that left the queue carrying an ECN mark.
     pub marked: Counter,

@@ -11,19 +11,17 @@
 //!   schedulers (§2.1.2) are expressed without giving qdiscs access to the
 //!   event queue.
 //!
-//! Implementations: [`DropTail`], [`Red`], [`StrictPrio`], [`Drr`], and the
+//! Implementations: [`DropTail`], [`StrictPrio`], [`Drr`], and the
 //! [`VirtualQueue`] ECN marker that wraps a link.
 
 mod drr;
 mod fifo;
 mod prio;
-mod red;
 mod vq;
 
 pub use drr::Drr;
 pub use fifo::DropTail;
 pub use prio::{class_band_map, Band, StrictPrio};
-pub use red::{Red, RedMode, RedParams};
 pub use vq::VirtualQueue;
 
 use crate::packet::Packet;
@@ -152,11 +150,6 @@ impl TokenBucket {
             tokens: depth_bytes,
             last: SimTime::ZERO,
         }
-    }
-
-    /// Refill rate in bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
     }
 
     fn refill(&mut self, now: SimTime) {

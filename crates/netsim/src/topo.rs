@@ -106,11 +106,6 @@ impl Network {
         self.num_nodes
     }
 
-    /// Number of links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Add a unidirectional link.
     pub fn add_link(
         &mut self,
@@ -140,11 +135,6 @@ impl Network {
     /// Borrow a link.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0 as usize]
-    }
-
-    /// Mutably borrow a link.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.0 as usize]
     }
 
     /// All links (for stats sweeps).

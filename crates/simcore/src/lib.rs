@@ -15,8 +15,8 @@
 //!   binary-heap reference implementation it is property-tested against;
 //! - [`rng::SimRng`]: a seeded RNG with cheap derived streams and the
 //!   distribution samplers the paper's workloads need (exponential, Pareto);
-//! - [`stats`]: statistics accumulators (Welford mean/variance,
-//!   time-weighted averages, counters, fixed-bin histograms).
+//! - [`stats`]: statistics accumulators (Welford mean/variance and
+//!   warm-up-marked counters).
 //!
 //! The engine is deliberately synchronous and single-threaded per
 //! simulation run: determinism is a feature (identical seeds produce

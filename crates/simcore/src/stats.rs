@@ -1,10 +1,8 @@
 //! Statistics accumulators.
 //!
-//! The experiments report means, variances, rates and time-weighted
-//! averages measured *after a warm-up period*; every accumulator here
-//! supports `reset_at` so warm-up transients can be discarded in place.
-
-use crate::time::SimTime;
+//! The experiments report means, variances and rates measured *after a
+//! warm-up period*; [`Counter::mark`] and [`Welford::reset`] discard
+//! warm-up transients in place.
 
 /// Streaming mean/variance via Welford's algorithm.
 #[derive(Clone, Debug, Default)]
@@ -62,64 +60,6 @@ impl Welford {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length,
-/// number of flows in the system).
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    value: f64,
-    area: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial `value`.
-    pub fn new(t0: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            value,
-            area: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        self.area += self.value * now.since(self.last_t).as_secs_f64();
-        self.last_t = now;
-        self.value = value;
-    }
-
-    /// Record an increment (convenience for counters of flows etc.).
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-average over `[start, now]` (0.0 for an empty interval).
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let area = self.area + self.value * now.since(self.last_t).as_secs_f64();
-        area / total
-    }
-
-    /// Forget everything before `now` (keeping the current value); used to
-    /// discard warm-up.
-    pub fn reset_at(&mut self, now: SimTime) {
-        self.area = 0.0;
-        self.last_t = now;
-        self.start = now;
-    }
-}
-
 /// Monotone event counter that supports a warm-up snapshot: `since_mark()`
 /// reports events after the most recent `mark()`.
 #[derive(Clone, Debug, Default)]
@@ -162,117 +102,9 @@ impl Counter {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating outer bins,
-/// used for distributional sanity checks in tests and examples.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// `nbins` equal bins over `[lo, hi)`. Panics on a degenerate range.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Add an observation; values outside the range land in the edge bins.
-    pub fn add(&mut self, x: f64) {
-        let n = self.bins.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = if frac < 0.0 {
-            0
-        } else {
-            ((frac * n as f64) as usize).min(n - 1)
-        };
-        self.bins[idx] += 1;
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Approximate quantile `q` in \[0,1\] from the binned data (bin lower edge).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return self.lo;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, b) in self.bins.iter().enumerate() {
-            acc += b;
-            if acc >= target {
-                return self.lo + i as f64 * w;
-            }
-        }
-        self.hi
-    }
-}
-
-/// A ratio-of-counters metric (losses/sent, marks/received, ...), with
-/// warm-up marking on both numerator and denominator.
-#[derive(Clone, Debug, Default)]
-pub struct Ratio {
-    pub num: Counter,
-    pub den: Counter,
-}
-
-impl Ratio {
-    /// Zeroed ratio.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Numerator/denominator since the last mark (0.0 if denominator is 0).
-    pub fn value(&self) -> f64 {
-        let d = self.den.since_mark();
-        if d == 0 {
-            0.0
-        } else {
-            self.num.since_mark() as f64 / d as f64
-        }
-    }
-
-    /// Mark both counters (start of measurement window).
-    pub fn mark(&mut self) {
-        self.num.mark();
-        self.den.mark();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn welford_matches_direct() {
@@ -292,34 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_piecewise() {
-        let t0 = SimTime::ZERO;
-        let mut tw = TimeWeighted::new(t0, 0.0);
-        tw.set(SimTime::from_secs(10), 5.0); // 0 for 10s
-        tw.set(SimTime::from_secs(20), 10.0); // 5 for 10s
-        let avg = tw.average(SimTime::from_secs(30)); // 10 for 10s
-        assert!((avg - (0.0 * 10.0 + 5.0 * 10.0 + 10.0 * 10.0) / 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_reset_discards_warmup() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 100.0);
-        tw.reset_at(SimTime::from_secs(50));
-        tw.set(SimTime::from_secs(60), 0.0);
-        // 100 for 10s then 0 for 10s, measured from t=50.
-        assert!((tw.average(SimTime::from_secs(70)) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(1), 2.0);
-        assert_eq!(tw.current(), 3.0);
-        tw.add(SimTime::from_secs(2), -3.0);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
     fn counter_marking() {
         let mut c = Counter::new();
         c.add(10);
@@ -328,43 +132,5 @@ mod tests {
         c.inc();
         assert_eq!(c.total(), 12);
         assert_eq!(c.since_mark(), 2);
-    }
-
-    #[test]
-    fn ratio_basics() {
-        let mut r = Ratio::new();
-        r.den.add(100);
-        r.num.add(5);
-        assert!((r.value() - 0.05).abs() < 1e-12);
-        r.mark();
-        assert_eq!(r.value(), 0.0);
-        r.den.add(10);
-        r.num.add(1);
-        assert!((r.value() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.add(i as f64 / 10.0); // 0.0 .. 9.9 uniformly
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.bins().iter().all(|&b| b == 10));
-        assert!((h.mean() - 4.95).abs() < 1e-9);
-        assert!((h.quantile(0.5) - 4.0).abs() < 1.01);
-        // Out-of-range values saturate.
-        h.add(-5.0);
-        h.add(50.0);
-        assert_eq!(h.bins()[0], 11);
-        assert_eq!(h.bins()[9], 11);
-    }
-
-    #[test]
-    fn time_weighted_zero_interval() {
-        let tw = TimeWeighted::new(SimTime::from_secs(5), 3.0);
-        assert_eq!(tw.average(SimTime::from_secs(5)), 0.0);
-        let later = SimTime::from_secs(5) + SimDuration::from_nanos(1);
-        assert!((tw.average(later) - 3.0).abs() < 1e-9);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simcore::queue::HeapEventQueue;
-use simcore::stats::{Histogram, Welford};
+use simcore::stats::Welford;
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 proptest! {
@@ -118,17 +118,6 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         prop_assert!((w.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
         prop_assert!((w.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-    }
-
-    /// Histograms never lose observations.
-    #[test]
-    fn histogram_conserves_count(xs in prop::collection::vec(-100f64..200.0, 0..300)) {
-        let mut h = Histogram::new(0.0, 100.0, 17);
-        for &x in &xs {
-            h.add(x);
-        }
-        prop_assert_eq!(h.count(), xs.len() as u64);
-        prop_assert_eq!(h.bins().iter().sum::<u64>(), xs.len() as u64);
     }
 
     /// Derived RNG streams are reproducible and tag-sensitive.

@@ -2,8 +2,6 @@
 //! instrument, exported as CSV (header + rows) or JSONL.
 
 use serde::{Serialize, Value};
-use std::io::Write;
-use std::path::Path;
 
 /// A fixed-column table of samples indexed by simulation time.
 ///
@@ -91,15 +89,6 @@ impl TimeSeries {
             out.push('\n');
         }
         out
-    }
-
-    /// Write the CSV to `path`, creating parent directories.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_csv().as_bytes())
     }
 
     /// Element-wise mean across several series with the same columns,

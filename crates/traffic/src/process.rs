@@ -115,12 +115,6 @@ impl OnOff {
     fn spacing_s(&self) -> f64 {
         self.pkt_bytes as f64 * 8.0 / self.burst_rate_bps
     }
-
-    /// The burst (ON) rate, bits/second — this is also the token-bucket
-    /// rate `r` the flow declares, and hence its probing rate.
-    pub fn burst_rate_bps(&self) -> f64 {
-        self.burst_rate_bps
-    }
 }
 
 impl PacketProcess for OnOff {

@@ -86,7 +86,57 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // The same steady state over the simulator's own delay mix: the
+    // clock runs for minutes, so the window slides, wraps round its ring
+    // and jumps over empty stretches.
+    let delays = packet_delays();
+    g.bench_function("calendar hold-model (packet delays)", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for i in 0..256u64 {
+                q.schedule_at(SimTime::from_nanos(i * 311), i);
+            }
+            let mut acc = 0u64;
+            for _ in 0..10_000u64 {
+                let (_, e) = q.pop().unwrap();
+                acc = acc.wrapping_add(e);
+                q.schedule_in(delays[e as usize % delays.len()], e + 1);
+            }
+            black_box(acc)
+        })
+    });
+    g.bench_function("heap hold-model (packet delays)", |b| {
+        b.iter(|| {
+            let mut q: HeapEventQueue<u64> = HeapEventQueue::new();
+            for i in 0..256u64 {
+                q.schedule_at(SimTime::from_nanos(i * 311), i);
+            }
+            let mut acc = 0u64;
+            for _ in 0..10_000u64 {
+                let (_, e) = q.pop().unwrap();
+                acc = acc.wrapping_add(e);
+                q.schedule_in(delays[e as usize % delays.len()], e + 1);
+            }
+            black_box(acc)
+        })
+    });
     g.finish();
+}
+
+/// 4096 delays from the simulator's mix: 100 µs transmissions, 3.9 ms
+/// on/off spacing, 20 ms propagation, 0.5 s off periods and 300 s
+/// lifetimes.
+fn packet_delays() -> Vec<SimDuration> {
+    let mut rng = SimRng::new(1);
+    (0..4096)
+        .map(|_| match rng.next_u64() % 16 {
+            0..=5 => SimDuration::from_micros(100),
+            6..=8 => SimDuration::from_micros(3_900),
+            9..=12 => SimDuration::from_micros(20_100),
+            13..=14 => SimDuration::from_secs_f64(rng.exponential(0.5)),
+            _ => SimDuration::from_secs_f64(rng.exponential(300.0)),
+        })
+        .collect()
 }
 
 fn run_qdisc(q: &mut dyn Qdisc, n: u64, class: TrafficClass) -> u64 {

@@ -18,9 +18,8 @@ use crate::msg::{data_aux, probe_aux, Msg};
 use crate::probe::ProbePlan;
 use netsim::{Agent, Api, FlowId, LinkId, NodeId, Packet, TrafficClass};
 use simcore::stats::Counter;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{IdMap, SimDuration, SimRng, SimTime};
 use std::any::Any;
-use std::collections::HashMap;
 use traffic::{Demography, PacketProcess, Policer};
 
 /// Timer kinds used by the host.
@@ -200,7 +199,7 @@ pub struct HostAgent {
     cfg: HostConfig,
     cum_weights: Vec<f64>,
     rng: SimRng,
-    flows: HashMap<u64, HostFlow>,
+    flows: IdMap<u64, HostFlow>,
     next_flow: u64,
     flow_base: u64,
     /// Statistics (readable after the run via `Sim::agent`).
@@ -225,7 +224,7 @@ impl HostAgent {
             cfg,
             cum_weights,
             rng,
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             next_flow: 0,
             flow_base: 0,
             stats: HostStats::new(n),

@@ -18,9 +18,8 @@ use crate::msg::{decode_data_aux, decode_probe_aux, Msg};
 use crate::probe::{congestion_fraction, Signal};
 use netsim::{Agent, Api, FlowId, NodeId, Packet, TrafficClass};
 use simcore::stats::{Counter, Welford};
-use simcore::SimDuration;
+use simcore::{IdMap, SimDuration};
 use std::any::Any;
-use std::collections::HashMap;
 use telemetry::LogHistogram;
 
 /// Timer kinds used by the sink.
@@ -151,7 +150,7 @@ impl SinkFlow {
 /// The receiving-host agent.
 pub struct SinkAgent {
     cfg: SinkConfig,
-    flows: HashMap<u64, SinkFlow>,
+    flows: IdMap<u64, SinkFlow>,
     /// Statistics (readable after the run via `Sim::agent`).
     pub stats: SinkStats,
 }
@@ -162,7 +161,7 @@ impl SinkAgent {
         let n = cfg.eps_per_group.len();
         SinkAgent {
             cfg,
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             stats: SinkStats::new(n),
         }
     }

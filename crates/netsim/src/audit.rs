@@ -12,9 +12,10 @@
 //! ```
 //!
 //! `injected` counts agent-originated sends ([`crate::Api::send`]);
-//! forwarding at transit nodes does not re-count. `in transit` tracks
-//! scheduled `Deliver` events not yet fired (packets on the wire), so the
-//! identity holds mid-run, not just after a drain.
+//! forwarding at transit nodes does not re-count. `in transit` is the
+//! occupancy of the network's wire arena ([`crate::wire`]): every packet
+//! whose `Deliver` event is scheduled and not yet fired sits there, so
+//! the identity holds mid-run, not just after a drain.
 //!
 //! The check itself is opt-in — call [`check_conservation`] (or
 //! `Sim::check_conservation`) from tests or audited scenarios.
@@ -28,8 +29,6 @@ pub struct AuditCounters {
     pub injected: u64,
     /// Final deliveries (including packets arriving at agent-less nodes).
     pub delivered: u64,
-    /// Scheduled `Deliver` events not yet fired.
-    pub in_transit: u64,
     /// Packets dropped because no route existed to their destination
     /// (e.g. every path contains a down link).
     pub no_route_drops: u64,
@@ -72,6 +71,7 @@ impl std::error::Error for AuditError {}
 /// Check packet conservation against the network's current state.
 pub fn check_conservation(net: &Network) -> Result<(), AuditError> {
     let a = net.audit;
+    let in_transit = net.in_transit();
     let fault = net.fault_stats().copied().unwrap_or_default();
 
     let mut queue_drops = 0u64;
@@ -93,7 +93,7 @@ pub fn check_conservation(net: &Network) -> Result<(), AuditError> {
         + a.no_route_drops
         + queued
         + in_flight
-        + a.in_transit;
+        + in_transit;
 
     if sources == sinks {
         Ok(())
@@ -104,14 +104,13 @@ pub fn check_conservation(net: &Network) -> Result<(), AuditError> {
             detail: format!(
                 "injected {} + duplicated {} vs delivered {} + queue_drops {queue_drops} \
                  + wire_lost {} + down_drops {} + no_route {} + queued {queued} \
-                 + in_flight {in_flight} + in_transit {}",
+                 + in_flight {in_flight} + in_transit {in_transit}",
                 a.injected,
                 fault.duplicated,
                 a.delivered,
                 fault.wire_lost,
                 fault.down_drops,
                 a.no_route_drops,
-                a.in_transit
             ),
         })
     }

@@ -15,7 +15,7 @@
 //!            │  Agent trait, Api
 //!   ┌────────┴─────────┐
 //!   │  Sim (run loop)  │  Event calendar (simcore::EventQueue)
-//!   │  Network         │  routing, inject/forward
+//!   │  Network         │  routing, inject/forward, wire arena
 //!   │  Link            │  bandwidth, propagation, stats
 //!   │  Qdisc           │  DropTail / StrictPrio / Drr (+ VirtualQueue)
 //!   └──────────────────┘
@@ -28,6 +28,7 @@ pub mod packet;
 pub mod qdisc;
 pub mod sim;
 pub mod topo;
+pub mod wire;
 
 pub use audit::{check_conservation, AuditCounters, AuditError};
 pub use fault::{FaultPlan, FaultStats, Impairment, LinkFlap};
@@ -39,3 +40,4 @@ pub use qdisc::{
 };
 pub use sim::{Agent, Api, Event, RunError, Sim};
 pub use topo::Network;
+pub use wire::WireSlot;

@@ -14,6 +14,7 @@ use crate::audit::AuditError;
 use crate::fault::FaultPlan;
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::topo::Network;
+use crate::wire::WireSlot;
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use std::any::Any;
 
@@ -24,8 +25,9 @@ pub enum Event {
     TxComplete { link: LinkId },
     /// A rate-limited link should retry dequeueing.
     TryDequeue { link: LinkId },
-    /// A packet arrives at `node` after propagation.
-    Deliver { node: NodeId, packet: Packet },
+    /// The packet in wire slot `slot` arrives at `node` after
+    /// propagation.
+    Deliver { node: NodeId, slot: WireSlot },
     /// An agent timer fires. `kind` and `data` are agent-defined.
     Timer { node: NodeId, kind: u32, data: u64 },
     /// A scheduled fault takes the link down.
@@ -247,8 +249,8 @@ impl Sim {
         match ev {
             Event::TxComplete { link } => self.net.tx_complete(link, &mut self.queue),
             Event::TryDequeue { link } => self.net.try_dequeue(link, &mut self.queue),
-            Event::Deliver { node, packet } => {
-                self.net.audit.in_transit -= 1;
+            Event::Deliver { node, slot } => {
+                let packet = self.net.wire.take(slot);
                 if node != packet.dst {
                     // Transit node: forward.
                     self.net.inject(packet, node, &mut self.queue);
@@ -560,6 +562,57 @@ mod tests {
         let mut sim = Sim::new(net);
         sim.attach(a, Box::new(PastScheduler));
         sim.run_to_completion();
+    }
+
+    #[test]
+    fn event_fits_in_24_bytes() {
+        // Every calendar entry carries one `Event`: a new field that
+        // widens it costs memory traffic on every schedule and pop.
+        assert!(
+            std::mem::size_of::<Event>() <= 24,
+            "Event grew to {} bytes",
+            std::mem::size_of::<Event>()
+        );
+    }
+
+    #[test]
+    fn wire_arena_holds_only_packets_in_transit() {
+        let mut net = Network::new();
+        let a = net.add_node();
+        let b = net.add_node();
+        net.add_link(a, b, 10_000_000, SimDuration::from_millis(20), dt(), None);
+        let mut sim = Sim::new(net);
+        let n = 10_000;
+        sim.attach(
+            a,
+            Box::new(Blaster {
+                peer: b,
+                n,
+                sent: 0,
+            }),
+        );
+        sim.attach(
+            b,
+            Box::new(Sink {
+                received: 0,
+                last_seq: None,
+                in_order: true,
+            }),
+        );
+        sim.run_until(SimTime::ZERO);
+        let mut peak = 0;
+        while let Some(t) = sim.queue.peek_time() {
+            sim.run_until(t);
+            peak = peak.max(sim.net.in_transit());
+            sim.check_conservation().expect("conserved mid-run");
+        }
+        assert_eq!(sim.agent::<Sink>(b).unwrap().received, n);
+        assert_eq!(sim.net.in_transit(), 0);
+        sim.check_conservation().expect("conserved after the drain");
+        // One packet per ms over 20 ms of propagation: about twenty on
+        // the wire at once, and the arena never holds more slots.
+        assert!((19..=21).contains(&peak), "peak in transit {peak}");
+        assert_eq!(sim.net.wire.capacity() as u64, peak);
     }
 
     #[test]

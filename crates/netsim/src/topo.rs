@@ -10,6 +10,7 @@ use crate::link::{Link, LinkAction};
 use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Qdisc, VirtualQueue};
 use crate::sim::Event;
+use crate::wire::WireArena;
 use simcore::{EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 use telemetry::Telemetry;
@@ -44,6 +45,8 @@ pub struct Network {
     tele_gauges: Vec<String>,
     /// Packet-conservation counters (see [`crate::audit`]).
     pub audit: AuditCounters,
+    /// Packets propagating towards their next node (see [`crate::wire`]).
+    pub(crate) wire: WireArena,
     /// Installed fault state, if any (see [`crate::fault`]).
     pub(crate) faults: Option<FaultState>,
     /// Shared state reachable from every agent through [`crate::Api`]
@@ -73,6 +76,7 @@ impl Network {
             tele_prev: Vec::new(),
             tele_gauges: Vec::new(),
             audit: AuditCounters::default(),
+            wire: WireArena::default(),
             faults: None,
         }
     }
@@ -130,6 +134,12 @@ impl Network {
         ));
         self.routes_dirty = true;
         id
+    }
+
+    /// Packets on the wire: done serialising on a link (or handed to
+    /// their own node) and waiting for their `Deliver` event.
+    pub(crate) fn in_transit(&self) -> u64 {
+        self.wire.occupied() as u64
     }
 
     /// Borrow a link.
@@ -216,8 +226,8 @@ impl Network {
     /// counted drop ([`AuditCounters::no_route_drops`]), not a panic.
     pub fn inject(&mut self, pkt: Packet, node: NodeId, q: &mut EventQueue<Event>) {
         if node == pkt.dst {
-            self.audit.in_transit += 1;
-            q.schedule_in(SimDuration::ZERO, Event::Deliver { node, packet: pkt });
+            let slot = self.wire.put(pkt);
+            q.schedule_in(SimDuration::ZERO, Event::Deliver { node, slot });
             return;
         }
         if self.routes_dirty {
@@ -305,23 +315,11 @@ impl Network {
             }
             WireFate::Deliver { extra, dup_extra } => {
                 if let Some(dup) = dup_extra {
-                    self.audit.in_transit += 1;
-                    q.schedule_in(
-                        delay + dup,
-                        Event::Deliver {
-                            node: to,
-                            packet: pkt.clone(),
-                        },
-                    );
+                    let slot = self.wire.put(pkt.clone());
+                    q.schedule_in(delay + dup, Event::Deliver { node: to, slot });
                 }
-                self.audit.in_transit += 1;
-                q.schedule_in(
-                    delay + extra,
-                    Event::Deliver {
-                        node: to,
-                        packet: pkt,
-                    },
-                );
+                let slot = self.wire.put(pkt);
+                q.schedule_in(delay + extra, Event::Deliver { node: to, slot });
             }
         }
         let action = link.try_start(now);
@@ -511,7 +509,8 @@ mod tests {
             match ev {
                 Event::TxComplete { link } => net.tx_complete(link, &mut q),
                 Event::TryDequeue { link } => net.try_dequeue(link, &mut q),
-                Event::Deliver { node, packet } => {
+                Event::Deliver { node, slot } => {
+                    let packet = net.wire.take(slot);
                     if node == packet.dst {
                         delivered_at = Some(t);
                     } else {
@@ -560,9 +559,9 @@ mod tests {
         );
         net.inject(pkt, NodeId(1), &mut q);
         match q.pop() {
-            Some((_, Event::Deliver { node, packet })) => {
+            Some((_, Event::Deliver { node, slot })) => {
                 assert_eq!(node, NodeId(1));
-                assert_eq!(packet.dst, NodeId(1));
+                assert_eq!(net.wire.take(slot).dst, NodeId(1));
             }
             other => panic!("unexpected {other:?}"),
         }

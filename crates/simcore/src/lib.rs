@@ -9,10 +9,12 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond time, so event
 //!   ordering never depends on floating-point rounding;
-//! - [`EventQueue`]: a calendar-queue event calendar (bucketed timer wheel
-//!   with an overflow heap) with a monotone sequence number for stable FIFO
-//!   ordering of simultaneous events; [`queue::HeapEventQueue`] is the
+//! - [`EventQueue`]: a calendar-queue event calendar (a sliding ring of
+//!   buckets, i.e. a timer wheel, with an overflow heap) with a monotone
+//!   sequence number for stable FIFO ordering of simultaneous events; [`queue::HeapEventQueue`] is the
 //!   binary-heap reference implementation it is property-tested against;
+//! - [`IdMap`]: a `HashMap` with a cheap multiplicative hash, for the
+//!   flow tables on the per-packet path;
 //! - [`rng::SimRng`]: a seeded RNG with cheap derived streams and the
 //!   distribution samplers the paper's workloads need (exponential, Pareto);
 //! - [`stats`]: statistics accumulators (Welford mean/variance and
@@ -22,11 +24,13 @@
 //! simulation run: determinism is a feature (identical seeds produce
 //! bit-identical runs). Parallelism belongs one level up, across runs.
 
+pub mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use idmap::IdMap;
 pub use queue::{EventQueue, HeapEventQueue, QueueSnapshot, ScheduleViolation};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

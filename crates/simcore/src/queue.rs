@@ -6,15 +6,18 @@
 //! the order they were scheduled (FIFO), which keeps simulations
 //! deterministic and makes "schedule B right after A" reasoning valid.
 //!
-//! - [`EventQueue`] — the production calendar: a non-sliding calendar
-//!   queue (bucketed timer wheel) with a far-future overflow heap. The
-//!   near window covers [`NUM_BUCKETS`] buckets of `2^`[`WIDTH_BITS`] ns
-//!   each (~67 ms), which is wide enough that the packet-level hot path
-//!   (transmission completions, 20 ms propagation deliveries, dequeue
-//!   wake-ups) lands in O(1) buckets; only long-lived protocol timers
-//!   (flow arrivals, lifetimes, probe deadlines) pay the overflow heap.
-//!   Bucket storage and the active-bucket heap retain their capacity
-//!   across a run, so steady-state scheduling allocates nothing.
+//! - [`EventQueue`] — the production calendar: a sliding calendar queue
+//!   (a ring of buckets, i.e. a timer wheel) with a far-future overflow
+//!   heap. The near window covers [`NUM_BUCKETS`] buckets of
+//!   `2^`[`WIDTH_BITS`] ns each (~67 ms) starting at the activation
+//!   cursor, and it slides forward with every bucket activation, so the
+//!   packet-level hot path (transmission completions, 20 ms propagation
+//!   deliveries, dequeue wake-ups) always lands in an O(1) bucket; only
+//!   long-lived protocol timers (flow arrivals, lifetimes, probe
+//!   deadlines) pay the overflow heap, and they move into the ring once
+//!   the window reaches them. Bucket storage and the active-bucket heap
+//!   retain their capacity across a run, so steady-state scheduling
+//!   allocates nothing.
 //! - [`HeapEventQueue`] — the original binary-heap calendar, kept as the
 //!   reference implementation for differential property tests and the
 //!   engine benchmarks.
@@ -95,24 +98,25 @@ impl<E> Ord for Entry<E> {
 /// offending event is dropped and the violation is recorded for the run
 /// driver to turn into a graceful error.
 pub struct EventQueue<E> {
-    /// Near-window buckets; bucket `i` holds entries with
-    /// `at >> WIDTH_BITS == base + i`, unsorted. Vecs keep their capacity
-    /// when drained (a free-list in place), so steady state allocates
-    /// nothing.
+    /// The near window as a ring: an entry whose absolute bucket
+    /// `abs = at >> WIDTH_BITS` lies in `cursor..cursor + NUM_BUCKETS`
+    /// sits, unsorted, in `buckets[abs % NUM_BUCKETS]`. Vecs keep their
+    /// capacity when drained (a free-list in place), so steady state
+    /// allocates nothing.
     buckets: Vec<Vec<Entry<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
+    /// One bit per ring slot: set iff the bucket is non-empty.
     occ: [u64; OCC_WORDS],
     /// Entries in the near window, excluding `current`.
     near_count: usize,
-    /// Absolute bucket index (time >> WIDTH_BITS) of `buckets[0]`.
-    base: u64,
-    /// Bucket offsets `< cursor` have been activated (drained into
+    /// Absolute buckets `< cursor` have been activated (drained into
     /// `current`); insertions targeting them go straight to `current`.
-    cursor: usize,
-    /// The active min-heap: every pending entry at or before the activated
+    /// The window starts here, so it slides with every activation.
+    cursor: u64,
+    /// The active min-heap: every pending entry before the activation
     /// boundary. Always pops before any bucket or overflow entry.
     current: BinaryHeap<Entry<E>>,
-    /// Entries beyond the near window, migrated in when the window rebases.
+    /// Entries beyond the near window (`abs >= cursor + NUM_BUCKETS`),
+    /// moved into the ring as the window slides over them.
     far: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
@@ -134,7 +138,6 @@ impl<E> EventQueue<E> {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; OCC_WORDS],
             near_count: 0,
-            base: 0,
             cursor: 0,
             current: BinaryHeap::new(),
             far: BinaryHeap::new(),
@@ -257,17 +260,17 @@ impl<E> EventQueue<E> {
     #[inline]
     fn push_entry(&mut self, entry: Entry<E>) {
         let abs = entry.at.as_nanos() >> WIDTH_BITS;
-        if abs < self.base + self.cursor as u64 {
-            // At or behind the activated boundary: the heap keeps exact
+        if abs < self.cursor {
+            // Behind the activation boundary: the heap keeps exact
             // (time, seq) order, so late arrivals into the active region
             // still pop in their correct place.
             self.current.push(entry);
-        } else if abs - self.base < NUM_BUCKETS as u64 {
-            let off = (abs - self.base) as usize;
-            if self.buckets[off].is_empty() {
-                self.occ[off / 64] |= 1u64 << (off % 64);
+        } else if abs - self.cursor < NUM_BUCKETS as u64 {
+            let slot = (abs % NUM_BUCKETS as u64) as usize;
+            if self.buckets[slot].is_empty() {
+                self.occ[slot / 64] |= 1u64 << (slot % 64);
             }
-            self.buckets[off].push(entry);
+            self.buckets[slot].push(entry);
             self.near_count += 1;
         } else {
             self.far.push(entry);
@@ -275,40 +278,52 @@ impl<E> EventQueue<E> {
     }
 
     /// Make `current` hold the globally earliest pending entries (or be
-    /// empty if the whole calendar is). Activates buckets left to right;
-    /// when the near window drains, rebases it onto the earliest overflow
-    /// entry and migrates overflow entries that now fit.
+    /// empty if the whole calendar is). Activates the next occupied ring
+    /// bucket, which slides the window forward; when the ring is empty,
+    /// jumps the cursor just past the earliest overflow bucket, so that
+    /// bucket's entries go straight to `current` and a sparse stretch
+    /// (one timer per 100 ms, say) never touches a ring bucket. Either
+    /// way, overflow entries the window now covers move into the ring.
     fn ensure_current(&mut self) {
         while self.current.is_empty() {
             if self.near_count > 0 {
-                let off = self.next_occupied(self.cursor).expect("near_count > 0");
-                self.occ[off / 64] &= !(1u64 << (off % 64));
-                self.near_count -= self.buckets[off].len();
-                self.current.extend(self.buckets[off].drain(..));
-                self.cursor = off + 1;
+                let abs = self.next_occupied();
+                let slot = (abs % NUM_BUCKETS as u64) as usize;
+                self.occ[slot / 64] &= !(1u64 << (slot % 64));
+                self.near_count -= self.buckets[slot].len();
+                self.current.extend(self.buckets[slot].drain(..));
+                self.cursor = abs + 1;
             } else if let Some(e) = self.far.peek() {
-                self.base = e.at.as_nanos() >> WIDTH_BITS;
-                self.cursor = 0;
-                let end_abs = self.base + NUM_BUCKETS as u64;
-                while let Some(e) = self.far.peek() {
-                    if e.at.as_nanos() >> WIDTH_BITS >= end_abs {
-                        break;
-                    }
-                    let entry = self.far.pop().expect("peeked");
-                    self.push_entry(entry);
-                }
+                self.cursor = (e.at.as_nanos() >> WIDTH_BITS) + 1;
             } else {
                 return; // truly empty
+            }
+            let end = self.cursor + NUM_BUCKETS as u64;
+            while let Some(e) = self.far.peek() {
+                if e.at.as_nanos() >> WIDTH_BITS >= end {
+                    break;
+                }
+                let entry = self.far.pop().expect("peeked");
+                self.push_entry(entry);
             }
         }
     }
 
-    /// First occupied bucket at or after `from`, via the occupancy bitmap.
+    /// Absolute bucket of the first occupied ring slot at or after the
+    /// cursor: one pass round the ring via the occupancy bitmap.
     #[inline]
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= NUM_BUCKETS {
-            return None;
-        }
+    fn next_occupied(&self) -> u64 {
+        let start = (self.cursor % NUM_BUCKETS as u64) as usize;
+        let slot = self
+            .first_occupied_from(start)
+            .or_else(|| self.first_occupied_from(0))
+            .expect("near_count > 0");
+        self.cursor + ((slot + NUM_BUCKETS - start) % NUM_BUCKETS) as u64
+    }
+
+    /// First occupied ring slot at or after `from` (no wrap-around).
+    #[inline]
+    fn first_occupied_from(&self, from: usize) -> Option<usize> {
         let mut w = from / 64;
         let mut bits = self.occ[w] & (!0u64 << (from % 64));
         loop {
@@ -533,9 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_rebase_keeps_order() {
+    fn far_future_jump_keeps_order() {
         // Events far beyond the near window (hundreds of seconds) force
-        // overflow-heap migration and window rebasing.
+        // overflow-heap migration and jumps of the empty window.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(300), "d");
         q.schedule_at(SimTime::from_nanos(10), "a");

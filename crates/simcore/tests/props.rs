@@ -154,3 +154,118 @@ proptest! {
         }
     }
 }
+
+/// A delay from the simulator's own mix: 100 µs transmissions, 3.9 ms
+/// on/off packet spacing, 20 ms propagation, 0.5 s off periods and 300 s
+/// lifetimes. The fixed values collide often, so same-instant ties are
+/// common too.
+fn simulator_delay(rng: &mut SimRng) -> SimDuration {
+    match rng.next_u64() % 16 {
+        0..=5 => SimDuration::from_micros(100),
+        6..=8 => SimDuration::from_micros(3_900),
+        9..=12 => SimDuration::from_micros(20_100),
+        13..=14 => SimDuration::from_secs_f64(rng.exponential(0.5)),
+        _ => SimDuration::from_secs_f64(rng.exponential(300.0)),
+    }
+}
+
+/// The production calendar and the heap reference, driven in lockstep.
+struct Twin {
+    cal: EventQueue<u64>,
+    heap: HeapEventQueue<u64>,
+    next: u64,
+    ops: u64,
+}
+
+impl Twin {
+    fn schedule(&mut self, delay: SimDuration) {
+        self.cal.schedule_in(delay, self.next);
+        self.heap.schedule_in(delay, self.next);
+        self.next += 1;
+        self.ops += 1;
+    }
+
+    /// Pop from both; they must agree on the event, the clock and the
+    /// backlog. False once both are empty.
+    fn pop(&mut self) -> bool {
+        assert_eq!(self.cal.peek_time(), self.heap.peek_time());
+        let got = self.cal.pop();
+        assert_eq!(got, self.heap.pop());
+        assert_eq!(self.cal.now(), self.heap.now());
+        assert_eq!(self.cal.len(), self.heap.len());
+        self.ops += 1;
+        got.is_some()
+    }
+
+    /// Pop one event per step and schedule 0–2 successors (plus one more
+    /// while the backlog is under 200): it wanders in the hundreds, like
+    /// a busy link's.
+    fn hold(&mut self, rng: &mut SimRng, steps: usize) {
+        for _ in 0..steps {
+            for _ in 0..rng.next_u64() % 3 {
+                self.schedule(simulator_delay(rng));
+            }
+            if self.heap.len() < 200 {
+                self.schedule(simulator_delay(rng));
+            }
+            self.pop();
+        }
+    }
+
+    fn drain(&mut self) {
+        while self.pop() {}
+    }
+}
+
+/// The calendar's window slides with every activation and wraps round
+/// its ring many times over a long run. Replays >100 k operations of the
+/// simulator's delay mix against the heap reference, with a sparse
+/// stretch (one event per 100 ms, so every activation jumps the empty
+/// window) and a `clear()` in the middle.
+#[test]
+fn sliding_window_matches_heap_over_long_runs() {
+    for seed in 1..=3 {
+        let mut rng = SimRng::new(seed);
+        let mut t = Twin {
+            cal: EventQueue::new(),
+            heap: HeapEventQueue::new(),
+            next: 0,
+            ops: 0,
+        };
+        for _ in 0..500 {
+            t.schedule(simulator_delay(&mut rng));
+        }
+        t.hold(&mut rng, 25_000);
+
+        // Mid-run clear: both drop everything, the clock stays put, and
+        // scheduling resumes relative to it.
+        t.cal.clear();
+        t.heap.clear();
+        assert!(t.cal.is_empty() && t.heap.is_empty());
+        assert_eq!(t.cal.now(), t.heap.now());
+        t.hold(&mut rng, 15_000);
+
+        // Drain, then a sparse stretch: one event per 100 ms, with the odd
+        // far-future timer riding along.
+        t.drain();
+        t.schedule(SimDuration::from_millis(100));
+        for _ in 0..2_000 {
+            if rng.next_u64().is_multiple_of(50) {
+                t.schedule(simulator_delay(&mut rng));
+            }
+            t.pop();
+            t.schedule(SimDuration::from_millis(100));
+        }
+        t.hold(&mut rng, 10_000);
+        t.drain();
+
+        assert!(t.ops >= 100_000, "only {} operations", t.ops);
+        assert_eq!(t.cal.events_fired(), t.heap.events_fired());
+        // The clock crossed the 67 ms window edge thousands of times.
+        assert!(
+            t.cal.now() > SimTime::from_secs(300),
+            "clock {}",
+            t.cal.now()
+        );
+    }
+}

@@ -2,9 +2,9 @@
 
 use netsim::{Agent, Api, FlowId, NodeId, Packet, TrafficClass};
 use simcore::stats::Counter;
-use simcore::{SimDuration, SimTime};
+use simcore::{IdMap, SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Timer kinds.
 mod timer {
@@ -124,7 +124,7 @@ pub struct TcpSenderBank {
     nflows: usize,
     pkt_bytes: u32,
     start_at: SimTime,
-    flows: HashMap<u64, TcpFlow>,
+    flows: IdMap<u64, TcpFlow>,
     /// Aggregate statistics.
     pub stats: TcpStats,
 }
@@ -147,7 +147,7 @@ impl TcpSenderBank {
             nflows,
             pkt_bytes,
             start_at,
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             stats: TcpStats::default(),
         }
     }
@@ -329,7 +329,7 @@ struct SinkFlow {
 
 /// Receiver bank: generates a cumulative ACK for every data segment.
 pub struct TcpSinkBank {
-    flows: HashMap<u64, SinkFlow>,
+    flows: IdMap<u64, SinkFlow>,
     /// Data bytes received in order (goodput accounting).
     pub goodput_bytes: Counter,
     /// Segments received (any order).
@@ -340,7 +340,7 @@ impl TcpSinkBank {
     /// An empty receiver bank (flows materialise on first segment).
     pub fn new() -> Self {
         TcpSinkBank {
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             goodput_bytes: Counter::new(),
             segments: Counter::new(),
         }

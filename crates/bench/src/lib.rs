@@ -27,4 +27,4 @@ pub use pool::{available_jobs, default_jobs, set_default_jobs};
 pub use runner::Fidelity;
 pub use shapecheck::{check_targets, TargetSpec, Verdicts};
 pub use spec::catalog as spec_catalog;
-pub use sweep::{SeedOutcome, Sweep, SweepResult, SweepTelemetry};
+pub use sweep::{SeedOutcome, Sweep, SweepResult};

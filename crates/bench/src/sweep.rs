@@ -16,8 +16,10 @@ use eac::design::Design;
 use eac::metrics::Report;
 use eac::scenario::Scenario;
 use simcore::SimTime;
-use std::path::PathBuf;
-use telemetry::{FlightRecorder, Metrics, Telemetry, TelemetryConfig, TimeSeries};
+use std::path::{Path, PathBuf};
+use telemetry::{
+    FlightRecorder, Metrics, Telemetry, TelemetryConfig, TimeSeries, RECORDER_CAPACITY,
+};
 
 /// Turn a caught panic payload into a displayable message.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -55,34 +57,6 @@ impl SeedOutcome {
     /// Whether the seed completed.
     pub fn is_ok(&self) -> bool {
         matches!(self, SeedOutcome::Ok { .. })
-    }
-}
-
-/// Where and how a sweep captures telemetry. Every seed of the grid gets
-/// its own instrument hub; after the (deterministic, grid-ordered) fold
-/// the sweep writes, per seed, `d{design}_s{seed}.series.csv` and
-/// `.metrics.json`, plus per design a seed-merged `d{design}.metrics.json`
-/// and a seed-averaged `d{design}.series.csv`. Failed seeds dump their
-/// flight ring as `d{design}_s{seed}.flight.jsonl` instead.
-#[derive(Clone, Debug)]
-pub struct SweepTelemetry {
-    /// Output directory (created on demand; the caller owns its naming).
-    pub dir: PathBuf,
-    /// Sampler period, simulated seconds.
-    pub sample_period_s: f64,
-    /// Flight-recorder ring capacity per seed.
-    pub recorder_capacity: usize,
-}
-
-impl SweepTelemetry {
-    /// Telemetry into `dir` with the default 1 s sampling period and
-    /// 4096-event flight ring.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        SweepTelemetry {
-            dir: dir.into(),
-            sample_period_s: 1.0,
-            recorder_capacity: 4096,
-        }
     }
 }
 
@@ -135,7 +109,8 @@ pub struct Sweep {
     seeds: Vec<u64>,
     jobs: usize,
     isolated: bool,
-    telemetry: Option<SweepTelemetry>,
+    /// Telemetry output directory (see [`Sweep::telemetry`]).
+    telemetry: Option<PathBuf>,
 }
 
 impl Sweep {
@@ -185,12 +160,16 @@ impl Sweep {
         self
     }
 
-    /// Capture telemetry for every seed into `dir` (see
-    /// [`SweepTelemetry`] for the file layout). Without this, a sweep
+    /// Capture telemetry for every seed into `dir`, created on demand.
+    /// After the (deterministic, grid-ordered) fold the sweep writes, per
+    /// seed, `d{design}_s{seed}.series.csv` and `.metrics.json`, plus per
+    /// design a seed-merged `d{design}.metrics.json` and a seed-averaged
+    /// `d{design}.series.csv`. Failed seeds dump their flight ring as
+    /// `d{design}_s{seed}.flight.jsonl` instead. Without this, a sweep
     /// still picks up the session-wide `--telemetry` directory when the
     /// CLI registered one.
     pub fn telemetry(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.telemetry = Some(SweepTelemetry::new(dir));
+        self.telemetry = Some(dir.into());
         self
     }
 
@@ -203,15 +182,15 @@ impl Sweep {
         } else {
             self.jobs
         };
-        let tcfg = self
+        let tdir = self
             .telemetry
             .clone()
-            .or_else(crate::telemetry_session::next_sweep_config);
+            .or_else(crate::telemetry_session::next_sweep_dir);
         // Shared ring handles, retained outside `catch_unwind`, so a dead
         // job's final seconds of events stay reachable for the dump.
-        let recorders: Vec<FlightRecorder> = match &tcfg {
-            Some(t) => (0..n_jobs)
-                .map(|_| FlightRecorder::new(t.recorder_capacity))
+        let recorders: Vec<FlightRecorder> = match &tdir {
+            Some(_) => (0..n_jobs)
+                .map(|_| FlightRecorder::new(RECORDER_CAPACITY))
                 .collect(),
             None => Vec::new(),
         };
@@ -220,19 +199,15 @@ impl Sweep {
             let design = self.designs[i / n_seeds];
             let seed = self.seeds[i % n_seeds];
             let mut sc = self.base.clone().design(design).seed(seed);
-            if let Some(t) = &tcfg {
-                sc = sc.telemetry(
-                    TelemetryConfig::new()
-                        .sample_period(t.sample_period_s)
-                        .with_recorder(recorders[i].clone()),
-                );
+            if tdir.is_some() {
+                sc = sc.telemetry(TelemetryConfig::new().with_recorder(recorders[i].clone()));
             }
             sc.run_full()
         });
 
         let dump_flight = |di: usize, seed: u64, i: usize| {
-            if let Some(t) = &tcfg {
-                let path = t.dir.join(format!("d{di}_s{seed}.flight.jsonl"));
+            if let Some(dir) = &tdir {
+                let path = dir.join(format!("d{di}_s{seed}.flight.jsonl"));
                 if let Err(io) = recorders[i].dump_jsonl(&path) {
                     eprintln!("flight-recorder dump to {} failed: {io}", path.display());
                 }
@@ -268,7 +243,7 @@ impl Sweep {
                     Err(payload) => {
                         hubs.push(None);
                         let message = panic_message(payload);
-                        if tcfg.is_some() {
+                        if tdir.is_some() {
                             recorders[i].record(SimTime::ZERO, "sweep.panic", message.clone());
                         }
                         dump_flight(di, seed, i);
@@ -300,8 +275,8 @@ impl Sweep {
             outcomes.push(per_seed);
         }
 
-        if let Some(t) = &tcfg {
-            self.export_telemetry(t, &hubs);
+        if let Some(dir) = &tdir {
+            self.export_telemetry(dir, &hubs);
         }
 
         SweepResult { reports, outcomes }
@@ -310,9 +285,9 @@ impl Sweep {
     /// Write the collected hubs out, strictly in grid order — all file
     /// content comes from the (already deterministic) fold results, so
     /// the output tree is byte-identical at any worker count.
-    fn export_telemetry(&self, t: &SweepTelemetry, hubs: &[Option<Box<Telemetry>>]) {
-        if let Err(io) = std::fs::create_dir_all(&t.dir) {
-            eprintln!("telemetry dir {} failed: {io}", t.dir.display());
+    fn export_telemetry(&self, dir: &Path, hubs: &[Option<Box<Telemetry>>]) {
+        if let Err(io) = std::fs::create_dir_all(dir) {
+            eprintln!("telemetry dir {} failed: {io}", dir.display());
             return;
         }
         let write = |path: PathBuf, content: String| {
@@ -330,11 +305,11 @@ impl Sweep {
                 };
                 let label = format!("d{di}_s{seed}");
                 write(
-                    t.dir.join(format!("{label}.series.csv")),
+                    dir.join(format!("{label}.series.csv")),
                     hub.sampler.series.to_csv(),
                 );
                 write(
-                    t.dir.join(format!("{label}.metrics.json")),
+                    dir.join(format!("{label}.metrics.json")),
                     serde_json::to_string(&hub.metrics).expect("metrics serialize"),
                 );
                 merged.merge(&hub.metrics);
@@ -344,13 +319,13 @@ impl Sweep {
             }
             if !merged.is_empty() {
                 write(
-                    t.dir.join(format!("d{di}.metrics.json")),
+                    dir.join(format!("d{di}.metrics.json")),
                     serde_json::to_string(&merged).expect("metrics serialize"),
                 );
             }
             if !series.is_empty() {
                 write(
-                    t.dir.join(format!("d{di}.series.csv")),
+                    dir.join(format!("d{di}.series.csv")),
                     TimeSeries::mean_across(&series).to_csv(),
                 );
             }

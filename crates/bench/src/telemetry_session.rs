@@ -8,7 +8,6 @@
 //! order, so the numbering — and therefore the whole output tree — is
 //! identical across reruns and worker counts.
 
-use crate::sweep::SweepTelemetry;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -29,10 +28,10 @@ pub fn session_dir() -> Option<PathBuf> {
     SESSION_DIR.lock().expect("session dir lock").clone()
 }
 
-/// Claim the next numbered sweep output config, if a session directory
-/// is registered.
-pub(crate) fn next_sweep_config() -> Option<SweepTelemetry> {
+/// Claim the next numbered sweep output directory, if a session
+/// directory is registered.
+pub(crate) fn next_sweep_dir() -> Option<PathBuf> {
     let dir = session_dir()?;
     let n = SWEEP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    Some(SweepTelemetry::new(dir.join(format!("sweep{n:03}"))))
+    Some(dir.join(format!("sweep{n:03}")))
 }

@@ -5,8 +5,8 @@
 //! A scenario states what it fixes about a run as a [`Plan`], builds its
 //! [`World`] from the plan's host and sink configurations, and hands it to
 //! [`Plan::run`]. That applies the [`RunConfig`], installs and recovers the
-//! telemetry hub, drives the measure window and dumps the flight recorder
-//! when the run fails. [`Plan::report`] then turns the hosts' and sinks'
+//! telemetry hub, drives the measure window and notes a failed audit in
+//! the flight recorder. [`Plan::report`] then turns the hosts' and sinks'
 //! per-group counters into a [`Report`].
 
 use crate::design::{Design, Group};
@@ -190,9 +190,9 @@ impl Plan<'_> {
     /// every link, host and sink, on to the horizon where `at_horizon`
     /// reads the links, then the drain and, if configured, the
     /// conservation audit. Returns what `at_horizon` read and the telemetry
-    /// hub when one was configured. A failed run writes its flight
-    /// recorder to the telemetry config's dump directory, if it names one,
-    /// as `{label}-seed{seed}.flight.jsonl` before the error propagates.
+    /// hub when one was configured. A failed audit is noted in the flight
+    /// recorder before the error propagates, so a caller that kept the
+    /// recorder handle can dump it.
     pub fn run<T>(
         &self,
         world: &mut World,
@@ -212,20 +212,11 @@ impl Plan<'_> {
         match measured {
             Ok(read) => Ok((read, tel)),
             Err(e) => {
-                if let (Some(tel), Some(cfg)) = (&tel, self.telemetry) {
-                    // RunErrors were already recorded by the sim loop; the
-                    // audit fires after it, so note it here.
-                    if let ScenarioError::Audit(a) = &e {
-                        tel.recorder
-                            .record(world.sim.now(), "audit.error", a.to_string());
-                    }
-                    if let Some(dir) = &cfg.dump_dir {
-                        let path =
-                            dir.join(format!("{}-seed{}.flight.jsonl", cfg.label, self.seed));
-                        if let Err(io) = tel.recorder.dump_jsonl(&path) {
-                            eprintln!("flight-recorder dump to {} failed: {io}", path.display());
-                        }
-                    }
+                // RunErrors were already recorded by the sim loop; the
+                // audit fires after it, so note it here.
+                if let (Some(tel), ScenarioError::Audit(a)) = (&tel, &e) {
+                    tel.recorder
+                        .record(world.sim.now(), "audit.error", a.to_string());
                 }
                 Err(e)
             }

@@ -103,14 +103,6 @@ pub struct HostStats {
     pub rejected: Vec<Counter>,
     /// Data packets sent, per group.
     pub data_sent: Vec<Counter>,
-    /// Data bytes sent, per group.
-    pub data_bytes: Vec<Counter>,
-    /// Probe packets sent (aggregate).
-    pub probe_sent: Counter,
-    /// Data packets dropped at source by the token-bucket policer.
-    pub policer_drops: Counter,
-    /// Retry attempts launched (retry extension).
-    pub retries: Counter,
     /// Flows whose verdict never arrived and timed out into rejection.
     pub timeouts: Counter,
     /// Timer events of an unknown kind (counted and ignored).
@@ -125,10 +117,6 @@ impl HostStats {
             accepted: v(()),
             rejected: v(()),
             data_sent: v(()),
-            data_bytes: v(()),
-            probe_sent: Counter::new(),
-            policer_drops: Counter::new(),
-            retries: Counter::new(),
             timeouts: Counter::new(),
             stray_timers: Counter::new(),
         }
@@ -141,15 +129,11 @@ impl HostStats {
             &mut self.accepted,
             &mut self.rejected,
             &mut self.data_sent,
-            &mut self.data_bytes,
         ] {
             for c in list.iter_mut() {
                 c.mark();
             }
         }
-        self.probe_sent.mark();
-        self.policer_drops.mark();
-        self.retries.mark();
         self.timeouts.mark();
         self.stray_timers.mark();
     }
@@ -403,7 +387,6 @@ impl HostAgent {
         .with_aux(probe_aux(flow.stage as u8, flow.group as u8));
         flow.seq += 1;
         flow.sent_in_stage += 1;
-        self.stats.probe_sent.inc();
         api.send(pkt);
 
         if flow.sent_in_stage >= flow.stage_pkts {
@@ -471,11 +454,8 @@ impl HostAgent {
             flow.seq += 1;
             if in_window {
                 self.stats.data_sent[flow.group].inc();
-                self.stats.data_bytes[flow.group].add(size as u64);
             }
             api.send(pkt);
-        } else if in_window {
-            self.stats.policer_drops.inc();
         }
         let (gap, next_size) = flow
             .process
@@ -530,7 +510,6 @@ impl HostAgent {
         let backoff = backoff_for(policy, attempt);
         let jitter = self.rng.uniform_range(0.75, 1.25);
         let delay = SimDuration::from_secs_f64(backoff.as_secs_f64() * jitter);
-        self.stats.retries.inc();
         api.timer_in(
             delay,
             timer::RETRY,

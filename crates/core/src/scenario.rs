@@ -154,8 +154,9 @@ pub struct Scenario {
     pub telemetry: Option<TelemetryConfig>,
 }
 
-/// Everything a run produces: the [`Report`] plus, when the scenario was
-/// configured with [`Scenario::telemetry`], the captured telemetry hub.
+/// Everything a completed run produces: the [`Report`] plus, when the
+/// scenario was configured with [`Scenario::telemetry`], the captured
+/// telemetry hub.
 #[derive(Debug)]
 pub struct RunOutput {
     /// The scenario's result metrics.
@@ -308,11 +309,10 @@ impl Scenario {
     }
 
     /// Like [`run`](Scenario::run), but also returns the telemetry hub
-    /// when the scenario was configured with one. On a failed run, if the
-    /// telemetry config names a dump directory, the flight recorder is
-    /// written there as `{label}-seed{seed}.flight.jsonl` before the error
-    /// propagates (the recorder itself stays reachable through any
-    /// [`TelemetryConfig::with_recorder`] handle the caller kept).
+    /// when the scenario was configured with one. A failed run returns
+    /// only the error; its flight recorder stays reachable through a
+    /// [`TelemetryConfig::with_recorder`] handle the caller kept (the
+    /// sweep executor keeps one per seed and dumps it).
     pub fn run_full(&self) -> Result<RunOutput, ScenarioError> {
         let plan = Plan {
             design: self.design,

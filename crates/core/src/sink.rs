@@ -56,14 +56,6 @@ pub struct SinkConfig {
 pub struct SinkStats {
     /// Data packets received, per group.
     pub data_received: Vec<Counter>,
-    /// Data bytes received, per group.
-    pub data_bytes: Vec<Counter>,
-    /// Probe packets received (aggregate).
-    pub probe_received: Counter,
-    /// Accept verdicts issued.
-    pub accepts: Counter,
-    /// Reject verdicts issued.
-    pub rejects: Counter,
     /// End-to-end delay of delivered data packets, seconds. The paper
     /// argues Controlled-Load delays stay small because the
     /// admission-controlled queue is bounded; this lets reports verify
@@ -82,10 +74,6 @@ impl SinkStats {
     fn new(groups: usize) -> Self {
         SinkStats {
             data_received: (0..groups).map(|_| Counter::new()).collect(),
-            data_bytes: (0..groups).map(|_| Counter::new()).collect(),
-            probe_received: Counter::new(),
-            accepts: Counter::new(),
-            rejects: Counter::new(),
             data_delay: Welford::new(),
             data_delay_hist: LogHistogram::new(),
             expired: Counter::new(),
@@ -95,16 +83,9 @@ impl SinkStats {
 
     /// Snapshot all counters (end of warm-up).
     pub fn mark_all(&mut self) {
-        for c in self
-            .data_received
-            .iter_mut()
-            .chain(self.data_bytes.iter_mut())
-        {
+        for c in self.data_received.iter_mut() {
             c.mark();
         }
-        self.probe_received.mark();
-        self.accepts.mark();
-        self.rejects.mark();
         self.expired.mark();
         self.stray_timers.mark();
         self.data_delay.reset();
@@ -191,11 +172,6 @@ impl SinkAgent {
             .get_mut(&flow_id)
             .expect("verdict for unknown flow");
         flow.decided = true;
-        if accept {
-            self.stats.accepts.inc();
-        } else {
-            self.stats.rejects.inc();
-        }
         let msg = if accept { Msg::Accept } else { Msg::Reject };
         let pkt = Packet::new(
             0,
@@ -214,7 +190,6 @@ impl SinkAgent {
     }
 
     fn on_probe(&mut self, pkt: Packet, api: &mut Api) {
-        self.stats.probe_received.inc();
         let (stage, group) = decode_probe_aux(pkt.aux);
         let eps = self.eps_of(group);
         self.ensure_flow(pkt.flow.0, pkt.src, eps, api);
@@ -318,7 +293,6 @@ impl Agent for SinkAgent {
                 let g = g as usize;
                 if in_window && g < self.stats.data_received.len() {
                     self.stats.data_received[g].inc();
-                    self.stats.data_bytes[g].add(pkt.size as u64);
                     let delay = api.now().since(pkt.created);
                     self.stats.data_delay.add(delay.as_secs_f64());
                     let delay_ns = delay.as_nanos();

@@ -270,3 +270,38 @@ fn duplicate_stage_end_yields_single_verdict() {
     script.push(end);
     assert_eq!(run_script(Signal::Drop, 0.0, script), vec![true]);
 }
+
+#[test]
+fn abandoned_probe_is_reclaimed_at_flow_ttl() {
+    // The prober starts and probes but never reports a final stage (its
+    // StageEnd was lost, say): no verdict can fall, so only the 70 s TTL
+    // collector frees the record.
+    let mut script = vec![ctrl(Msg::ProbeStart {
+        group: 0,
+        expected: 10,
+        abort: false,
+    })];
+    for i in 0..5 {
+        script.push(probe(0, i));
+    }
+    let (mut sim, host, sink) = world(Signal::Drop, 0.0);
+    sim.attach(
+        host,
+        Box::new(Scripted {
+            peer: sink,
+            script,
+            next: 0,
+            verdicts: Vec::new(),
+        }),
+    );
+    sim.run_until(SimTime::from_secs(60));
+    let s = sim.agent::<SinkAgent>(sink).unwrap();
+    assert_eq!(s.undecided_flows(), 1);
+    assert_eq!(s.stats.expired.total(), 0);
+
+    sim.run_until(SimTime::from_secs(80));
+    let s = sim.agent::<SinkAgent>(sink).unwrap();
+    assert_eq!(s.stats.expired.total(), 1);
+    assert_eq!(s.undecided_flows(), 0);
+    assert!(sim.agent::<Scripted>(host).unwrap().verdicts.is_empty());
+}

@@ -6,7 +6,7 @@
 //! created or destroyed:
 //!
 //! ```text
-//! injected + duplicated =
+//! injected =
 //!     delivered + queue drops + wire losses + down drops + no-route drops
 //!     + queued + in flight + in transit
 //! ```
@@ -42,7 +42,7 @@ pub struct AuditCounters {
 pub enum AuditError {
     /// The conservation identity does not balance.
     Conservation {
-        /// Left-hand side: injected + duplicated.
+        /// Left-hand side: injected.
         sources: u64,
         /// Right-hand side: all sink terms summed.
         sinks: u64,
@@ -85,7 +85,7 @@ pub fn check_conservation(net: &Network) -> Result<(), AuditError> {
         in_flight += l.is_busy() as u64;
     }
 
-    let sources = a.injected + fault.duplicated;
+    let sources = a.injected;
     let sinks = a.delivered
         + queue_drops
         + fault.wire_lost
@@ -102,15 +102,10 @@ pub fn check_conservation(net: &Network) -> Result<(), AuditError> {
             sources,
             sinks,
             detail: format!(
-                "injected {} + duplicated {} vs delivered {} + queue_drops {queue_drops} \
+                "injected {} vs delivered {} + queue_drops {queue_drops} \
                  + wire_lost {} + down_drops {} + no_route {} + queued {queued} \
                  + in_flight {in_flight} + in_transit {in_transit}",
-                a.injected,
-                fault.duplicated,
-                a.delivered,
-                fault.wire_lost,
-                fault.down_drops,
-                a.no_route_drops,
+                a.injected, a.delivered, fault.wire_lost, fault.down_drops, a.no_route_drops,
             ),
         })
     }

@@ -2,12 +2,11 @@
 //!
 //! A [`FaultPlan`] describes everything that can go wrong with the
 //! substrate during a run: scheduled link down/up flaps, and per-link
-//! wire impairments (Bernoulli loss, duplication, and reorder-jitter),
-//! optionally restricted to one [`TrafficClass`]. The plan is installed
-//! on a [`Sim`](crate::Sim) together with a dedicated [`SimRng`] stream,
-//! so every impairment draw comes from the seeded generator — identical
-//! seeds and plans reproduce bit-identical runs, and adding faults never
-//! perturbs the traffic models' own streams.
+//! Bernoulli wire loss, optionally restricted to one [`TrafficClass`].
+//! The plan is installed on a [`Sim`](crate::Sim) together with a
+//! dedicated [`SimRng`] stream, so every loss draw comes from the seeded
+//! generator — identical seeds and plans reproduce bit-identical runs,
+//! and adding faults never perturbs the traffic models' own streams.
 //!
 //! Semantics:
 //!
@@ -17,15 +16,12 @@
 //!   counted in [`FaultStats::down_drops`]. Queued packets are *not*
 //!   flushed — the interface pauses store-and-forward style — and resume
 //!   when `up_at` restores the link and re-enters it into routing.
-//! - **Loss/duplication/reorder** apply at transmission completion, i.e.
-//!   on the wire after the queue: loss models corruption past the qdisc
-//!   (counted in [`FaultStats::wire_lost`], distinct from queue drops),
-//!   duplication delivers a second copy, and reorder-jitter delays an
-//!   affected copy by a uniform extra amount so later packets can
-//!   overtake it.
+//! - **Loss** applies at transmission completion, i.e. on the wire after
+//!   the queue: it models corruption past the qdisc (counted in
+//!   [`FaultStats::wire_lost`], distinct from queue drops).
 
 use crate::packet::{LinkId, TrafficClass};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimRng, SimTime};
 
 /// One scheduled link outage.
 #[derive(Clone, Copy, Debug)]
@@ -38,7 +34,7 @@ pub struct LinkFlap {
     pub up_at: SimTime,
 }
 
-/// Stochastic wire impairments for one link.
+/// Stochastic wire loss on one link.
 #[derive(Clone, Copy, Debug)]
 pub struct Impairment {
     /// The link affected.
@@ -47,12 +43,6 @@ pub struct Impairment {
     pub class: Option<TrafficClass>,
     /// Probability a transmitted packet is lost on the wire.
     pub loss: f64,
-    /// Probability a delivered packet is duplicated.
-    pub duplicate: f64,
-    /// Probability a delivered copy gets extra reorder jitter.
-    pub reorder: f64,
-    /// Maximum extra delay for a reordered copy (uniform in `(0, jitter]`).
-    pub jitter: SimDuration,
 }
 
 impl Impairment {
@@ -63,9 +53,6 @@ impl Impairment {
             link,
             class,
             loss: p,
-            duplicate: 0.0,
-            reorder: 0.0,
-            jitter: SimDuration::ZERO,
         }
     }
 
@@ -108,8 +95,6 @@ impl FaultPlan {
     /// Add a wire impairment.
     pub fn impair(mut self, imp: Impairment) -> Self {
         assert!((0.0..=1.0).contains(&imp.loss));
-        assert!((0.0..=1.0).contains(&imp.duplicate));
-        assert!((0.0..=1.0).contains(&imp.reorder));
         self.impairments.push(imp);
         self
     }
@@ -120,27 +105,9 @@ impl FaultPlan {
 pub struct FaultStats {
     /// Packets lost on the wire by Bernoulli loss.
     pub wire_lost: u64,
-    /// Extra copies delivered by duplication.
-    pub duplicated: u64,
-    /// Copies delayed by reorder jitter.
-    pub reordered: u64,
     /// Packets lost because their link was down when they finished
     /// serialising (including the flush of the in-flight packet).
     pub down_drops: u64,
-}
-
-/// What to do with one copy of a transmitted packet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum WireFate {
-    /// Lost on the wire.
-    Lost,
-    /// Deliver after the given extra delay (zero = on time); the `bool`
-    /// is whether a duplicate copy should also be delivered, with its own
-    /// extra delay.
-    Deliver {
-        extra: SimDuration,
-        dup_extra: Option<SimDuration>,
-    },
 }
 
 /// Installed fault state: the plan plus its dedicated RNG stream.
@@ -159,43 +126,21 @@ impl FaultState {
         }
     }
 
-    /// Decide the fate of a packet of `class` finishing transmission on
-    /// `link`. Draws are only consumed for configured, matching
+    /// Whether a packet of `class` finishing transmission on `link` is
+    /// lost on the wire. Draws are only consumed for configured, matching
     /// impairments, so unimpaired links never touch the fault stream.
-    pub(crate) fn judge(&mut self, link: LinkId, class: TrafficClass) -> WireFate {
+    pub(crate) fn wire_loss(&mut self, link: LinkId, class: TrafficClass) -> bool {
         let Some(imp) = self
             .plan
             .impairments
             .iter()
             .find(|i| i.applies_to(link, class))
-            .copied()
         else {
-            return WireFate::Deliver {
-                extra: SimDuration::ZERO,
-                dup_extra: None,
-            };
+            return false;
         };
-        if imp.loss > 0.0 && self.rng.chance(imp.loss) {
-            self.stats.wire_lost += 1;
-            return WireFate::Lost;
-        }
-        let extra = self.draw_jitter(&imp);
-        let dup_extra = if imp.duplicate > 0.0 && self.rng.chance(imp.duplicate) {
-            self.stats.duplicated += 1;
-            Some(self.draw_jitter(&imp))
-        } else {
-            None
-        };
-        WireFate::Deliver { extra, dup_extra }
-    }
-
-    fn draw_jitter(&mut self, imp: &Impairment) -> SimDuration {
-        if imp.reorder > 0.0 && imp.jitter > SimDuration::ZERO && self.rng.chance(imp.reorder) {
-            self.stats.reordered += 1;
-            SimDuration::from_secs_f64(self.rng.uniform() * imp.jitter.as_secs_f64())
-        } else {
-            SimDuration::ZERO
-        }
+        let lost = imp.loss > 0.0 && self.rng.chance(imp.loss);
+        self.stats.wire_lost += lost as u64;
+        lost
     }
 }
 
@@ -237,56 +182,22 @@ mod tests {
         ));
         let run = |seed| {
             let mut st = FaultState::new(plan.clone(), SimRng::new(seed));
-            let fates: Vec<WireFate> = (0..64)
-                .map(|_| st.judge(LinkId(0), TrafficClass::Control))
+            let fates: Vec<bool> = (0..64)
+                .map(|_| st.wire_loss(LinkId(0), TrafficClass::Control))
                 .collect();
             (fates, st.stats.wire_lost)
         };
         assert_eq!(run(9), run(9));
-        let (_, lost) = run(9);
+        let (fates, lost) = run(9);
+        assert_eq!(fates.iter().filter(|&&l| l).count() as u64, lost);
         assert!(lost > 10 && lost < 54, "p=0.5 of 64: {lost}");
 
         // Other classes and other links never consume draws or drop.
         let mut st = FaultState::new(plan, SimRng::new(9));
         for _ in 0..64 {
-            assert_eq!(
-                st.judge(LinkId(0), TrafficClass::Data),
-                WireFate::Deliver {
-                    extra: SimDuration::ZERO,
-                    dup_extra: None
-                }
-            );
-            assert_eq!(
-                st.judge(LinkId(1), TrafficClass::Control),
-                WireFate::Deliver {
-                    extra: SimDuration::ZERO,
-                    dup_extra: None
-                }
-            );
+            assert!(!st.wire_loss(LinkId(0), TrafficClass::Data));
+            assert!(!st.wire_loss(LinkId(1), TrafficClass::Control));
         }
         assert_eq!(st.stats.wire_lost, 0);
-    }
-
-    #[test]
-    fn duplication_and_reorder_counted() {
-        let plan = FaultPlan::new().impair(Impairment {
-            link: LinkId(2),
-            class: None,
-            loss: 0.0,
-            duplicate: 0.5,
-            reorder: 0.5,
-            jitter: SimDuration::from_millis(10),
-        });
-        let mut st = FaultState::new(plan, SimRng::new(3));
-        let mut dups = 0;
-        for _ in 0..200 {
-            match st.judge(LinkId(2), TrafficClass::Data) {
-                WireFate::Deliver { dup_extra, .. } => dups += dup_extra.is_some() as u32,
-                WireFate::Lost => panic!("loss disabled"),
-            }
-        }
-        assert!(dups > 50, "dups {dups}");
-        assert_eq!(st.stats.duplicated as u32, dups);
-        assert!(st.stats.reordered > 50);
     }
 }

@@ -5,7 +5,7 @@
 //! computed lazily and cached; adding a link invalidates the cache.
 
 use crate::audit::AuditCounters;
-use crate::fault::{FaultPlan, FaultState, FaultStats, WireFate};
+use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::link::{Link, LinkAction};
 use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Qdisc, VirtualQueue};
@@ -273,8 +273,8 @@ impl Network {
 
     /// Handle a `TxComplete` event: propagate the packet and restart the
     /// link. This is where installed wire faults act: a packet finishing
-    /// serialisation on a down link is lost, and matching impairments may
-    /// lose, duplicate, or jitter-delay the delivery.
+    /// serialisation on a down link is lost, and a matching impairment may
+    /// lose it on the wire.
     pub fn tx_complete(&mut self, lid: LinkId, q: &mut EventQueue<Event>) {
         let now = q.now();
         let link = &mut self.links[lid.0 as usize];
@@ -295,32 +295,22 @@ impl Network {
             }
             return; // a down link never restarts; LinkUp will kick it
         }
-        let fate = match self.faults.as_mut() {
-            Some(f) => f.judge(lid, pkt.class),
-            None => WireFate::Deliver {
-                extra: SimDuration::ZERO,
-                dup_extra: None,
-            },
-        };
-        match fate {
-            WireFate::Lost => {
-                if let Some(tel) = self.telemetry.as_deref_mut() {
-                    tel.metrics.inc("net.drops.wire", 1);
-                    tel.recorder.record(
-                        now,
-                        "drop.wire",
-                        format!("l{} flow {} class {:?}", lid.0, pkt.flow.0, pkt.class),
-                    );
-                }
+        let lost = self
+            .faults
+            .as_mut()
+            .is_some_and(|f| f.wire_loss(lid, pkt.class));
+        if lost {
+            if let Some(tel) = self.telemetry.as_deref_mut() {
+                tel.metrics.inc("net.drops.wire", 1);
+                tel.recorder.record(
+                    now,
+                    "drop.wire",
+                    format!("l{} flow {} class {:?}", lid.0, pkt.flow.0, pkt.class),
+                );
             }
-            WireFate::Deliver { extra, dup_extra } => {
-                if let Some(dup) = dup_extra {
-                    let slot = self.wire.put(pkt.clone());
-                    q.schedule_in(delay + dup, Event::Deliver { node: to, slot });
-                }
-                let slot = self.wire.put(pkt);
-                q.schedule_in(delay + extra, Event::Deliver { node: to, slot });
-            }
+        } else {
+            let slot = self.wire.put(pkt);
+            q.schedule_in(delay, Event::Deliver { node: to, slot });
         }
         let action = link.try_start(now);
         self.apply(lid, action, q);

@@ -28,8 +28,6 @@ const INITIAL_CWND: f64 = 2.0;
 /// Aggregate sender-side statistics (warm-up markable).
 #[derive(Debug, Default)]
 pub struct TcpStats {
-    /// Data packets sent (including retransmissions).
-    pub sent: Counter,
     /// Retransmitted packets.
     pub retransmits: Counter,
     /// Timeouts taken.
@@ -45,7 +43,6 @@ pub struct TcpStats {
 impl TcpStats {
     /// Snapshot all counters.
     pub fn mark_all(&mut self) {
-        self.sent.mark();
         self.retransmits.mark();
         self.timeouts.mark();
         self.fast_retransmits.mark();
@@ -172,7 +169,6 @@ impl TcpSenderBank {
             seq,
             now,
         );
-        self.stats.sent.inc();
         if retransmit {
             self.stats.retransmits.inc();
         }

@@ -36,7 +36,12 @@ pub use sampler::Sampler;
 pub use series::TimeSeries;
 
 use simcore::SimDuration;
-use std::path::PathBuf;
+
+/// Sampler tick period of every instrumented run, in simulation time.
+pub const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
+
+/// Flight-recorder ring capacity of every instrumented run, in events.
+pub const RECORDER_CAPACITY: usize = 4096;
 
 /// The per-run instrument hub installed into a simulation.
 #[derive(Clone, Debug)]
@@ -49,34 +54,15 @@ pub struct Telemetry {
     pub recorder: FlightRecorder,
 }
 
-/// How to instrument a run. `Default` gives a 1 s sampling period, a
-/// 4096-event flight ring, no dump directory.
-#[derive(Clone, Debug)]
+/// How to instrument a run: sampling every [`SAMPLE_PERIOD`] into a
+/// fresh [`RECORDER_CAPACITY`]-event flight ring, or into a recorder
+/// handle the caller keeps.
+#[derive(Clone, Debug, Default)]
 pub struct TelemetryConfig {
-    /// Sampler tick period, seconds of simulation time.
-    pub sample_period_s: f64,
-    /// Flight-recorder ring capacity.
-    pub recorder_capacity: usize,
     /// Use this (shared) recorder handle instead of a fresh ring — the
-    /// sweep executor passes one it retains outside `catch_unwind`.
+    /// sweep executor passes one it retains outside `catch_unwind` and
+    /// dumps it when the run fails.
     pub recorder: Option<FlightRecorder>,
-    /// Where to dump the flight ring when the run fails; `None` leaves
-    /// dumping to the caller.
-    pub dump_dir: Option<PathBuf>,
-    /// File-name stem for dumps (e.g. `d0_s1`).
-    pub label: String,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            sample_period_s: 1.0,
-            recorder_capacity: 4096,
-            recorder: None,
-            dump_dir: None,
-            label: "run".to_string(),
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -85,33 +71,9 @@ impl TelemetryConfig {
         Self::default()
     }
 
-    /// Set the sampling period (seconds of simulation time).
-    pub fn sample_period(mut self, secs: f64) -> Self {
-        self.sample_period_s = secs;
-        self
-    }
-
-    /// Set the flight-ring capacity.
-    pub fn recorder_capacity(mut self, cap: usize) -> Self {
-        self.recorder_capacity = cap;
-        self
-    }
-
     /// Record into an existing shared recorder handle.
     pub fn with_recorder(mut self, rec: FlightRecorder) -> Self {
         self.recorder = Some(rec);
-        self
-    }
-
-    /// Dump the flight ring into `dir` when the run fails.
-    pub fn dump_to(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dump_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the dump file-name stem.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
         self
     }
 
@@ -119,11 +81,11 @@ impl TelemetryConfig {
     pub fn build(&self) -> Telemetry {
         Telemetry {
             metrics: Metrics::new(),
-            sampler: Sampler::new(SimDuration::from_secs_f64(self.sample_period_s)),
+            sampler: Sampler::new(SAMPLE_PERIOD),
             recorder: self
                 .recorder
                 .clone()
-                .unwrap_or_else(|| FlightRecorder::new(self.recorder_capacity)),
+                .unwrap_or_else(|| FlightRecorder::new(RECORDER_CAPACITY)),
         }
     }
 }

@@ -17,7 +17,7 @@ pub mod shaper;
 pub mod spec;
 pub mod video;
 
-pub use process::{Cbr, OnOff, PacketProcess, PeriodDist};
+pub use process::{OnOff, PacketProcess, PeriodDist};
 pub use shaper::{Policer, TokenBucketSpec};
 pub use spec::{Demography, SourceKind, SourceSpec};
 pub use video::{VideoConfig, VideoSource};

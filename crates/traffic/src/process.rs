@@ -18,39 +18,6 @@ pub trait PacketProcess: Send {
     fn avg_rate_bps(&self) -> f64;
 }
 
-/// Constant bit rate: fixed-size packets at exact spacing.
-#[derive(Clone, Debug)]
-pub struct Cbr {
-    rate_bps: f64,
-    pkt_bytes: u32,
-}
-
-impl Cbr {
-    /// A CBR stream of `pkt_bytes`-byte packets at `rate_bps`.
-    pub fn new(rate_bps: f64, pkt_bytes: u32) -> Self {
-        assert!(rate_bps > 0.0 && pkt_bytes > 0);
-        Cbr {
-            rate_bps,
-            pkt_bytes,
-        }
-    }
-
-    /// The exact inter-packet spacing.
-    pub fn spacing(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.pkt_bytes as f64 * 8.0 / self.rate_bps)
-    }
-}
-
-impl PacketProcess for Cbr {
-    fn next_packet(&mut self, _rng: &mut SimRng) -> (SimDuration, u32) {
-        (self.spacing(), self.pkt_bytes)
-    }
-
-    fn avg_rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-}
-
 /// Distribution family for on/off period lengths.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PeriodDist {
@@ -171,17 +138,6 @@ mod tests {
             bytes += size as u64;
         }
         bytes as f64 * 8.0 / horizon_s
-    }
-
-    #[test]
-    fn cbr_exact_rate_and_spacing() {
-        let mut c = Cbr::new(256_000.0, 125);
-        let (gap, size) = c.next_packet(&mut SimRng::new(1));
-        assert_eq!(size, 125);
-        // 1000 bits / 256 kbps = 3.90625 ms
-        assert_eq!(gap, SimDuration::from_secs_f64(0.00390625));
-        let r = measured_rate(&mut c, 1, 100.0);
-        assert!((r - 256_000.0).abs() / 256_000.0 < 0.01, "rate {r}");
     }
 
     #[test]

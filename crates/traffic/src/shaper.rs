@@ -72,36 +72,33 @@ impl Policer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Cbr, OnOff, PacketProcess, PeriodDist};
+    use crate::process::{OnOff, PacketProcess, PeriodDist};
     use simcore::{SimDuration, SimRng};
 
     #[test]
     fn conforming_cbr_never_dropped() {
-        // CBR at exactly the token rate conforms.
+        // 125-byte packets at exactly the 256 kbps token rate conform.
         let mut p = Policer::new(TokenBucketSpec::new(256_000, 125.0));
-        let mut src = Cbr::new(256_000.0, 125);
-        let mut rng = SimRng::new(1);
+        let gap = SimDuration::from_nanos(3_906_250); // 1000 bits at 256 kbps
         let mut t = SimTime::ZERO;
         for _ in 0..10_000 {
-            let (gap, size) = src.next_packet(&mut rng);
             t += gap;
-            assert!(p.conforms(size, t));
+            assert!(p.conforms(125, t));
         }
         assert_eq!(p.dropped(), 0);
     }
 
     #[test]
     fn oversubscribed_cbr_dropped_proportionally() {
-        // CBR at twice the token rate: ~half the packets must drop.
+        // 125-byte packets at twice the 128 kbps token rate: ~half the
+        // packets must drop.
         let mut p = Policer::new(TokenBucketSpec::new(128_000, 125.0));
-        let mut src = Cbr::new(256_000.0, 125);
-        let mut rng = SimRng::new(2);
+        let gap = SimDuration::from_nanos(3_906_250); // 1000 bits at 256 kbps
         let mut t = SimTime::ZERO;
         let n = 20_000;
         for _ in 0..n {
-            let (gap, size) = src.next_packet(&mut rng);
             t += gap;
-            p.conforms(size, t);
+            p.conforms(125, t);
         }
         let frac = p.dropped() as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.02, "drop fraction {frac}");

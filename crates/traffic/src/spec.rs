@@ -2,7 +2,7 @@
 //! stand-in — and flow demography (Poisson arrivals, exponential
 //! lifetimes, §3.2).
 
-use crate::process::{Cbr, OnOff, PacketProcess, PeriodDist};
+use crate::process::{OnOff, PacketProcess, PeriodDist};
 use crate::shaper::TokenBucketSpec;
 use crate::video::{VideoConfig, VideoSource};
 use simcore::SimRng;
@@ -20,11 +20,6 @@ pub enum SourceKind {
         mean_off_s: f64,
         /// Period length distribution.
         dist: PeriodDist,
-    },
-    /// Constant bit rate.
-    Cbr {
-        /// Rate, bits/second.
-        rate_bps: f64,
     },
     /// Synthetic LRD VBR video (the Star Wars stand-in).
     Video(VideoConfig),
@@ -148,7 +143,6 @@ impl SourceSpec {
                 mean_off_s,
                 ..
             } => burst_rate_bps * mean_on_s / (mean_on_s + mean_off_s),
-            SourceKind::Cbr { rate_bps } => *rate_bps,
             SourceKind::Video(cfg) => cfg.mean_rate_bps,
         }
     }
@@ -168,7 +162,6 @@ impl SourceSpec {
                 *dist,
                 self.pkt_bytes,
             )),
-            SourceKind::Cbr { rate_bps } => Box::new(Cbr::new(*rate_bps, self.pkt_bytes)),
             SourceKind::Video(cfg) => Box::new(VideoSource::synthetic(cfg.clone())),
         }
     }

@@ -9,9 +9,7 @@
 //! fixed frame rate whose sizes are lognormal around a *scene mean*;
 //! scene means are themselves lognormal around the global mean, and scene
 //! durations are Pareto — the classic construction for LRD VBR video.
-//!
-//! External traces (one frame size in bytes per line) can also be loaded
-//! with [`VideoSource::from_frame_sizes`].
+//! There is no trace-driven mode: the original trace is not available.
 
 use crate::process::PacketProcess;
 use simcore::{SimDuration, SimRng};
@@ -49,30 +47,17 @@ impl Default for VideoConfig {
     }
 }
 
-enum FrameSource {
-    Synthetic {
-        cfg: VideoConfig,
-        /// Frames left in the current scene.
-        scene_frames_left: u64,
-        /// Mean frame size (bytes) of the current scene.
-        scene_mean_bytes: f64,
-    },
-    Trace {
-        sizes: Vec<u32>,
-        next: usize,
-        fps: f64,
-        pkt_bytes: u32,
-    },
-}
-
 /// A VBR video packet process: frames at fixed intervals, each packetised
 /// into `pkt_bytes`-byte packets spread evenly across the frame interval.
 pub struct VideoSource {
-    frames: FrameSource,
+    cfg: VideoConfig,
+    /// Frames left in the current scene.
+    scene_frames_left: u64,
+    /// Mean frame size (bytes) of the current scene.
+    scene_mean_bytes: f64,
     /// Remaining packets of the current frame and their spacing.
     pkts_left: u32,
     pkt_gap: SimDuration,
-    pkt_bytes: u32,
 }
 
 impl VideoSource {
@@ -80,96 +65,44 @@ impl VideoSource {
     pub fn synthetic(cfg: VideoConfig) -> Self {
         assert!(cfg.fps > 0.0 && cfg.mean_rate_bps > 0.0 && cfg.pkt_bytes > 0);
         assert!(cfg.scene_alpha > 1.0);
-        let pkt_bytes = cfg.pkt_bytes;
         VideoSource {
-            frames: FrameSource::Synthetic {
-                cfg,
-                scene_frames_left: 0,
-                scene_mean_bytes: 0.0,
-            },
+            cfg,
+            scene_frames_left: 0,
+            scene_mean_bytes: 0.0,
             pkts_left: 0,
             pkt_gap: SimDuration::ZERO,
-            pkt_bytes,
         }
     }
 
-    /// A trace-driven source from per-frame sizes in bytes (looped).
-    pub fn from_frame_sizes(sizes: Vec<u32>, fps: f64, pkt_bytes: u32) -> Self {
-        assert!(!sizes.is_empty() && fps > 0.0 && pkt_bytes > 0);
-        VideoSource {
-            frames: FrameSource::Trace {
-                sizes,
-                next: 0,
-                fps,
-                pkt_bytes,
-            },
-            pkts_left: 0,
-            pkt_gap: SimDuration::ZERO,
-            pkt_bytes,
+    /// The next frame's size in bytes.
+    fn next_frame(&mut self, rng: &mut SimRng) -> u32 {
+        let cfg = &self.cfg;
+        if self.scene_frames_left == 0 {
+            let dur = rng.pareto(cfg.scene_alpha, cfg.scene_mean_s);
+            self.scene_frames_left = (dur * cfg.fps).ceil().max(1.0) as u64;
+            let global_mean_bytes = cfg.mean_rate_bps / cfg.fps / 8.0;
+            self.scene_mean_bytes = rng.lognormal(global_mean_bytes, cfg.scene_cv);
         }
-    }
-
-    fn next_frame(&mut self, rng: &mut SimRng) -> (f64, u32) {
-        match &mut self.frames {
-            FrameSource::Synthetic {
-                cfg,
-                scene_frames_left,
-                scene_mean_bytes,
-            } => {
-                if *scene_frames_left == 0 {
-                    let dur = rng.pareto(cfg.scene_alpha, cfg.scene_mean_s);
-                    *scene_frames_left = (dur * cfg.fps).ceil().max(1.0) as u64;
-                    let global_mean_bytes = cfg.mean_rate_bps / cfg.fps / 8.0;
-                    *scene_mean_bytes = rng.lognormal(global_mean_bytes, cfg.scene_cv);
-                }
-                *scene_frames_left -= 1;
-                let size = rng.lognormal(*scene_mean_bytes, cfg.frame_cv).max(1.0) as u32;
-                (1.0 / cfg.fps, size)
-            }
-            FrameSource::Trace {
-                sizes,
-                next,
-                fps,
-                pkt_bytes: _,
-            } => {
-                let size = sizes[*next];
-                *next = (*next + 1) % sizes.len();
-                (1.0 / *fps, size)
-            }
-        }
+        self.scene_frames_left -= 1;
+        rng.lognormal(self.scene_mean_bytes, cfg.frame_cv).max(1.0) as u32
     }
 }
 
 impl PacketProcess for VideoSource {
     fn next_packet(&mut self, rng: &mut SimRng) -> (SimDuration, u32) {
         if self.pkts_left == 0 {
-            let (interval_s, frame_bytes) = self.next_frame(rng);
-            let n = frame_bytes.div_ceil(self.pkt_bytes).max(1);
+            let frame_bytes = self.next_frame(rng);
+            let n = frame_bytes.div_ceil(self.cfg.pkt_bytes).max(1);
             self.pkts_left = n;
             // Spread the frame's packets evenly across the frame interval.
-            self.pkt_gap = SimDuration::from_secs_f64(interval_s / n as f64);
+            self.pkt_gap = SimDuration::from_secs_f64(1.0 / self.cfg.fps / n as f64);
         }
         self.pkts_left -= 1;
-        (self.pkt_gap, self.pkt_bytes)
+        (self.pkt_gap, self.cfg.pkt_bytes)
     }
 
     fn avg_rate_bps(&self) -> f64 {
-        match &self.frames {
-            FrameSource::Synthetic { cfg, .. } => cfg.mean_rate_bps,
-            FrameSource::Trace {
-                sizes,
-                fps,
-                pkt_bytes,
-                ..
-            } => {
-                // Rate after packetisation padding.
-                let total: u64 = sizes
-                    .iter()
-                    .map(|&s| (s.div_ceil(*pkt_bytes).max(1) * pkt_bytes) as u64)
-                    .sum();
-                total as f64 * 8.0 * fps / sizes.len() as f64
-            }
-        }
+        self.cfg.mean_rate_bps
     }
 }
 
@@ -211,32 +144,6 @@ mod tests {
         let var = per_sec.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / per_sec.len() as f64;
         let cv = var.sqrt() / mean;
         assert!(cv > 0.2, "per-second rate CV {cv} — not bursty enough");
-    }
-
-    #[test]
-    fn trace_driven_replays_and_loops() {
-        // Two frames: 400 B and 200 B at 1 fps, 200-byte packets.
-        let mut v = VideoSource::from_frame_sizes(vec![400, 200], 1.0, 200);
-        let mut rng = SimRng::new(1);
-        // Frame 1: two packets spaced 0.5 s.
-        let (g1, s1) = v.next_packet(&mut rng);
-        let (g2, _) = v.next_packet(&mut rng);
-        assert_eq!(s1, 200);
-        assert_eq!(g1, SimDuration::from_millis(500));
-        assert_eq!(g2, SimDuration::from_millis(500));
-        // Frame 2: one packet spaced 1 s.
-        let (g3, _) = v.next_packet(&mut rng);
-        assert_eq!(g3, SimDuration::from_secs(1));
-        // Loops back to frame 1.
-        let (g4, _) = v.next_packet(&mut rng);
-        assert_eq!(g4, SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn trace_avg_rate_accounts_padding() {
-        let v = VideoSource::from_frame_sizes(vec![300], 2.0, 200);
-        // 300 B -> 2 packets of 200 B = 400 B per frame, 2 fps = 6400 bps.
-        assert!((v.avg_rate_bps() - 6_400.0).abs() < 1e-9);
     }
 
     #[test]

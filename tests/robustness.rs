@@ -73,8 +73,8 @@ fn fig2_scenario_conserves_packets() {
         .audited()
         .run()
         .expect("fault-free conservation");
-    // And with the full fault kit: wire losses, duplicates and down-drops
-    // must balance the books too.
+    // And with faults on (control-packet loss and a bottleneck flap):
+    // wire losses, down-drops and no-route drops must balance the books too.
     let r = faulty(5, 0.1, 100.0).run().expect("faulty conservation");
     assert!(r.measured_s > 0.0);
 }

@@ -120,6 +120,37 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // 10k events in one 32.8 µs bucket past the near window: the cursor
+    // jumps there and the whole bucket enters the active run at once.
+    // Moving them one by one into a sorted run would be quadratic.
+    let dense =
+        |i: u64| SimTime::from_nanos(100_000_000_000 / 32_768 * 32_768 + (i * 7919) % 32_768);
+    g.bench_function("calendar dense bucket", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for i in 0..10_000u64 {
+                q.schedule_at(dense(i), i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, e)) = q.pop() {
+                acc = acc.wrapping_add(e);
+            }
+            black_box(acc)
+        })
+    });
+    g.bench_function("heap dense bucket", |b| {
+        b.iter(|| {
+            let mut q: HeapEventQueue<u64> = HeapEventQueue::new();
+            for i in 0..10_000u64 {
+                q.schedule_at(dense(i), i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, e)) = q.pop() {
+                acc = acc.wrapping_add(e);
+            }
+            black_box(acc)
+        })
+    });
     g.finish();
 }
 

@@ -7,6 +7,9 @@
 //!          message lists them); `all` runs every one but bench-sweep;
 //!          `check` is the reproduction gate (see below)
 //!
+//! Each run ends with a `[<target> done in ...]` line on stderr; `all`
+//! prints one after every target as well.
+//!
 //! --jobs N sets the worker count for every sweep (default: available
 //! parallelism; --jobs 1 forces the serial path). Results are
 //! byte-identical at any worker count.
@@ -169,11 +172,20 @@ fn main() {
             std::process::exit(2);
         });
 
+    let done = |name: &str, t0: std::time::Instant| {
+        eprintln!(
+            "\n[{name} done in {:.1?} at {fid:?} fidelity, {} worker(s)]",
+            t0.elapsed(),
+            pool::default_jobs()
+        );
+    };
     let t0 = std::time::Instant::now();
     if target == "all" {
         for t in TARGETS.iter().filter(|t| t.in_all) {
             println!("\n=============== {} ===============", t.name);
+            let t1 = std::time::Instant::now();
             (t.run)(fid);
+            done(t.name, t1);
         }
     } else if let Some(t) = TARGETS.iter().find(|t| t.name == target) {
         (t.run)(fid);
@@ -181,9 +193,5 @@ fn main() {
         eprintln!("unknown target '{target}'");
         std::process::exit(2);
     }
-    eprintln!(
-        "\n[{target} done in {:.1?} at {fid:?} fidelity, {} worker(s)]",
-        t0.elapsed(),
-        pool::default_jobs()
-    );
+    done(&target, t0);
 }

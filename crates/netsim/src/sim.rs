@@ -304,18 +304,29 @@ impl Sim {
             self.check_schedule_violation()
                 .map_err(|e| self.note_run_error(e))?;
         }
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            if let Some(budget) = self.event_budget {
-                if self.queue.events_fired() >= budget {
+        // An unset budget never runs out; strict mode panics at the
+        // offending schedule, so only a lenient queue can hold a
+        // violation. Agents cannot change either mid-run.
+        let budget = self.event_budget.unwrap_or(u64::MAX);
+        let lenient = self.queue.is_lenient();
+        loop {
+            if self.queue.events_fired() >= budget {
+                // Out of budget: an error only if another event is due,
+                // and that event stays pending.
+                if self.queue.peek_time().is_some_and(|t| t <= until) {
                     return Err(self.note_run_error(RunError::EventBudgetExceeded {
                         budget,
                         at: self.queue.now(),
                     }));
                 }
+                break;
             }
+            // Telemetry rows read the calendar as it stood before the
+            // pop: `fired` excludes this event and `pending` includes it.
+            let before = self.net.telemetry.is_some().then(|| self.queue.snapshot());
+            let Some((t, ev)) = self.queue.pop_until(until) else {
+                break;
+            };
             if t < self.last_event_time {
                 return Err(self.note_run_error(RunError::TimeRegression {
                     from: self.last_event_time,
@@ -326,14 +337,14 @@ impl Sim {
             // Telemetry sampling rides the event clock: one cheap Option
             // check per event when disabled, sample rows stamped at exact
             // tick boundaries when enabled.
-            if self.net.telemetry.is_some() {
-                let snap = self.queue.snapshot();
+            if let Some(snap) = before {
                 self.net.sample_telemetry(t, snap);
             }
-            let (_, ev) = self.queue.pop().expect("peeked");
             self.handle(ev);
-            self.check_schedule_violation()
-                .map_err(|e| self.note_run_error(e))?;
+            if lenient {
+                self.check_schedule_violation()
+                    .map_err(|e| self.note_run_error(e))?;
+            }
         }
         Ok(())
     }
@@ -562,6 +573,157 @@ mod tests {
         let mut sim = Sim::new(net);
         sim.attach(a, Box::new(PastScheduler));
         sim.run_to_completion();
+    }
+
+    /// Arms one timer per entry of `at` on start and logs when each fires.
+    struct Script {
+        at: Vec<SimTime>,
+        fired: Vec<SimTime>,
+    }
+    impl Agent for Script {
+        fn on_start(&mut self, api: &mut Api) {
+            for &t in &self.at {
+                api.timer_at(t, 0, 0);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _api: &mut Api) {}
+        fn on_timer(&mut self, _k: u32, _d: u64, api: &mut Api) {
+            self.fired.push(api.now());
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn script_sim(at: Vec<SimTime>) -> (Sim, NodeId) {
+        let mut net = Network::new();
+        let a = net.add_node();
+        let mut sim = Sim::new(net);
+        sim.attach(a, Box::new(Script { at, fired: vec![] }));
+        (sim, a)
+    }
+
+    #[test]
+    fn budget_stops_before_the_event_after_it() {
+        // One timer per ms: the budget runs out with events still due.
+        let ms = |i: u64| SimTime::from_nanos(i * 1_000_000);
+        let (mut sim, a) = script_sim((1..=100).map(ms).collect());
+        sim.set_event_budget(40);
+        let err = sim.try_run_until(SimTime::from_secs(1)).unwrap_err();
+        assert!(
+            matches!(err, RunError::EventBudgetExceeded { budget: 40, at } if at == ms(40)),
+            "got {err:?}"
+        );
+        assert_eq!(sim.queue.events_fired(), 40);
+        assert_eq!(sim.now(), ms(40));
+        // The 41st event was not consumed: it is still the next one due.
+        assert_eq!(sim.queue.len(), 60);
+        assert_eq!(sim.queue.peek_time(), Some(ms(41)));
+        assert_eq!(sim.agent::<Script>(a).unwrap().fired.len(), 40);
+    }
+
+    #[test]
+    fn exhausted_budget_with_nothing_due_is_not_an_error() {
+        let ms = |i: u64| SimTime::from_nanos(i * 1_000_000);
+        let (mut sim, _) = script_sim(vec![ms(1), ms(2), ms(3)]);
+        sim.set_event_budget(2);
+        sim.try_run_until(ms(2))
+            .expect("nothing due after the budget");
+        assert_eq!(sim.queue.events_fired(), 2);
+        assert!(sim.try_run_until(ms(3)).is_err());
+    }
+
+    #[test]
+    fn horizon_is_inclusive_and_resumable() {
+        let t = SimTime::from_nanos(5_000_000);
+        let t1 = SimTime::from_nanos(5_000_001);
+        let (mut sim, a) = script_sim(vec![t, t1]);
+        sim.try_run_until(t).unwrap();
+        assert_eq!(sim.agent::<Script>(a).unwrap().fired, vec![t]);
+        assert_eq!(sim.now(), t);
+        assert_eq!(sim.queue.len(), 1, "the event 1 ns later still waits");
+        sim.try_run_until(t1).unwrap();
+        assert_eq!(sim.agent::<Script>(a).unwrap().fired, vec![t, t1]);
+        assert!(sim.queue.is_empty());
+    }
+
+    /// Arms a timer at 2 ms and one at 3 ms; the first schedules behind
+    /// the clock.
+    struct PastThenLater;
+    impl Agent for PastThenLater {
+        fn on_start(&mut self, api: &mut Api) {
+            api.timer_in(SimDuration::from_millis(2), 0, 0);
+            api.timer_in(SimDuration::from_millis(3), 1, 0);
+        }
+        fn on_packet(&mut self, _pkt: Packet, _api: &mut Api) {}
+        fn on_timer(&mut self, kind: u32, _d: u64, api: &mut Api) {
+            if kind == 0 {
+                api.timer_at(SimTime::from_nanos(1_000_000), 0, 0);
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn lenient_past_schedule_surfaces_from_the_event_that_made_it() {
+        let mut net = Network::new();
+        let a = net.add_node();
+        let mut sim = Sim::new(net);
+        sim.attach(a, Box::new(PastThenLater));
+        sim.set_lenient_scheduling(true);
+        let err = sim.try_run_until(SimTime::from_secs(1)).unwrap_err();
+        let ms = |i: u64| SimTime::from_nanos(i * 1_000_000);
+        assert!(
+            matches!(err, RunError::ScheduledIntoPast { at, now } if at == ms(1) && now == ms(2)),
+            "got {err:?}"
+        );
+        // The run stopped right after the offending event: the 3 ms
+        // timer has not fired.
+        assert_eq!(sim.queue.events_fired(), 1);
+        assert_eq!(sim.now(), ms(2));
+        assert_eq!(sim.queue.peek_time(), Some(ms(3)));
+    }
+
+    #[test]
+    fn telemetry_samples_the_calendar_before_each_pop() {
+        let mut net = Network::new();
+        let a = net.add_node();
+        let b = net.add_node();
+        net.add_link(a, b, 1_000_000, SimDuration::from_millis(5), dt(), None);
+        net.telemetry = Some(Box::new(telemetry::TelemetryConfig::new().build()));
+        let mut sim = Sim::new(net);
+        sim.attach(
+            a,
+            Box::new(Blaster {
+                peer: b,
+                n: 3_500,
+                sent: 0,
+            }),
+        );
+        sim.attach(
+            b,
+            Box::new(Sink {
+                received: 0,
+                last_seq: None,
+                in_order: true,
+            }),
+        );
+        sim.run_to_completion();
+        let tel = sim.net.telemetry.take().expect("telemetry installed");
+        let series = &tel.sampler.series;
+        // Each row is read at the first event at or after its tick,
+        // before that event is popped: `fired` excludes it and
+        // `pending` includes it.
+        assert_eq!(
+            series.column("events_fired").unwrap(),
+            vec![2993.0, 5993.0, 8993.0]
+        );
+        assert_eq!(
+            series.column("events_pending").unwrap(),
+            vec![7.0, 7.0, 7.0]
+        );
     }
 
     #[test]

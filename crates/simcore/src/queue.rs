@@ -15,9 +15,12 @@
 //!   deliveries, dequeue wake-ups) always lands in an O(1) bucket; only
 //!   long-lived protocol timers (flow arrivals, lifetimes, probe
 //!   deadlines) pay the overflow heap, and they move into the ring once
-//!   the window reaches them. Bucket storage and the active-bucket heap
-//!   retain their capacity across a run, so steady-state scheduling
-//!   allocates nothing.
+//!   the window reaches them. The active region is a sorted run, not a
+//!   heap: activating a bucket swaps its `Vec` in and sorts it once,
+//!   every pop is a `Vec::pop` off the end, and the rare schedule behind
+//!   the cursor is placed by binary search (a zero-delay event usually
+//!   lands at the end). Buffers change places on each swap but none is
+//!   freed, so steady-state scheduling allocates nothing.
 //! - [`HeapEventQueue`] — the original binary-heap calendar, kept as the
 //!   reference implementation for differential property tests and the
 //!   engine benchmarks.
@@ -29,6 +32,7 @@
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem;
 
 /// log2 of the calendar bucket width in nanoseconds (2^15 ns ≈ 32.8 µs).
 pub const WIDTH_BITS: u32 = 15;
@@ -81,7 +85,8 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
+        // Reverse ordering: BinaryHeap is a max-heap, we want earliest
+        // first; an ascending sort puts the earliest entry last.
         other
             .at
             .cmp(&self.at)
@@ -108,13 +113,14 @@ pub struct EventQueue<E> {
     occ: [u64; OCC_WORDS],
     /// Entries in the near window, excluding `current`.
     near_count: usize,
-    /// Absolute buckets `< cursor` have been activated (drained into
+    /// Absolute buckets `< cursor` have been activated (moved into
     /// `current`); insertions targeting them go straight to `current`.
     /// The window starts here, so it slides with every activation.
     cursor: u64,
-    /// The active min-heap: every pending entry before the activation
-    /// boundary. Always pops before any bucket or overflow entry.
-    current: BinaryHeap<Entry<E>>,
+    /// The active run: every pending entry before the activation
+    /// boundary, sorted latest first so the earliest pops off the end.
+    /// Always pops before any bucket or overflow entry.
+    current: Vec<Entry<E>>,
     /// Entries beyond the near window (`abs >= cursor + NUM_BUCKETS`),
     /// moved into the ring as the window slides over them.
     far: BinaryHeap<Entry<E>>,
@@ -139,7 +145,7 @@ impl<E> EventQueue<E> {
             occ: [0; OCC_WORDS],
             near_count: 0,
             cursor: 0,
-            current: BinaryHeap::new(),
+            current: Vec::new(),
             far: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -192,6 +198,12 @@ impl<E> EventQueue<E> {
         self.lenient = lenient;
     }
 
+    /// Whether lenient mode is armed.
+    #[inline]
+    pub fn is_lenient(&self) -> bool {
+        self.lenient
+    }
+
     /// Take the recorded scheduling violation, if any.
     pub fn take_violation(&mut self) -> Option<ScheduleViolation> {
         self.violation.take()
@@ -228,13 +240,23 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.ensure_current();
-        self.current.peek().map(|e| e.at)
+        self.current.last().map(|e| e.at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Pop the next event if it is due at or before `until`, advancing
+    /// the clock to its timestamp; otherwise leave it pending and the
+    /// clock where it is. One call in place of
+    /// [`peek_time`](EventQueue::peek_time) then [`pop`](EventQueue::pop).
+    #[inline]
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         self.ensure_current();
-        let entry = self.current.pop()?;
+        let entry = self.current.pop_if(|e| e.at <= until)?;
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         self.popped += 1;
@@ -261,10 +283,19 @@ impl<E> EventQueue<E> {
     fn push_entry(&mut self, entry: Entry<E>) {
         let abs = entry.at.as_nanos() >> WIDTH_BITS;
         if abs < self.cursor {
-            // Behind the activation boundary: the heap keeps exact
-            // (time, seq) order, so late arrivals into the active region
-            // still pop in their correct place.
-            self.current.push(entry);
+            // Behind the activation boundary: keep the run sorted so late
+            // arrivals still pop in exact (time, seq) order. The newest
+            // entry is usually the earliest (a zero-delay event), so it
+            // goes on the end without a search.
+            match self.current.last() {
+                // `Ord` is reversed: `last >= entry` means `last` pops
+                // first, so `entry` belongs further in.
+                Some(last) if *last >= entry => {
+                    let i = self.current.partition_point(|e| *e < entry);
+                    self.current.insert(i, entry);
+                }
+                _ => self.current.push(entry),
+            }
         } else if abs - self.cursor < NUM_BUCKETS as u64 {
             let slot = (abs % NUM_BUCKETS as u64) as usize;
             if self.buckets[slot].is_empty() {
@@ -277,35 +308,60 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Make `current` hold the globally earliest pending entries (or be
-    /// empty if the whole calendar is). Activates the next occupied ring
-    /// bucket, which slides the window forward; when the ring is empty,
-    /// jumps the cursor just past the earliest overflow bucket, so that
-    /// bucket's entries go straight to `current` and a sparse stretch
-    /// (one timer per 100 ms, say) never touches a ring bucket. Either
-    /// way, overflow entries the window now covers move into the ring.
+    #[inline]
     fn ensure_current(&mut self) {
-        while self.current.is_empty() {
-            if self.near_count > 0 {
-                let abs = self.next_occupied();
-                let slot = (abs % NUM_BUCKETS as u64) as usize;
-                self.occ[slot / 64] &= !(1u64 << (slot % 64));
-                self.near_count -= self.buckets[slot].len();
-                self.current.extend(self.buckets[slot].drain(..));
-                self.cursor = abs + 1;
-            } else if let Some(e) = self.far.peek() {
-                self.cursor = (e.at.as_nanos() >> WIDTH_BITS) + 1;
-            } else {
-                return; // truly empty
-            }
-            let end = self.cursor + NUM_BUCKETS as u64;
+        if self.current.is_empty() {
+            self.activate();
+        }
+    }
+
+    /// Refill the empty active run with the globally earliest pending
+    /// entries (or leave it empty if the whole calendar is). Swaps in the
+    /// next occupied ring bucket and sorts it, which slides the window
+    /// forward; when the ring is empty, jumps the cursor just past the
+    /// earliest overflow bucket and moves that bucket's entries straight
+    /// into the run, so a sparse stretch (one timer per 100 ms, say)
+    /// never touches a ring bucket. Either way, overflow entries the
+    /// window now covers move into the ring.
+    fn activate(&mut self) {
+        debug_assert!(self.current.is_empty());
+        if self.near_count > 0 {
+            let abs = self.next_occupied();
+            let slot = (abs % NUM_BUCKETS as u64) as usize;
+            self.occ[slot / 64] &= !(1u64 << (slot % 64));
+            self.near_count -= self.buckets[slot].len();
+            // The empty run's buffer becomes the bucket's, so no
+            // capacity is lost and nothing is copied.
+            mem::swap(&mut self.current, &mut self.buckets[slot]);
+            // `(time, seq)` is a total order, so the sort is
+            // deterministic.
+            self.current.sort_unstable();
+            self.cursor = abs + 1;
+        } else if let Some(e) = self.far.peek() {
+            let abs = e.at.as_nanos() >> WIDTH_BITS;
+            self.cursor = abs + 1;
+            // Append the bucket's entries and order them once: inserting
+            // them one by one would be quadratic on a dense bucket. The
+            // heap yields them earliest first, so reversing sorts them.
             while let Some(e) = self.far.peek() {
-                if e.at.as_nanos() >> WIDTH_BITS >= end {
+                if e.at.as_nanos() >> WIDTH_BITS != abs {
                     break;
                 }
-                let entry = self.far.pop().expect("peeked");
-                self.push_entry(entry);
+                self.current.push(self.far.pop().expect("peeked"));
             }
+            self.current.reverse();
+        } else {
+            return; // truly empty
+        }
+        // Every remaining overflow entry lies at or past the cursor, so
+        // these go to ring buckets, never into the active run.
+        let end = self.cursor + NUM_BUCKETS as u64;
+        while let Some(e) = self.far.peek() {
+            if e.at.as_nanos() >> WIDTH_BITS >= end {
+                break;
+            }
+            let entry = self.far.pop().expect("peeked");
+            self.push_entry(entry);
         }
     }
 
@@ -545,6 +601,19 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(2 << WIDTH_BITS), "early");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["early", "late"]);
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_pending() {
+        let mut q = EventQueue::new();
+        let (t1, t2) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        q.schedule_at(t1, "a");
+        q.schedule_at(t2, "b");
+        assert_eq!(q.pop_until(t1), Some((t1, "a")));
+        assert_eq!(q.pop_until(t1), None);
+        assert_eq!(q.now(), t1, "a refused pop leaves the clock alone");
+        assert_eq!((q.len(), q.events_fired()), (1, 1));
+        assert_eq!(q.pop_until(t2), Some((t2, "b")));
     }
 
     #[test]

@@ -269,3 +269,132 @@ fn sliding_window_matches_heap_over_long_runs() {
         );
     }
 }
+
+/// One calendar bucket's width in nanoseconds.
+const BUCKET_NS: u64 = 1 << simcore::queue::WIDTH_BITS;
+
+proptest! {
+    /// Schedules made while an activated bucket drains land behind the
+    /// activation cursor, in the active run: zero-delay events (the
+    /// common case), exact ties with pending entries, other instants in
+    /// the same bucket, and the next few buckets. Every pop must match
+    /// the heap reference.
+    #[test]
+    fn schedules_into_a_draining_bucket_match_heap(
+        offsets in prop::collection::vec(0u64..BUCKET_NS, 1..64),
+        ops in prop::collection::vec((0u8..5, 0u64..BUCKET_NS), 1..200),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut next = 0u64;
+        let mut both = |cal: &mut EventQueue<u64>, heap: &mut HeapEventQueue<u64>, at: SimTime| {
+            cal.schedule_at(at, next);
+            heap.schedule_at(at, next);
+            next += 1;
+        };
+        let base = 7 * BUCKET_NS;
+        for &off in &offsets {
+            // Coarse offsets collide, so the bucket starts with ties.
+            both(&mut cal, &mut heap, SimTime::from_nanos(base + off / 64 * 64));
+        }
+        for &(kind, x) in &ops {
+            let got = cal.pop();
+            prop_assert_eq!(got, heap.pop());
+            let now = cal.now();
+            let bucket_end = (now.as_nanos() / BUCKET_NS + 1) * BUCKET_NS;
+            match kind {
+                0 => both(&mut cal, &mut heap, now),
+                1 => {
+                    both(&mut cal, &mut heap, now);
+                    both(&mut cal, &mut heap, now);
+                }
+                2 => {
+                    let at = now.as_nanos() + x % (bucket_end - now.as_nanos());
+                    both(&mut cal, &mut heap, SimTime::from_nanos(at));
+                }
+                3 => {
+                    let at = base + offsets[x as usize % offsets.len()] / 64 * 64;
+                    both(&mut cal, &mut heap, SimTime::from_nanos(at.max(now.as_nanos())));
+                }
+                _ => both(&mut cal, &mut heap, SimTime::from_nanos(bucket_end + x * 3)),
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() { break; }
+        }
+    }
+}
+
+/// A twin with `n` entries pending past the near window, all in the
+/// bucket at 100 s, a few hundred at identical instants.
+fn dense_overflow_bucket(rng: &mut SimRng, n: usize) -> Twin {
+    let mut t = Twin {
+        cal: EventQueue::new(),
+        heap: HeapEventQueue::new(),
+        next: 0,
+        ops: 0,
+    };
+    let base = 100_000_000_000u64 / BUCKET_NS * BUCKET_NS;
+    for i in 0..n {
+        let off = if i % 50 == 0 {
+            BUCKET_NS / 2
+        } else {
+            rng.next_u64() % BUCKET_NS
+        };
+        t.schedule(SimDuration::from_nanos(base + off));
+    }
+    // Neighbours: the bucket after it, and one well past the window.
+    t.schedule(SimDuration::from_nanos(base + BUCKET_NS + 5));
+    t.schedule(SimDuration::from_secs(200));
+    t
+}
+
+/// With the ring empty, the calendar jumps its cursor to the earliest
+/// overflow bucket, whose entries all move into the active run at once.
+/// Ten thousand and more of them must pop in the heap's order, also with
+/// zero-delay and same-bucket schedules made while they drain.
+#[test]
+fn cursor_jump_into_a_dense_overflow_bucket_matches_heap() {
+    let mut rng = SimRng::new(7);
+    let mut t = dense_overflow_bucket(&mut rng, 12_000);
+    assert_eq!(t.cal.len(), 12_002);
+    for i in 0..6_000u64 {
+        t.pop();
+        match i % 4 {
+            0 => t.schedule(SimDuration::ZERO),
+            1 => t.schedule(SimDuration::from_nanos(rng.next_u64() % 64)),
+            _ => {}
+        }
+    }
+    t.drain();
+    assert_eq!(t.cal.events_fired(), t.heap.events_fired());
+}
+
+/// `clear()` with an active run part drained: both calendars drop
+/// everything, and the schedules that follow (at the clock, behind the
+/// cursor, and later) pop in the heap's order.
+#[test]
+fn clear_with_a_non_empty_active_run_matches_heap() {
+    let mut rng = SimRng::new(9);
+    let mut t = dense_overflow_bucket(&mut rng, 200);
+    for _ in 0..50 {
+        t.pop();
+    }
+    assert!(!t.cal.is_empty());
+    t.cal.clear();
+    t.heap.clear();
+    assert!(t.cal.is_empty() && t.heap.is_empty());
+    assert_eq!(t.cal.len(), 0);
+    assert_eq!(t.cal.peek_time(), None);
+    assert_eq!(t.cal.pop(), None);
+    for _ in 0..100 {
+        t.schedule(SimDuration::ZERO);
+        t.schedule(SimDuration::from_nanos(rng.next_u64() % 64));
+        t.schedule(simulator_delay(&mut rng));
+    }
+    t.hold(&mut rng, 2_000);
+    t.drain();
+}

@@ -10,6 +10,9 @@
 //! Each run ends with a `[<target> done in ...]` line on stderr; `all`
 //! prints one after every target as well.
 //!
+//! A mistyped flag, a second target or more than one fidelity flag exits
+//! 2 with the usage and runs nothing.
+//!
 //! --jobs N sets the worker count for every sweep (default: available
 //! parallelism; --jobs 1 forces the serial path). Results are
 //! byte-identical at any worker count.
@@ -64,12 +67,53 @@ fn flag_value<T>(
     None
 }
 
+/// The arguments that are neither flags nor flag values. `bare` flags
+/// stand alone; `valued` ones take the next argument (or `=V`) as their
+/// value. Any other `--` argument is a mistyped flag: exit 2 with the
+/// usage rather than run something the caller did not ask for.
+fn positionals<'a>(args: &'a [String], bare: &[&str], valued: &[&str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let a = a.as_str();
+        let with_value = |v: &&str| a.strip_prefix(*v).is_some_and(|r| r.starts_with('='));
+        if valued.contains(&a) {
+            it.next();
+        } else if a.starts_with("--") && !bare.contains(&a) && !valued.iter().any(with_value) {
+            eprintln!("unknown flag '{a}'");
+            usage();
+        } else if !a.starts_with("--") {
+            out.push(a);
+        }
+    }
+    out
+}
+
+fn usage() -> ! {
+    eprintln!("usage: experiments <target> [--smoke|--quick|--paper] [--jobs N] [--telemetry DIR]");
+    let mut line = String::from("targets:");
+    for t in TARGETS {
+        if line.len() + t.name.len() >= 72 {
+            eprintln!("{line}");
+            line = " ".repeat(8);
+        }
+        line = format!("{line} {}", t.name);
+    }
+    eprintln!("{line}");
+    eprintln!("         all  (every target above but bench-sweep)");
+    eprintln!("         check [--target T] [--write-docs]  (reproduction gate)");
+    std::process::exit(2);
+}
+
 /// The reproduction gate: evaluate the spec catalog against the results
 /// directory, persist verdicts, optionally regenerate the docs block.
 /// Exits 0 only if every checked claim holds.
 fn run_check(args: &[String]) -> ! {
     use eac_bench::shapecheck;
 
+    if !positionals(&args[1..], &["--write-docs"], &["--target"]).is_empty() {
+        usage();
+    }
     let specs = eac_bench::spec::catalog();
     let only = flag_value(args, "--target", "a target name", |v| Some(v.to_string()));
     if let Some(t) = &only {
@@ -130,6 +174,19 @@ fn main() {
     if args.first().map(String::as_str) == Some("check") {
         run_check(&args);
     }
+    const FIDELITIES: [&str; 3] = ["--smoke", "--quick", "--paper"];
+    let targets = positionals(&args, &FIDELITIES, &["--jobs", "--telemetry"]);
+    let [target] = targets[..] else {
+        if targets.len() > 1 {
+            eprintln!("one target at a time (got {})", targets.join(", "));
+        }
+        usage();
+    };
+    let fidelities = args.iter().filter(|a| FIDELITIES.contains(&a.as_str()));
+    if fidelities.count() > 1 {
+        eprintln!("give at most one of {}", FIDELITIES.join(", "));
+        usage();
+    }
     let fid = Fidelity::from_args(&args);
     let positive = |v: &str| v.parse().ok().filter(|&n: &usize| n >= 1);
     if let Some(n) = flag_value(&args, "--jobs", "a positive integer", positive) {
@@ -139,38 +196,6 @@ fn main() {
     if let Some(dir) = flag_value(&args, "--telemetry", "an output directory", text) {
         eac_bench::telemetry_session::set_session_dir(dir);
     }
-    let mut skip_value = false;
-    let target = args
-        .iter()
-        .find(|a| {
-            if skip_value {
-                skip_value = false;
-                return false;
-            }
-            if *a == "--jobs" || *a == "--telemetry" {
-                skip_value = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .cloned()
-        .unwrap_or_else(|| {
-            eprintln!(
-                "usage: experiments <target> [--smoke|--quick|--paper] [--jobs N] [--telemetry DIR]"
-            );
-            let mut line = String::from("targets:");
-            for t in TARGETS {
-                if line.len() + t.name.len() >= 72 {
-                    eprintln!("{line}");
-                    line = " ".repeat(8);
-                }
-                line = format!("{line} {}", t.name);
-            }
-            eprintln!("{line}");
-            eprintln!("         all  (every target above but bench-sweep)");
-            eprintln!("         check [--target T] [--write-docs]  (reproduction gate)");
-            std::process::exit(2);
-        });
 
     let done = |name: &str, t0: std::time::Instant| {
         eprintln!(
@@ -193,5 +218,5 @@ fn main() {
         eprintln!("unknown target '{target}'");
         std::process::exit(2);
     }
-    done(&target, t0);
+    done(target, t0);
 }

@@ -599,85 +599,106 @@ fn ablate_retry(fid: Fidelity) {
     );
 }
 
+/// One robustness variant: its leading table cells, the `design` label
+/// its saved row carries, and the scenario it runs.
+type RobustVariant = (Vec<String>, String, Scenario);
+
+/// In-band dropping at `eps` on the basic workload, with the conservation
+/// audit and the event budget on every seed.
+fn robust_base(fid: Fidelity, eps: f64) -> Scenario {
+    let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, eps);
+    fid.apply(Workload::Basic.scenario().design(d))
+        .audited()
+        .event_budget(2_000_000_000)
+}
+
+/// The body both robustness targets share. Each variant runs as its own
+/// sweep, in order (which fixes the `--telemetry` numbering), with seeds
+/// isolated so one pathological run cannot take down the rest. A variant
+/// whose seeds all died prints `-` cells and `ok/n: error`; the others
+/// are saved to `<id>.json` under their relabelled design.
+fn robustness(
+    fid: Fidelity,
+    title: &str,
+    id: &str,
+    lead: &[&str],
+    with_loss: bool,
+    variants: impl IntoIterator<Item = RobustVariant>,
+) {
+    println!("{title}\n");
+    let mut header = lead.to_vec();
+    header.push("utilization");
+    if with_loss {
+        header.push("loss");
+    }
+    header.extend(["blocking", "timeouts", "leaked", "seeds-ok"]);
+    let mut rows = Vec::new();
+    let mut ser: Vec<Report> = Vec::new();
+    for (mut row, relabel, s) in variants {
+        let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
+        let outcomes = result.outcomes.remove(0);
+        let ok = outcomes.iter().filter(|o| o.is_ok()).count();
+        match result.reports.remove(0) {
+            Ok(mut r) => {
+                row.push(format!("{:.4}", r.utilization));
+                if with_loss {
+                    row.push(fmt_prob(r.data_loss));
+                }
+                row.extend([
+                    format!("{:.4}", r.blocking),
+                    format!("{}", r.timeouts),
+                    format!("{}", r.leaked_flows),
+                    format!("{ok}/{}", outcomes.len()),
+                ]);
+                r.design = relabel;
+                ser.push(r);
+            }
+            Err(e) => {
+                row.resize(header.len() - 1, "-".into());
+                row.push(format!("{ok}/{}: {e}", outcomes.len()));
+            }
+        }
+        rows.push(row);
+    }
+    print_table(&header, &rows);
+    save_json(id, &ser);
+}
+
 /// robust-flap — the Fig 2 loss-load point under a flapping bottleneck.
 ///
 /// Two scheduled link outages (~2% of the measured interval each) hit the
 /// bottleneck mid-run. Packets on the wire die, routes recompute, and every
 /// control packet caught in the outage is resolved by the hosts' verdict
-/// timeout instead of stranding the flow. The conservation audit and event
-/// budget run on every seed; seeds are isolated so one pathological run
-/// cannot take down the sweep.
+/// timeout instead of stranding the flow.
 fn robust_flap(fid: Fidelity) {
-    println!("# robust-flap — in-band dropping under a flapping bottleneck");
-    println!("# (5 s verdict timeout; packet-conservation audit on every seed)\n");
     let (h, w) = fid.lengths();
     let measured = h - w;
     let flaps = [
         (w + 0.25 * measured, w + 0.27 * measured),
         (w + 0.60 * measured, w + 0.62 * measured),
     ];
-    let mut rows = Vec::new();
-    let mut ser: Vec<Report> = Vec::new();
+    let mut variants = Vec::new();
     for eps in [0.01, 0.05] {
         for (label, flapping) in [("steady", false), ("flapping", true)] {
-            let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, eps);
-            let mut s = fid
-                .apply(Workload::Basic.scenario().design(d))
-                .verdict_timeout(5.0)
-                .audited()
-                .event_budget(2_000_000_000);
+            let mut s = robust_base(fid, eps).verdict_timeout(5.0);
             if flapping {
                 for &(down, up) in &flaps {
                     s = s.flap(down, up);
                 }
             }
-            let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
-            let outcomes = result.outcomes.remove(0);
-            let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-            match result.reports.remove(0) {
-                Ok(mut r) => {
-                    rows.push(vec![
-                        label.to_string(),
-                        format!("{eps:.2}"),
-                        format!("{:.4}", r.utilization),
-                        fmt_prob(r.data_loss),
-                        format!("{:.4}", r.blocking),
-                        format!("{}", r.timeouts),
-                        format!("{}", r.leaked_flows),
-                        format!("{ok}/{}", outcomes.len()),
-                    ]);
-                    r.design = format!("{label} / {}", r.design);
-                    ser.push(r);
-                }
-                Err(e) => {
-                    rows.push(vec![
-                        label.to_string(),
-                        format!("{eps:.2}"),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!("{ok}/{}: {e}", outcomes.len()),
-                    ]);
-                }
-            }
+            let relabel = format!("{label} / {}", s.design.name());
+            variants.push((vec![label.to_string(), format!("{eps:.2}")], relabel, s));
         }
     }
-    print_table(
-        &[
-            "variant",
-            "eps",
-            "utilization",
-            "loss",
-            "blocking",
-            "timeouts",
-            "leaked",
-            "seeds-ok",
-        ],
-        &rows,
+    robustness(
+        fid,
+        "# robust-flap — in-band dropping under a flapping bottleneck\n\
+         # (5 s verdict timeout; packet-conservation audit on every seed)",
+        "robust-flap",
+        &["variant", "eps"],
+        true,
+        variants,
     );
-    save_json("robust-flap", &ser);
 }
 
 /// robust-ctrl-loss — lossy control channel, with and without the verdict
@@ -688,65 +709,26 @@ fn robust_flap(fid: Fidelity) {
 /// a counted rejection and blocking stays bounded; without it, flows strand
 /// in AwaitDecision and show up as leaked per-flow state.
 fn robust_ctrl_loss(fid: Fidelity) {
-    println!("# robust-ctrl-loss — Bernoulli loss on the control channel");
-    println!("# (in-band dropping, eps=0.01; audit + event budget on every seed)\n");
-    let mut rows = Vec::new();
-    let mut ser: Vec<Report> = Vec::new();
+    let mut variants = Vec::new();
     for p in [0.0, 0.05, 0.1, 0.2] {
         for (label, timeout) in [("timeout 5s", Some(5.0)), ("no timeout", None)] {
-            let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
-            let mut s = fid
-                .apply(Workload::Basic.scenario().design(d))
-                .control_loss(p)
-                .audited()
-                .event_budget(2_000_000_000);
+            let mut s = robust_base(fid, 0.01).control_loss(p);
             if let Some(t) = timeout {
                 s = s.verdict_timeout(t);
             }
-            let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
-            let outcomes = result.outcomes.remove(0);
-            let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-            match result.reports.remove(0) {
-                Ok(mut r) => {
-                    rows.push(vec![
-                        format!("{p:.2}"),
-                        label.to_string(),
-                        format!("{:.4}", r.utilization),
-                        format!("{:.4}", r.blocking),
-                        format!("{}", r.timeouts),
-                        format!("{}", r.leaked_flows),
-                        format!("{ok}/{}", outcomes.len()),
-                    ]);
-                    r.design = format!("ctrl-loss {p:.2} / {label}");
-                    ser.push(r);
-                }
-                Err(e) => {
-                    rows.push(vec![
-                        format!("{p:.2}"),
-                        label.to_string(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!("{ok}/{}: {e}", outcomes.len()),
-                    ]);
-                }
-            }
+            let relabel = format!("ctrl-loss {p:.2} / {label}");
+            variants.push((vec![format!("{p:.2}"), label.to_string()], relabel, s));
         }
     }
-    print_table(
-        &[
-            "ctrl-loss",
-            "variant",
-            "utilization",
-            "blocking",
-            "timeouts",
-            "leaked",
-            "seeds-ok",
-        ],
-        &rows,
+    robustness(
+        fid,
+        "# robust-ctrl-loss — Bernoulli loss on the control channel\n\
+         # (in-band dropping, eps=0.01; audit + event budget on every seed)",
+        "robust-ctrl-loss",
+        &["ctrl-loss", "variant"],
+        false,
+        variants,
     );
-    save_json("robust-ctrl-loss", &ser);
 }
 
 /// What `bench_sweep` measures and persists as `BENCH_sweep.json`.

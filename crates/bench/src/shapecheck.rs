@@ -6,8 +6,8 @@
 //! of-magnitude separations. This module turns those prose claims into
 //! executable predicates:
 //!
-//! - [`monotone_increasing`] / [`monotone_decreasing`]`(x, y)` — a curve's
-//!   direction (e.g. MBAC utilization rises with η);
+//! - [`monotone_increasing`]`(x, y)` — a curve's direction (e.g. MBAC
+//!   utilization rises with η);
 //! - [`dominates`]`(a, b, metric, tol)` — design `a`'s best value beats
 //!   design `b`'s best by at least a factor (e.g. out-of-band marking's
 //!   loss floor sits decades below in-band dropping's);
@@ -23,7 +23,6 @@
 //! `results/verdicts.json`, and the generated verdict block between
 //! [`DOCS_BEGIN`]/[`DOCS_END`] markers in EXPERIMENTS.md.
 
-use eac::metrics::Report;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -253,8 +252,6 @@ pub enum Op {
     Le,
     /// `>=`
     Ge,
-    /// `<`
-    Lt,
     /// `>`
     Gt,
 }
@@ -264,7 +261,6 @@ impl Op {
         match self {
             Op::Le => a <= b,
             Op::Ge => a >= b,
-            Op::Lt => a < b,
             Op::Gt => a > b,
         }
     }
@@ -273,7 +269,6 @@ impl Op {
         match self {
             Op::Le => "<=",
             Op::Ge => ">=",
-            Op::Lt => "<",
             Op::Gt => ">",
         }
     }
@@ -309,8 +304,8 @@ pub enum Pred {
         /// Relative tolerance.
         rel_tol: f64,
     },
-    /// Sorted by `x`, successive `y` values move in one direction
-    /// (within an absolute tolerance `tol`).
+    /// Sorted by `x`, successive `y` values never fall (within an
+    /// absolute tolerance `tol`).
     Monotone {
         /// Row filter.
         sel: Sel,
@@ -318,8 +313,6 @@ pub enum Pred {
         x: &'static str,
         /// Value field.
         y: &'static str,
-        /// Direction.
-        increasing: bool,
         /// Absolute backsliding tolerance.
         tol: f64,
     },
@@ -374,24 +367,7 @@ pub fn dominates(a: Sel, b: Sel, metric: &'static str, tol: f64) -> Pred {
 
 /// `y` never decreases (beyond `tol`) as `x` grows over the selection.
 pub fn monotone_increasing(sel: Sel, x: &'static str, y: &'static str, tol: f64) -> Pred {
-    Pred::Monotone {
-        sel,
-        x,
-        y,
-        increasing: true,
-        tol,
-    }
-}
-
-/// `y` never increases (beyond `tol`) as `x` grows over the selection.
-pub fn monotone_decreasing(sel: Sel, x: &'static str, y: &'static str, tol: f64) -> Pred {
-    Pred::Monotone {
-        sel,
-        x,
-        y,
-        increasing: false,
-        tol,
-    }
+    Pred::Monotone { sel, x, y, tol }
 }
 
 /// The extraction lands within `rel_tol` of the paper's `value`.
@@ -474,22 +450,11 @@ impl Pred {
                     ),
                 ))
             }
-            Pred::Monotone {
-                sel,
-                x,
-                y,
-                increasing,
-                tol,
-            } => {
+            Pred::Monotone { sel, x, y, tol } => {
                 let pts = sorted_points(sel, x, y, rows)?;
                 for w in pts.windows(2) {
                     let (prev, next) = (w[0].1, w[1].1);
-                    let bad = if *increasing {
-                        next + tol < prev
-                    } else {
-                        next - tol > prev
-                    };
-                    if bad {
+                    if next + tol < prev {
                         return Ok((
                             false,
                             format!(
@@ -503,15 +468,7 @@ impl Pred {
                 }
                 Ok((
                     true,
-                    format!(
-                        "{y} {} over {} points",
-                        if *increasing {
-                            "non-decreasing"
-                        } else {
-                            "non-increasing"
-                        },
-                        pts.len()
-                    ),
+                    format!("{y} non-decreasing over {} points", pts.len()),
                 ))
             }
             Pred::Crossover {
@@ -701,37 +658,31 @@ pub struct Verdicts {
     pub results: Vec<TargetResult>,
 }
 
-/// Flatten one serialized [`Report`] into a [`Row`].
+/// Flatten one serialized [`eac::metrics::Report`]: its scalars as
+/// [`object_row`] reads them, plus `g{i}.*` per group (`g{i}.name` among
+/// the strings), `l{i}.util` per bottleneck link and `delay_p99_ms`. A
+/// field the file lacks stays absent, so a check that reads it fails.
 fn report_row(v: &Value) -> Result<Row, String> {
-    let rep = Report::from_json(v)?;
-    let mut row = Row::default();
-    row.strs.insert("design".into(), rep.design.clone());
-    let mut put = |k: &str, v: f64| {
-        row.nums.insert(k.to_string(), v);
-    };
-    put("param", rep.param);
-    put("utilization", rep.utilization);
-    put("data_loss", rep.data_loss);
-    put("link_loss", rep.link_loss);
-    put("blocking", rep.blocking);
-    put("probe_overhead", rep.probe_overhead);
-    put("mark_fraction", rep.mark_fraction);
-    put("delay_ms_mean", rep.delay_ms_mean);
-    put("delay_ms_std", rep.delay_ms_std);
-    put("delay_p99_ms", rep.delay_hist.p99_ms);
-    put("timeouts", rep.timeouts as f64);
-    put("leaked_flows", rep.leaked_flows as f64);
-    put("measured_s", rep.measured_s);
-    put("events", rep.events as f64);
-    put("seed", rep.seed as f64);
-    for (i, g) in rep.groups.iter().enumerate() {
-        row.nums.insert(format!("g{i}.blocking"), g.blocking);
-        row.nums.insert(format!("g{i}.loss"), g.loss);
-        row.nums.insert(format!("g{i}.decided"), g.decided as f64);
-        row.strs.insert(format!("g{i}.name"), g.name.clone());
+    let mut row = object_row(v)?;
+    if !row.strs.contains_key("design") {
+        return Err("report row has no string 'design'".into());
     }
-    for (i, u) in rep.link_utils.iter().enumerate() {
-        row.nums.insert(format!("l{i}.util"), *u);
+    let items = |key: &str| v.get(key).and_then(Value::as_array).unwrap_or_default();
+    for (i, g) in items("groups").iter().enumerate() {
+        let g = object_row(g)?;
+        row.strs
+            .extend(g.strs.into_iter().map(|(k, s)| (format!("g{i}.{k}"), s)));
+        row.nums
+            .extend(g.nums.into_iter().map(|(k, x)| (format!("g{i}.{k}"), x)));
+    }
+    for (i, u) in items("link_utils").iter().enumerate() {
+        if let Some(u) = u.as_f64() {
+            row.nums.insert(format!("l{i}.util"), u);
+        }
+    }
+    let p99 = v.get("delay_hist").and_then(|h| h.get("p99_ms"));
+    if let Some(p99) = p99.and_then(Value::as_f64) {
+        row.nums.insert("delay_p99_ms".into(), p99);
     }
     Ok(row)
 }
@@ -1002,8 +953,6 @@ mod tests {
         let rows = grid();
         let (pass, _) = monotone_increasing(Sel::design("a"), "x", "util", 0.0).eval(&rows);
         assert!(pass);
-        let (pass, _) = monotone_decreasing(Sel::design("a"), "x", "util", 0.0).eval(&rows);
-        assert!(!pass);
         // Tolerance forgives small backsliding.
         let mut rows2 = grid();
         rows2[1].nums.insert("util".into(), 0.7995);
@@ -1095,6 +1044,33 @@ mod tests {
         let (pass, detail) = missing.eval(&rows);
         assert!(!pass);
         assert!(detail.contains("no_such_field"));
+
+        // A Report row must be an object with a string `design`.
+        assert!(report_row(&Value::Null).is_err());
+        assert!(report_row(&Value::Array(vec![])).is_err());
+        let no_design = serde_json::from_str(r#"{"param":0.01}"#).unwrap();
+        assert!(report_row(&no_design).is_err());
+
+        // A field the row lacks stays absent instead of reading as zero.
+        let old = serde_json::from_str(
+            r#"{"design":"d","blocking":0.1,"groups":[{"name":"EXP1","loss":0.01}],
+                "link_utils":[0.8],"delay_hist":{"p99_ms":21.5}}"#,
+        )
+        .unwrap();
+        let row = report_row(&old).unwrap();
+        assert_eq!(row.strs["g0.name"], "EXP1");
+        assert_eq!(row.nums["g0.loss"], 0.01);
+        assert_eq!(row.nums["l0.util"], 0.8);
+        assert_eq!(row.nums["delay_p99_ms"], 21.5);
+        let no_leaks = Pred::EachRow {
+            sel: Sel::all(),
+            expr: Expr::Field("leaked_flows"),
+            op: Op::Le,
+            value: 0.0,
+        };
+        let (pass, detail) = no_leaks.eval(&[row]);
+        assert!(!pass);
+        assert_eq!(detail, "missing field 'leaked_flows'");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end tests of the reproduction gate: the committed results must
-//! satisfy the spec catalog, a perturbed copy must fail it, and the
-//! generated docs block must be idempotent.
+//! satisfy the spec catalog, a perturbed or stripped copy must fail it,
+//! and the generated docs block must be idempotent.
 
 use eac_bench::shapecheck::{self, check_targets};
 use eac_bench::spec::catalog;
@@ -59,6 +59,46 @@ fn perturbed_fig2_fails_the_gate() {
         "the loss-floor check specifically should fail: {:#?}",
         fig2.checks
     );
+}
+
+#[test]
+fn stripped_field_fails_its_check() {
+    // A Report row without `leaked_flows` must fail the check that reads
+    // it, not pass as if the field were zero.
+    let text = std::fs::read_to_string(results_dir().join("robust-flap.json")).unwrap();
+    let rows = serde_json::from_str(&text).expect("robust-flap.json parses");
+    let stripped: Vec<serde::Value> = rows
+        .as_array()
+        .expect("robust-flap.json is an array")
+        .iter()
+        .map(|row| {
+            let entries = row.as_object().unwrap().iter();
+            serde::Value::Object(
+                entries
+                    .filter(|(k, _)| k != "leaked_flows")
+                    .cloned()
+                    .collect(),
+            )
+        })
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("shapecheck-strip-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("robust-flap.json"),
+        serde_json::to_string(&stripped).unwrap(),
+    )
+    .unwrap();
+    let v = check_targets(&dir, &catalog(), Some("robust-flap"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let no_leaks = v.results[0]
+        .checks
+        .iter()
+        .find(|c| c.id == "no-leaks")
+        .expect("robust-flap has a no-leaks check");
+    assert!(!no_leaks.pass, "no-leaks passed without leaked_flows");
+    assert_eq!(no_leaks.detail, "missing field 'leaked_flows'");
 }
 
 #[test]

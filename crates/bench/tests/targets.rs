@@ -62,3 +62,33 @@ fn lost_results_fail_the_run() {
         "a run that saved nothing must fail"
     );
 }
+
+#[test]
+fn malformed_command_lines_exit_2_and_run_nothing() {
+    let dir = std::env::temp_dir().join(format!("eac-malformed-args-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let outcomes: Vec<_> = [
+        &["fig1", "--smok"][..],
+        &["fig1", "--smoke", "--quick"],
+        &["fig1", "fig2", "--smoke"],
+        &["check", "--write-doc"],
+        &["check", "fig2"],
+    ]
+    .into_iter()
+    .map(|args| {
+        let out = experiments(args, &dir);
+        let usage = String::from_utf8_lossy(&out.stderr).contains("usage:");
+        (args, out.status.code(), usage)
+    })
+    .collect();
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (args, code, usage) in outcomes {
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(usage, "{args:?} prints the usage");
+    }
+    assert_eq!(
+        written, 0,
+        "a rejected command line must not run (no fig1.json)"
+    );
+}

@@ -5,7 +5,7 @@
 //! probabilities and per-group breakdowns for the tables. Serializable so
 //! the bench harness can persist raw results.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 use telemetry::HistSummary;
 
 /// Per-group results.
@@ -79,89 +79,7 @@ pub struct Report {
     pub seed: u64,
 }
 
-fn num(v: &Value, key: &str) -> f64 {
-    v.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-fn count(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_u64).unwrap_or(0)
-}
-
-impl GroupReport {
-    /// Rebuild a per-group report from its serialized JSON object.
-    /// Missing fields default to zero (result files written by earlier
-    /// harness versions omit later additions).
-    pub fn from_json(v: &Value) -> Result<GroupReport, String> {
-        if v.as_object().is_none() {
-            return Err("group report is not a JSON object".into());
-        }
-        Ok(GroupReport {
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            decided: count(v, "decided"),
-            accepted: count(v, "accepted"),
-            rejected: count(v, "rejected"),
-            blocking: num(v, "blocking"),
-            data_sent: count(v, "data_sent"),
-            data_received: count(v, "data_received"),
-            loss: num(v, "loss"),
-        })
-    }
-}
-
 impl Report {
-    /// Rebuild a report from its serialized JSON object — the accessor the
-    /// reproduction gate (`experiments -- check`) uses to re-read the rows
-    /// of `results/*.json`. The inverse of `Serialize` for current files;
-    /// fields absent from older files default to zero/empty.
-    pub fn from_json(v: &Value) -> Result<Report, String> {
-        if v.as_object().is_none() {
-            return Err("report row is not a JSON object".into());
-        }
-        let groups = match v.get("groups").and_then(Value::as_array) {
-            Some(items) => items
-                .iter()
-                .map(GroupReport::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        let link_utils = v
-            .get("link_utils")
-            .and_then(Value::as_array)
-            .map(|items| items.iter().filter_map(Value::as_f64).collect())
-            .unwrap_or_default();
-        Ok(Report {
-            design: v
-                .get("design")
-                .and_then(Value::as_str)
-                .ok_or("report row missing 'design'")?
-                .to_string(),
-            param: num(v, "param"),
-            utilization: num(v, "utilization"),
-            data_loss: num(v, "data_loss"),
-            link_loss: num(v, "link_loss"),
-            blocking: num(v, "blocking"),
-            probe_overhead: num(v, "probe_overhead"),
-            mark_fraction: num(v, "mark_fraction"),
-            delay_ms_mean: num(v, "delay_ms_mean"),
-            delay_ms_std: num(v, "delay_ms_std"),
-            delay_hist: v
-                .get("delay_hist")
-                .map(HistSummary::from_json)
-                .unwrap_or_default(),
-            groups,
-            link_utils,
-            timeouts: count(v, "timeouts"),
-            leaked_flows: count(v, "leaked_flows"),
-            measured_s: num(v, "measured_s"),
-            events: count(v, "events"),
-            seed: count(v, "seed"),
-        })
-    }
-
     /// Merge several same-configuration runs (different seeds) by
     /// averaging rates and summing counts.
     pub fn average(reports: &[Report]) -> Report {
@@ -262,48 +180,5 @@ mod tests {
         let r = mk(0.8, 0.01, 80, 20);
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"utilization\":0.8"));
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let r = mk(0.8, 0.01, 80, 20);
-        let v = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
-        let back = Report::from_json(&v).unwrap();
-        assert_eq!(back.design, r.design);
-        assert_eq!(back.utilization, r.utilization);
-        assert_eq!(back.data_loss, r.data_loss);
-        assert_eq!(back.groups.len(), 1);
-        assert_eq!(back.groups[0].decided, r.groups[0].decided);
-        assert_eq!(back.groups[0].name, "g");
-        assert_eq!(back.link_utils, r.link_utils);
-        assert_eq!(back.delay_hist, r.delay_hist);
-        assert_eq!(back.seed, 1);
-    }
-
-    #[test]
-    fn report_from_json_tolerates_missing_fields() {
-        // A pre-telemetry row: no delay_hist, timeouts, leaked_flows, events.
-        let v = serde_json::from_str(
-            r#"{"design":"drop (in-band)","param":0.01,"utilization":0.84,
-                "data_loss":0.002,"blocking":0.15,
-                "groups":[{"name":"EXP1","decided":10,"accepted":9,"rejected":1,
-                           "blocking":0.1,"data_sent":100,"data_received":99,"loss":0.01}],
-                "link_utils":[0.84],"measured_s":1200.0,"seed":1}"#,
-        )
-        .unwrap();
-        let r = Report::from_json(&v).unwrap();
-        assert_eq!(r.design, "drop (in-band)");
-        assert_eq!(r.timeouts, 0);
-        assert_eq!(r.events, 0);
-        assert_eq!(r.delay_hist, telemetry::HistSummary::default());
-        assert_eq!(r.groups[0].decided, 10);
-    }
-
-    #[test]
-    fn report_from_json_rejects_non_rows() {
-        assert!(Report::from_json(&Value::Null).is_err());
-        assert!(Report::from_json(&Value::Array(vec![])).is_err());
-        let no_design = serde_json::from_str(r#"{"param":0.01}"#).unwrap();
-        assert!(Report::from_json(&no_design).is_err());
     }
 }

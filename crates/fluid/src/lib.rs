@@ -4,8 +4,8 @@
 //! mathematics, both implemented here:
 //!
 //! - [`statics`]: closed-form results (stolen bandwidth under fair
-//!   queueing, acceptance-threshold windows, the in-band drop-rate floor,
-//!   priority stealing);
+//!   queueing, acceptance-threshold windows, the in-band drop-rate
+//!   floor);
 //! - [`thrash`]: the dynamic fluid model behind Figure 1 — a CTMC over
 //!   (admitted, probing) flow counts with perfect probing, evaluated by
 //!   finite-horizon Monte-Carlo (the collapsed regime is absorbing, so

@@ -47,15 +47,6 @@ pub fn admission_probability(nu: f64, n_packets: u32) -> f64 {
     (1.0 - nu).powi(n_packets as i32)
 }
 
-/// §2.1.3 — multiple priority levels with in-band probing: once the
-/// higher level's load `n1 · r` reaches capacity, level-2 flows lose
-/// everything. Returns the level-2 loss fraction given loads in bps.
-pub fn priority_stealing_loss(level1_load: f64, level2_load: f64, capacity: f64) -> f64 {
-    assert!(level1_load >= 0.0 && level2_load > 0.0 && capacity > 0.0);
-    let leftover = (capacity - level1_load).max(0.0);
-    ((level2_load - leftover) / level2_load).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,15 +92,5 @@ mod tests {
         assert_eq!(admission_probability(0.0, 1000), 1.0);
         assert_eq!(admission_probability(1.0, 3), 0.0);
         assert!(admission_probability(0.01, 100) < 0.4);
-    }
-
-    #[test]
-    fn priority_stealing() {
-        // Level 1 saturates the link: level 2 completely starved.
-        assert_eq!(priority_stealing_loss(10e6, 2e6, 10e6), 1.0);
-        // Level 1 idle: no loss.
-        assert_eq!(priority_stealing_loss(0.0, 2e6, 10e6), 0.0);
-        // Half the level-2 load fits.
-        assert!((priority_stealing_loss(9e6, 2e6, 10e6) - 0.5).abs() < 1e-12);
     }
 }

@@ -213,22 +213,6 @@ impl HistSummary {
         }
     }
 
-    /// Rebuild a summary from its serialized JSON object (the inverse of
-    /// `Serialize`, for the reproduction gate re-reading `results/*.json`).
-    /// Missing keys default to zero so reports written before the summary
-    /// existed still parse.
-    pub fn from_json(v: &Value) -> HistSummary {
-        let num = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        HistSummary {
-            count: v.get("count").and_then(Value::as_u64).unwrap_or(0),
-            min_ms: num("min_ms"),
-            p50_ms: num("p50_ms"),
-            p90_ms: num("p90_ms"),
-            p99_ms: num("p99_ms"),
-            max_ms: num("max_ms"),
-        }
-    }
-
     /// Mean of several summaries: counts sum, quantiles average (an
     /// approximation — quantiles do not compose exactly across runs, but
     /// the per-seed histograms are already summarized by the time reports

@@ -143,13 +143,13 @@ fn bench_figures(c: &mut Criterion) {
 
     // The pooled executor on a 4-seed grid, serial vs all workers.
     let sweep_base = || {
-        Sweep::new(short(Design::endpoint(
+        let point = short(Design::endpoint(
             Signal::Drop,
             Placement::InBand,
             ProbeStyle::SlowStart,
             0.01,
-        )))
-        .seeds(&[1, 2, 3, 4])
+        ));
+        Sweep::new(vec![point], &[1, 2, 3, 4])
     };
     g.bench_function("sweep 4 seeds, 1 worker", |b| {
         b.iter(|| black_box(sweep_base().jobs(1).run().expect_reports()))

@@ -13,13 +13,16 @@
 //! A mistyped flag, a second target or more than one fidelity flag exits
 //! 2 with the usage and runs nothing.
 //!
-//! --jobs N sets the worker count for every sweep (default: available
+//! Each target runs its whole grid of points (curves, workloads,
+//! variants or table rows) as one sweep over the fidelity's seeds.
+//! --jobs N sets the worker count for that sweep (default: available
 //! parallelism; --jobs 1 forces the serial path). Results are
 //! byte-identical at any worker count.
 //!
 //! --telemetry DIR captures per-seed time-series (CSV), metrics (JSON)
-//! and flight-recorder dumps for failed seeds under numbered sweep
-//! subdirectories of DIR. Output is byte-identical at any --jobs value.
+//! and flight-recorder dumps for failed seeds, as `d<point>_s<seed>`
+//! files under one numbered subdirectory of DIR per sweep (`sweep000`
+//! for a single target). Output is byte-identical at any --jobs value.
 //!
 //! experiments check [--target T] [--write-docs]
 //!

@@ -69,20 +69,15 @@ pub const TARGETS: &[Target] = &[
     },
 ];
 
-fn curve_rows(label: &str, reports: &[Report]) -> Vec<Vec<String>> {
-    reports
-        .iter()
-        .map(|r| {
-            vec![
-                label.to_string(),
-                format!("{:.3}", r.param),
-                format!("{:.4}", r.utilization),
-                fmt_prob(r.data_loss),
-                format!("{:.4}", r.blocking),
-                format!("{:.4}", r.probe_overhead),
-            ]
-        })
-        .collect()
+fn curve_row(label: &str, r: &Report) -> Vec<String> {
+    vec![
+        label.to_string(),
+        format!("{:.3}", r.param),
+        format!("{:.4}", r.utilization),
+        fmt_prob(r.data_loss),
+        format!("{:.4}", r.blocking),
+        format!("{:.4}", r.probe_overhead),
+    ]
 }
 
 const CURVE_HEADER: [&str; 6] = [
@@ -97,31 +92,29 @@ const CURVE_HEADER: [&str; 6] = [
 /// One loss-load curve: a label, the scenario and the designs it sweeps.
 type Curve = (&'static str, Scenario, Vec<Design>);
 
-/// Run each curve as one sweep over the fidelity's seeds, print the
-/// loss-load table and save every point as `id`.
+/// Run every curve's points as one sweep, print the loss-load table and
+/// save every point as `id`.
 fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
-    for (label, base, designs) in curves {
-        let reports = Sweep::new(fid.apply(base))
-            .designs(&designs)
-            .seeds(&fid.seeds())
-            .run()
-            .expect_reports();
-        rows.extend(curve_rows(label, &reports));
-        all.extend(reports);
-    }
+    let grid = curves.into_iter().flat_map(|(label, base, designs)| {
+        designs
+            .into_iter()
+            .map(move |d| (label, base.clone().design(d)))
+    });
+    let (rows, all): (Vec<_>, Vec<_>) = points(fid, grid)
+        .into_iter()
+        .map(|(label, r)| (curve_row(label, &r), r))
+        .unzip();
     print_table(&CURVE_HEADER, &rows);
     save_json(id, &all);
 }
 
-/// Run `s` at the fidelity's run length and return its seed average.
-fn point(fid: Fidelity, s: Scenario) -> Report {
-    Sweep::new(fid.apply(s))
-        .seeds(&fid.seeds())
-        .run()
-        .expect_reports()
-        .remove(0)
+/// Run every labelled scenario at the fidelity's run length as one sweep
+/// over its seeds, and pair each label with its point's seed average.
+fn points<L>(fid: Fidelity, grid: impl IntoIterator<Item = (L, Scenario)>) -> Vec<(L, Report)> {
+    let (labels, scenarios): (Vec<L>, Vec<Scenario>) =
+        grid.into_iter().map(|(l, s)| (l, fid.apply(s))).unzip();
+    let reports = Sweep::new(scenarios, &fid.seeds()).run().expect_reports();
+    labels.into_iter().zip(reports).collect()
 }
 
 /// The MBAC benchmark's η sweep on `base`.
@@ -145,6 +138,20 @@ fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
         .collect();
     curves.push(mbac_curve(base));
     curves
+}
+
+/// Tables 4–6's rows: the four endpoint designs under slow-start probing
+/// at `eps(placement)`, then MBAC at η = 0.9.
+fn table_designs(eps: fn(Placement) -> f64) -> Vec<(&'static str, Design)> {
+    let mut designs: Vec<(&'static str, Design)> = endpoint_designs()
+        .into_iter()
+        .map(|(label, signal, placement)| {
+            let d = design(signal, placement, ProbeStyle::SlowStart, eps(placement));
+            (label, d)
+        })
+        .collect();
+    designs.push(("MBAC", Design::mbac(0.9)));
+    designs
 }
 
 /// Fig 1 — fluid-model thrashing: utilization and in-band loss vs mean
@@ -265,22 +272,26 @@ fn fig8(letter: char, fid: Fidelity) {
 fn fig9(fid: Fidelity) {
     println!("# Fig 9 — loss for many scenarios at fixed eps");
     println!("# (eps = 0.01 in-band, 0.05 out-of-band)\n");
+    let grid = endpoint_designs()
+        .into_iter()
+        .flat_map(|(label, signal, placement)| {
+            let eps = fig9_eps(placement);
+            let d = design(signal, placement, ProbeStyle::SlowStart, eps);
+            Workload::ALL
+                .into_iter()
+                .map(move |w| ((label, w.name(), eps), w.scenario().design(d)))
+        });
     let mut rows = Vec::new();
     let mut ser: Vec<(String, String, f64)> = Vec::new();
-    for (label, signal, placement) in endpoint_designs() {
-        let eps = fig9_eps(placement);
-        for w in Workload::ALL {
-            let d = design(signal, placement, ProbeStyle::SlowStart, eps);
-            let r = point(fid, w.scenario().design(d));
-            rows.push(vec![
-                label.to_string(),
-                w.name().to_string(),
-                format!("{:.3}", eps),
-                fmt_prob(r.data_loss),
-                format!("{:.3}", r.utilization),
-            ]);
-            ser.push((label.to_string(), w.name().to_string(), r.data_loss));
-        }
+    for ((label, name, eps), r) in points(fid, grid) {
+        rows.push(vec![
+            label.to_string(),
+            name.to_string(),
+            format!("{:.3}", eps),
+            fmt_prob(r.data_loss),
+            format!("{:.3}", r.utilization),
+        ]);
+        ser.push((label.to_string(), name.to_string(), r.data_loss));
     }
     print_table(&["design", "scenario", "eps", "loss", "utilization"], &rows);
     save_json("fig9", &ser);
@@ -289,19 +300,23 @@ fn fig9(fid: Fidelity) {
 /// Table 3 — heterogeneous thresholds: blocking for low- vs high-ε flows.
 fn table3(fid: Fidelity) {
     println!("# Table 3 — blocking probabilities for low and high eps\n");
+    let grid = endpoint_designs()
+        .into_iter()
+        .map(|(label, signal, placement)| {
+            let high = match placement {
+                Placement::InBand => 0.05,
+                Placement::OutOfBand => 0.20,
+            };
+            let groups = vec![
+                Group::new("low-eps", SourceSpec::exp1(), 1.0).with_epsilon(0.0),
+                Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
+            ];
+            let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
+            (label, Workload::Basic.scenario().groups(groups).design(d))
+        });
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, signal, placement) in endpoint_designs() {
-        let high = match placement {
-            Placement::InBand => 0.05,
-            Placement::OutOfBand => 0.20,
-        };
-        let groups = vec![
-            Group::new("low-eps", SourceSpec::exp1(), 1.0).with_epsilon(0.0),
-            Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
-        ];
-        let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
-        let r = point(fid, Workload::Basic.scenario().groups(groups).design(d));
+    for (label, r) in points(fid, grid) {
         rows.push(vec![
             label.to_string(),
             format!("{:.4}", r.groups[0].blocking),
@@ -321,10 +336,12 @@ fn table3(fid: Fidelity) {
 fn table4(fid: Fidelity) {
     println!("# Table 4 — blocking for small vs large flows (heterogeneous mix)");
     println!("# large = EXP2 (token rate 1024k, 4x the others)\n");
+    let grid = table_designs(fig9_eps)
+        .into_iter()
+        .map(|(label, d)| (label, Workload::Hetero.scenario().design(d)));
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    let mut run_one = |label: String, d: Design| {
-        let r = point(fid, Workload::Hetero.scenario().design(d));
+    for (label, r) in points(fid, grid) {
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
         let small: Vec<&eac::metrics::GroupReport> =
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
@@ -337,20 +354,12 @@ fn table4(fid: Fidelity) {
         };
         let large_b = r.groups[1].blocking;
         rows.push(vec![
-            label.clone(),
+            label.to_string(),
             format!("{:.4}", small_b),
             format!("{:.4}", large_b),
         ]);
-        ser.push((label, small_b, large_b));
-    };
-    for (label, signal, placement) in endpoint_designs() {
-        let eps = fig9_eps(placement);
-        run_one(
-            label.to_string(),
-            design(signal, placement, ProbeStyle::SlowStart, eps),
-        );
+        ser.push((label.to_string(), small_b, large_b));
     }
-    run_one("MBAC".to_string(), Design::mbac(0.9));
     print_table(&["design", "small flows", "large flows"], &rows);
     save_json("table4", &ser);
 }
@@ -359,40 +368,42 @@ fn table4(fid: Fidelity) {
 /// with the product approximation.
 fn tables56(fid: Fidelity) {
     println!("# Tables 5 & 6 — multi-hop topology (Fig 10), eps = 0\n");
+    let designs = table_designs(|_| 0.0);
+    let (h, w) = fid.lengths();
+    let seeds = fid.seeds();
+    // Multihop scenarios are not `Scenario`s, so fan the design × seed
+    // grid out on the pool directly, design-major; slot order keeps each
+    // design's average bit-identical.
+    let raw = pool::run_indexed(designs.len() * seeds.len(), pool::default_jobs(), |i| {
+        MultihopScenario::tables56()
+            .design(designs[i / seeds.len()].1)
+            .horizon_secs(h)
+            .warmup_secs(w)
+            .seed(seeds[i % seeds.len()])
+            .run()
+    });
+    let reports: Vec<Report> = raw
+        .into_iter()
+        .map(|r| match r {
+            Ok(Ok(rep)) => rep,
+            Ok(Err(e)) => panic!("{e}"),
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+        .collect();
     let mut loss_rows = Vec::new();
     let mut block_rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
-    let mut run_one = |label: String, d: Design| {
-        let (h, w) = fid.lengths();
-        let seeds = fid.seeds();
-        // Multihop scenarios are not `Scenario`s, so fan the seeds out on
-        // the pool directly; slot order keeps the average bit-identical.
-        let raw = pool::run_indexed(seeds.len(), pool::default_jobs(), |i| {
-            MultihopScenario::tables56()
-                .design(d)
-                .horizon_secs(h)
-                .warmup_secs(w)
-                .seed(seeds[i])
-                .run()
-        });
-        let reports: Vec<Report> = raw
-            .into_iter()
-            .map(|r| match r {
-                Ok(Ok(rep)) => rep,
-                Ok(Err(e)) => panic!("{e}"),
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect();
-        let r = Report::average(&reports);
+    for ((label, _), per_seed) in designs.iter().zip(reports.chunks(seeds.len())) {
+        let r = Report::average(per_seed);
         let short_loss = (r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0;
         loss_rows.push(vec![
-            label.clone(),
+            label.to_string(),
             fmt_prob(short_loss),
             fmt_prob(r.groups[3].loss),
         ]);
         let cross: Vec<f64> = (0..3).map(|i| r.groups[i].blocking).collect();
         block_rows.push(vec![
-            label.clone(),
+            label.to_string(),
             format!("{:.3}", cross[0]),
             format!("{:.3}", cross[1]),
             format!("{:.3}", cross[2]),
@@ -400,14 +411,7 @@ fn tables56(fid: Fidelity) {
             format!("{:.3}", product_blocking(&cross)),
         ]);
         ser.push(r);
-    };
-    for (label, signal, placement) in endpoint_designs() {
-        run_one(
-            label.to_string(),
-            design(signal, placement, ProbeStyle::SlowStart, 0.0),
-        );
     }
-    run_one("MBAC".to_string(), Design::mbac(0.9));
     println!("Table 5 — loss probability (short flows averaged over links)");
     print_table(&["design", "short flows", "long flows"], &loss_rows);
     println!("\nTable 6 — blocking probabilities and product approximation");
@@ -463,8 +467,8 @@ fn fig11(fid: Fidelity) {
 /// An ablation's optional last column: its header and the report field.
 type Extra = Option<(&'static str, fn(&Report) -> f64)>;
 
-/// Run one ablation: print `title`, run each labelled variant as one
-/// point and tabulate its utilization, loss, blocking and `extra`.
+/// Run one ablation: print `title`, run its labelled variants as one
+/// sweep and tabulate each one's utilization, loss, blocking and `extra`.
 fn ablation(
     fid: Fidelity,
     title: &str,
@@ -475,10 +479,9 @@ fn ablation(
     println!("{title}\n");
     let mut header = vec![label, "utilization", "loss", "blocking"];
     header.extend(extra.map(|(name, _)| name));
-    let rows: Vec<Vec<String>> = variants
+    let rows: Vec<Vec<String>> = points(fid, variants)
         .into_iter()
-        .map(|(label, s)| {
-            let r = point(fid, s);
+        .map(|(label, r)| {
             let mut row = vec![
                 label,
                 format!("{:.4}", r.utilization),
@@ -601,7 +604,7 @@ fn ablate_retry(fid: Fidelity) {
 
 /// One robustness variant: its leading table cells, the `design` label
 /// its saved row carries, and the scenario it runs.
-type RobustVariant = (Vec<String>, String, Scenario);
+type RobustVariant = ((Vec<String>, String), Scenario);
 
 /// In-band dropping at `eps` on the basic workload, with the conservation
 /// audit and the event budget on every seed.
@@ -612,11 +615,11 @@ fn robust_base(fid: Fidelity, eps: f64) -> Scenario {
         .event_budget(2_000_000_000)
 }
 
-/// The body both robustness targets share. Each variant runs as its own
-/// sweep, in order (which fixes the `--telemetry` numbering), with seeds
-/// isolated so one pathological run cannot take down the rest. A variant
-/// whose seeds all died prints `-` cells and `ok/n: error`; the others
-/// are saved to `<id>.json` under their relabelled design.
+/// The body both robustness targets share. All variants run as one
+/// sweep, with seeds isolated so one pathological run cannot take down
+/// the rest. A variant whose seeds all died prints `-` cells and
+/// `ok/n: error`; the others are saved to `<id>.json` under their
+/// relabelled design.
 fn robustness(
     fid: Fidelity,
     title: &str,
@@ -632,13 +635,14 @@ fn robustness(
         header.push("loss");
     }
     header.extend(["blocking", "timeouts", "leaked", "seeds-ok"]);
+    let (labels, scenarios): (Vec<_>, Vec<_>) = variants.into_iter().unzip();
+    let result = Sweep::new(scenarios, &fid.seeds()).isolated(true).run();
     let mut rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
-    for (mut row, relabel, s) in variants {
-        let mut result = Sweep::new(s).seeds(&fid.seeds()).isolated(true).run();
-        let outcomes = result.outcomes.remove(0);
+    let per_variant = result.reports.into_iter().zip(result.outcomes);
+    for ((mut row, relabel), (report, outcomes)) in labels.into_iter().zip(per_variant) {
         let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-        match result.reports.remove(0) {
+        match report {
             Ok(mut r) => {
                 row.push(format!("{:.4}", r.utilization));
                 if with_loss {
@@ -687,7 +691,7 @@ fn robust_flap(fid: Fidelity) {
                 }
             }
             let relabel = format!("{label} / {}", s.design.name());
-            variants.push((vec![label.to_string(), format!("{eps:.2}")], relabel, s));
+            variants.push(((vec![label.to_string(), format!("{eps:.2}")], relabel), s));
         }
     }
     robustness(
@@ -717,7 +721,7 @@ fn robust_ctrl_loss(fid: Fidelity) {
                 s = s.verdict_timeout(t);
             }
             let relabel = format!("ctrl-loss {p:.2} / {label}");
-            variants.push((vec![format!("{p:.2}"), label.to_string()], relabel, s));
+            variants.push(((vec![format!("{p:.2}"), label.to_string()], relabel), s));
         }
     }
     robustness(
@@ -736,7 +740,7 @@ fn robust_ctrl_loss(fid: Fidelity) {
 pub struct SweepBenchRecord {
     /// Fidelity the sweep ran at.
     pub fidelity: String,
-    /// design × seed grid size.
+    /// point × seed grid size.
     pub jobs_in_grid: usize,
     /// Worker count used for the parallel pass.
     pub parallel_jobs: usize,
@@ -766,23 +770,24 @@ pub struct SweepBenchRecord {
 /// result sets are compared byte-for-byte after serialization.
 fn bench_sweep(fid: Fidelity) {
     println!("# bench-sweep — pooled vs serial executor (Fig 2 in-band dropping)\n");
-    let designs: Vec<Design> = eps_grid(Placement::InBand)
+    let points: Vec<Scenario> = eps_grid(Placement::InBand)
         .into_iter()
-        .map(|e| design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
+        .map(|e| {
+            let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e);
+            fid.apply(Workload::Basic.scenario().design(d))
+        })
         .collect();
-    let sweep = Sweep::new(fid.apply(Workload::Basic.scenario()))
-        .designs(&designs)
-        .seeds(&fid.seeds());
-    let grid = designs.len() * fid.seeds().len();
+    let seeds = fid.seeds();
+    let grid = points.len() * seeds.len();
     let parallel_jobs = pool::default_jobs();
 
-    let t0 = std::time::Instant::now();
-    let serial = sweep.clone().jobs(1).run().expect_reports();
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    let t1 = std::time::Instant::now();
-    let parallel = sweep.clone().jobs(parallel_jobs).run().expect_reports();
-    let parallel_s = t1.elapsed().as_secs_f64();
+    let timed = |jobs| {
+        let t0 = std::time::Instant::now();
+        let reports = Sweep::new(points.clone(), &seeds).jobs(jobs).run();
+        (reports.expect_reports(), t0.elapsed().as_secs_f64())
+    };
+    let (serial, serial_s) = timed(1);
+    let (parallel, parallel_s) = timed(parallel_jobs);
 
     let byte_identical = serde_json::to_string(&serial).expect("serialize reports")
         == serde_json::to_string(&parallel).expect("serialize reports");

@@ -1,18 +1,18 @@
 //! The sweep builder: one entry point for every multi-run experiment.
 //!
-//! A [`Sweep`] fans the design × seed grid out over the [`pool`] and
-//! averages each design's surviving seeds into one [`Report`]: one design
-//! over several seeds, a loss-load curve over several designs, and with
-//! [`Sweep::isolated`] per-seed panic/error containment.
+//! A [`Sweep`] fans its point × seed grid out over the [`pool`] and
+//! averages each point's surviving seeds into one [`Report`]. A point is
+//! any [`Scenario`], so one sweep runs a whole figure: every curve's ε
+//! grid, one scenario per workload, or one variant per ablation row. With
+//! [`Sweep::isolated`] a failing seed is contained to itself.
 //!
-//! Determinism: jobs are laid out design-major (`design * seeds + seed`),
-//! results come back from the pool in job-index order, and each design's
+//! Determinism: jobs are laid out point-major (`point * seeds + seed`),
+//! results come back from the pool in job-index order, and each point's
 //! reports are averaged in seed order — the identical f64 summation order
 //! a serial loop performs — so sweep output is bit-identical at any
 //! worker count.
 
 use crate::pool::{self, run_indexed};
-use eac::design::Design;
 use eac::metrics::Report;
 use eac::scenario::Scenario;
 use simcore::SimTime;
@@ -45,15 +45,6 @@ pub enum SeedOutcome {
 }
 
 impl SeedOutcome {
-    /// The seed this outcome belongs to.
-    pub fn seed(&self) -> u64 {
-        match self {
-            SeedOutcome::Ok { seed }
-            | SeedOutcome::Error { seed, .. }
-            | SeedOutcome::Panic { seed, .. } => *seed,
-        }
-    }
-
     /// Whether the seed completed.
     pub fn is_ok(&self) -> bool {
         matches!(self, SeedOutcome::Ok { .. })
@@ -61,19 +52,19 @@ impl SeedOutcome {
 }
 
 /// Results of a [`Sweep`]: one averaged report and one per-seed outcome
-/// list per design, in the order the designs were given.
+/// list per point, in the order the points were given.
 #[derive(Debug)]
 pub struct SweepResult {
-    /// Per design: the average report over surviving seeds, or an error
+    /// Per point: the average report over surviving seeds, or an error
     /// describing why no seed survived.
     pub reports: Vec<Result<Report, String>>,
-    /// Per design, per seed: what happened.
+    /// Per point, per seed: what happened.
     pub outcomes: Vec<Vec<SeedOutcome>>,
 }
 
 impl SweepResult {
-    /// Unwrap every per-design report, panicking with the recorded
-    /// message if any design had no surviving seed.
+    /// Unwrap every per-point report, panicking with the recorded
+    /// message if any point had no surviving seed.
     pub fn expect_reports(self) -> Vec<Report> {
         self.reports
             .into_iter()
@@ -81,31 +72,30 @@ impl SweepResult {
             .collect()
     }
 
-    /// True if every seed of every design completed.
+    /// True if every seed of every point completed.
     pub fn all_ok(&self) -> bool {
         self.outcomes
             .iter()
-            .all(|per_design| per_design.iter().all(|o| o.is_ok()))
+            .all(|per_point| per_point.iter().all(|o| o.is_ok()))
     }
 }
 
-/// A multi-run experiment: one base scenario swept over designs and
-/// seeds, executed on the work pool.
+/// A multi-run experiment: a list of scenarios (the points), each run
+/// once per seed on the work pool.
 ///
 /// ```no_run
 /// use eac_bench::Sweep;
 /// use eac::scenario::Scenario;
 ///
-/// let result = Sweep::new(Scenario::basic())
-///     .seeds(&[1, 2, 3])
+/// let points = vec![Scenario::basic(), Scenario::basic().tau(1.0)];
+/// let result = Sweep::new(points, &[1, 2, 3])
 ///     .jobs(4)
 ///     .isolated(true)
 ///     .run();
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Sweep {
-    base: Scenario,
-    designs: Vec<Design>,
+    points: Vec<Scenario>,
     seeds: Vec<u64>,
     jobs: usize,
     isolated: bool,
@@ -114,32 +104,16 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// A sweep of just the base scenario's own design and seed.
-    pub fn new(base: Scenario) -> Self {
-        let designs = vec![base.design];
-        let seeds = vec![base.seed];
+    /// Run every point once per seed; the seed replaces the point's own.
+    pub fn new(points: Vec<Scenario>, seeds: &[u64]) -> Self {
+        assert!(!seeds.is_empty());
         Sweep {
-            base,
-            designs,
-            seeds,
+            points,
+            seeds: seeds.to_vec(),
             jobs: 0,
             isolated: false,
             telemetry: None,
         }
-    }
-
-    /// Sweep these designs (default: the base scenario's design).
-    pub fn designs(mut self, designs: &[Design]) -> Self {
-        assert!(!designs.is_empty());
-        self.designs = designs.to_vec();
-        self
-    }
-
-    /// Average over these seeds (default: the base scenario's seed).
-    pub fn seeds(mut self, seeds: &[u64]) -> Self {
-        assert!(!seeds.is_empty());
-        self.seeds = seeds.to_vec();
-        self
     }
 
     /// Worker threads to use; 0 (the default) resolves to the session
@@ -151,8 +125,8 @@ impl Sweep {
     }
 
     /// With isolation, a panicking or erroring seed is recorded in the
-    /// outcomes and excluded from its design's average instead of
-    /// propagating; a design errors only when *no* seed survives.
+    /// outcomes and excluded from its point's average instead of
+    /// propagating; a point errors only when *no* seed survives.
     /// Without (the default), the first failure in grid order propagates
     /// as a panic, as the old serial runners did.
     pub fn isolated(mut self, yes: bool) -> Self {
@@ -162,10 +136,11 @@ impl Sweep {
 
     /// Capture telemetry for every seed into `dir`, created on demand.
     /// After the (deterministic, grid-ordered) fold the sweep writes, per
-    /// seed, `d{design}_s{seed}.series.csv` and `.metrics.json`, plus per
-    /// design a seed-merged `d{design}.metrics.json` and a seed-averaged
-    /// `d{design}.series.csv`. Failed seeds dump their flight ring as
-    /// `d{design}_s{seed}.flight.jsonl` instead. Without this, a sweep
+    /// seed, `d{point}_s{seed}.series.csv` and `.metrics.json`, plus per
+    /// point a seed-merged `d{point}.metrics.json` and a seed-averaged
+    /// `d{point}.series.csv`. Failed seeds dump their flight ring as
+    /// `d{point}_s{seed}.flight.jsonl` instead. Every job's hub is held
+    /// until the fold, so memory grows with the grid. Without this, a sweep
     /// still picks up the session-wide `--telemetry` directory when the
     /// CLI registered one.
     pub fn telemetry(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -173,10 +148,10 @@ impl Sweep {
         self
     }
 
-    /// Run the design × seed grid on the pool and fold the results.
+    /// Run the point × seed grid on the pool and fold the results.
     pub fn run(&self) -> SweepResult {
         let n_seeds = self.seeds.len();
-        let n_jobs = self.designs.len() * n_seeds;
+        let n_jobs = self.points.len() * n_seeds;
         let workers = if self.jobs == 0 {
             pool::default_jobs()
         } else {
@@ -196,33 +171,33 @@ impl Sweep {
         };
 
         let raw = run_indexed(n_jobs, workers, |i| {
-            let design = self.designs[i / n_seeds];
-            let seed = self.seeds[i % n_seeds];
-            let mut sc = self.base.clone().design(design).seed(seed);
+            let mut sc = self.points[i / n_seeds]
+                .clone()
+                .seed(self.seeds[i % n_seeds]);
             if tdir.is_some() {
                 sc = sc.telemetry(TelemetryConfig::new().with_recorder(recorders[i].clone()));
             }
             sc.run_full()
         });
 
-        let dump_flight = |di: usize, seed: u64, i: usize| {
+        let dump_flight = |pi: usize, seed: u64, i: usize| {
             if let Some(dir) = &tdir {
-                let path = dir.join(format!("d{di}_s{seed}.flight.jsonl"));
+                let path = dir.join(format!("d{pi}_s{seed}.flight.jsonl"));
                 if let Err(io) = recorders[i].dump_jsonl(&path) {
                     eprintln!("flight-recorder dump to {} failed: {io}", path.display());
                 }
             }
         };
 
-        let mut reports = Vec::with_capacity(self.designs.len());
-        let mut outcomes = Vec::with_capacity(self.designs.len());
+        let mut reports = Vec::with_capacity(self.points.len());
+        let mut outcomes = Vec::with_capacity(self.points.len());
         let mut hubs: Vec<Option<Box<Telemetry>>> = Vec::with_capacity(n_jobs);
         let mut raw = raw.into_iter();
-        for di in 0..self.designs.len() {
+        for pi in 0..self.points.len() {
             let mut survivors = Vec::with_capacity(n_seeds);
             let mut per_seed = Vec::with_capacity(n_seeds);
             for (si, &seed) in self.seeds.iter().enumerate() {
-                let i = di * n_seeds + si;
+                let i = pi * n_seeds + si;
                 match raw.next().expect("one result per job") {
                     Ok(Ok(out)) => {
                         survivors.push(out.report);
@@ -231,7 +206,7 @@ impl Sweep {
                     }
                     Ok(Err(e)) => {
                         hubs.push(None);
-                        dump_flight(di, seed, i);
+                        dump_flight(pi, seed, i);
                         if !self.isolated {
                             panic!("{e}");
                         }
@@ -246,7 +221,7 @@ impl Sweep {
                         if tdir.is_some() {
                             recorders[i].record(SimTime::ZERO, "sweep.panic", message.clone());
                         }
-                        dump_flight(di, seed, i);
+                        dump_flight(pi, seed, i);
                         if !self.isolated {
                             panic!("seed {seed} panicked: {message}");
                         }
@@ -296,14 +271,14 @@ impl Sweep {
             }
         };
         let n_seeds = self.seeds.len();
-        for di in 0..self.designs.len() {
+        for pi in 0..self.points.len() {
             let mut merged = Metrics::new();
             let mut series: Vec<&TimeSeries> = Vec::new();
             for (si, &seed) in self.seeds.iter().enumerate() {
-                let Some(hub) = &hubs[di * n_seeds + si] else {
+                let Some(hub) = &hubs[pi * n_seeds + si] else {
                     continue; // failed seed: its flight ring was dumped instead
                 };
-                let label = format!("d{di}_s{seed}");
+                let label = format!("d{pi}_s{seed}");
                 write(
                     dir.join(format!("{label}.series.csv")),
                     hub.sampler.series.to_csv(),
@@ -319,13 +294,13 @@ impl Sweep {
             }
             if !merged.is_empty() {
                 write(
-                    dir.join(format!("d{di}.metrics.json")),
+                    dir.join(format!("d{pi}.metrics.json")),
                     serde_json::to_string(&merged).expect("metrics serialize"),
                 );
             }
             if !series.is_empty() {
                 write(
-                    dir.join(format!("d{di}.series.csv")),
+                    dir.join(format!("d{pi}.series.csv")),
                     TimeSeries::mean_across(&series).to_csv(),
                 );
             }
@@ -336,6 +311,7 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eac::design::Design;
 
     fn quick_base() -> Scenario {
         Scenario::basic().horizon_secs(400.0).warmup_secs(100.0)
@@ -343,9 +319,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
-        let base = quick_base();
-        let serial = Sweep::new(base.clone()).seeds(&[1, 2]).jobs(1).run();
-        let parallel = Sweep::new(base).seeds(&[1, 2]).jobs(8).run();
+        let serial = Sweep::new(vec![quick_base()], &[1, 2]).jobs(1).run();
+        let parallel = Sweep::new(vec![quick_base()], &[1, 2]).jobs(8).run();
         let a = serial.expect_reports();
         let b = parallel.expect_reports();
         let ja = serde_json::to_string(&a).unwrap();
@@ -356,15 +331,14 @@ mod tests {
     #[test]
     fn one_report_per_design_in_design_order() {
         use eac::probe::{Placement, ProbeStyle, Signal};
-        let designs: Vec<Design> = [0.0, 0.05]
-            .into_iter()
-            .map(|e| Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
-            .collect();
-        let result = Sweep::new(quick_base().tau(30.0))
-            .designs(&designs)
-            .seeds(&[1, 2])
-            .isolated(true)
-            .run();
+        let drop = |e| Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e);
+        // The points differ in load as well as design: a sweep is any
+        // list of scenarios, not one base swept over designs.
+        let points = vec![
+            quick_base().tau(30.0).design(drop(0.0)),
+            quick_base().tau(20.0).design(drop(0.05)),
+        ];
+        let result = Sweep::new(points.clone(), &[1, 2]).isolated(true).run();
         assert!(result.all_ok());
         assert!(result.outcomes.iter().all(|o| o.len() == 2));
         let reports = result.expect_reports();
@@ -372,13 +346,21 @@ mod tests {
         assert_eq!(reports[0].param, 0.0);
         assert_eq!(reports[1].param, 0.05);
         assert!(reports.iter().all(|r| r.measured_s > 0.0));
+        for (point, report) in points.into_iter().zip(&reports) {
+            let alone = Sweep::new(vec![point], &[1, 2]).run().expect_reports();
+            assert_eq!(
+                serde_json::to_string(&alone[0]).unwrap(),
+                serde_json::to_string(report).unwrap(),
+                "a point's report depends on the points around it"
+            );
+        }
     }
 
     #[test]
     fn isolated_sweep_records_failures_without_dying() {
         // An absurdly small event budget errors every seed gracefully.
         let base = quick_base().event_budget(50);
-        let result = Sweep::new(base).seeds(&[1, 2]).jobs(2).isolated(true).run();
+        let result = Sweep::new(vec![base], &[1, 2]).jobs(2).isolated(true).run();
         assert!(result.reports[0].is_err());
         assert!(result.outcomes[0]
             .iter()
@@ -389,10 +371,9 @@ mod tests {
     fn isolated_sweep_contains_panics() {
         // warmup >= horizon trips an assert inside run(); the panic must
         // stay confined to its seed while the good seed survives.
-        let base = quick_base();
-        let mut bad = base.clone();
+        let mut bad = quick_base();
         bad.warmup_s = bad.horizon_s;
-        let result = Sweep::new(bad).seeds(&[1]).jobs(2).isolated(true).run();
+        let result = Sweep::new(vec![bad], &[1]).jobs(2).isolated(true).run();
         assert!(result.reports[0].is_err());
         assert!(matches!(result.outcomes[0][0], SeedOutcome::Panic { .. }));
     }
@@ -401,6 +382,6 @@ mod tests {
     #[should_panic]
     fn unisolated_sweep_propagates_failures() {
         let base = quick_base().event_budget(50);
-        Sweep::new(base).seeds(&[1]).jobs(1).run();
+        Sweep::new(vec![base], &[1]).jobs(1).run();
     }
 }

@@ -1,11 +1,11 @@
 //! Session-wide telemetry opt-in (the `--telemetry DIR` flag).
 //!
-//! The experiments binary runs many sweeps per target; rather than thread
-//! a directory through every experiment function, the CLI registers one
-//! session directory here and each [`Sweep`](crate::Sweep) that was not
-//! given an explicit telemetry destination claims the next numbered
-//! subdirectory (`sweep000`, `sweep001`, ...). Sweeps execute in program
-//! order, so the numbering — and therefore the whole output tree — is
+//! Rather than thread a directory through every experiment function, the
+//! CLI registers one session directory here and each
+//! [`Sweep`](crate::Sweep) that was not given an explicit telemetry
+//! destination claims the next numbered subdirectory (`sweep000`,
+//! `sweep001`, ...). Sweeps execute in program order (one per scenario
+//! target), so the numbering — and therefore the whole output tree — is
 //! identical across reruns and worker counts.
 
 use std::path::PathBuf;
@@ -24,7 +24,7 @@ pub fn set_session_dir(dir: impl Into<PathBuf>) {
 }
 
 /// The registered session directory, if any.
-pub fn session_dir() -> Option<PathBuf> {
+fn session_dir() -> Option<PathBuf> {
     SESSION_DIR.lock().expect("session dir lock").clone()
 }
 

@@ -7,9 +7,9 @@ use eac::probe::{Placement, ProbeStyle, Signal};
 use eac::scenario::Scenario;
 use eac_bench::Sweep;
 
-fn fig2_grid() -> (Scenario, Vec<Design>) {
+fn fig2_grid() -> Vec<Scenario> {
     let base = Scenario::basic().horizon_secs(400.0).warmup_secs(100.0);
-    let designs = vec![
+    [
         Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01),
         Design::endpoint(
             Signal::Mark,
@@ -17,22 +17,18 @@ fn fig2_grid() -> (Scenario, Vec<Design>) {
             ProbeStyle::SlowStart,
             0.05,
         ),
-    ];
-    (base, designs)
+    ]
+    .map(|d| base.clone().design(d))
+    .to_vec()
 }
 
 #[test]
 fn jobs8_and_jobs1_serialize_byte_identically() {
-    let (base, designs) = fig2_grid();
-    let serial = Sweep::new(base.clone())
-        .designs(&designs)
-        .seeds(&[1, 2])
+    let serial = Sweep::new(fig2_grid(), &[1, 2])
         .jobs(1)
         .run()
         .expect_reports();
-    let parallel = Sweep::new(base)
-        .designs(&designs)
-        .seeds(&[1, 2])
+    let parallel = Sweep::new(fig2_grid(), &[1, 2])
         .jobs(8)
         .run()
         .expect_reports();
@@ -45,11 +41,8 @@ fn jobs8_and_jobs1_serialize_byte_identically() {
 
 #[test]
 fn isolated_sweep_is_deterministic_too() {
-    let (base, designs) = fig2_grid();
     let run = |jobs: usize| {
-        Sweep::new(base.clone())
-            .designs(&designs)
-            .seeds(&[1, 2])
+        Sweep::new(fig2_grid(), &[1, 2])
             .jobs(jobs)
             .isolated(true)
             .run()

@@ -92,3 +92,26 @@ fn malformed_command_lines_exit_2_and_run_nothing() {
         "a rejected command line must not run (no fig1.json)"
     );
 }
+
+#[test]
+fn multi_point_target_is_identical_at_any_worker_count() {
+    let root = std::env::temp_dir().join(format!("eac-table3-jobs-{}", std::process::id()));
+    let run = |jobs: &str| {
+        let dir = root.join(format!("jobs{jobs}"));
+        let out = experiments(&["table3", "--smoke", "--jobs", jobs], &dir);
+        assert!(out.status.success(), "table3 --jobs {jobs} failed");
+        // The `[saved <path>]` line names the per-run directory.
+        let stdout: Vec<String> = String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("[saved "))
+            .map(str::to_string)
+            .collect();
+        (stdout, std::fs::read(dir.join("table3.json")).unwrap())
+    };
+    let (serial_out, serial_json) = run("1");
+    let (pooled_out, pooled_json) = run("2");
+    std::fs::remove_dir_all(&root).unwrap();
+    assert!(serial_json == pooled_json, "table3.json differs");
+    assert_eq!(serial_out, pooled_out, "stdout differs");
+}

@@ -8,7 +8,7 @@ use eac_bench::Sweep;
 
 fn run_short_sweep() {
     let base = Scenario::basic().horizon_secs(60.0).warmup_secs(10.0);
-    Sweep::new(base).seeds(&[1]).jobs(1).run().expect_reports();
+    Sweep::new(vec![base], &[1]).jobs(1).run().expect_reports();
 }
 
 #[test]

@@ -28,12 +28,11 @@ fn telemetry_output_is_byte_identical_across_worker_counts() {
     let d1 = fresh_dir("eac-telemetry-sweep-jobs1");
     let d8 = fresh_dir("eac-telemetry-sweep-jobs8");
 
-    Sweep::new(base.clone())
-        .seeds(&[1, 2])
+    Sweep::new(vec![base.clone()], &[1, 2])
         .jobs(1)
         .telemetry(&d1)
         .run();
-    Sweep::new(base).seeds(&[1, 2]).jobs(8).telemetry(&d8).run();
+    Sweep::new(vec![base], &[1, 2]).jobs(8).telemetry(&d8).run();
 
     let t1 = read_tree(&d1);
     let t8 = read_tree(&d8);
@@ -68,8 +67,7 @@ fn failed_seed_dumps_flight_ring_with_trigger() {
         .warmup_secs(100.0)
         .flap(120.0, 150.0)
         .event_budget(20_000);
-    let result = Sweep::new(base)
-        .seeds(&[1])
+    let result = Sweep::new(vec![base], &[1])
         .jobs(1)
         .isolated(true)
         .telemetry(&dir)

@@ -11,7 +11,7 @@
 
 use crate::design::{Design, Group};
 use crate::host::{HostAgent, HostConfig, RetryPolicy};
-use crate::mbac::MbacRegistry;
+use crate::mbac::{self, MbacRegistry};
 use crate::metrics::{GroupReport, Report};
 use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
 use crate::sink::{SinkAgent, SinkConfig};
@@ -138,26 +138,24 @@ impl Plan<'_> {
     }
 
     /// Under MBAC, register `links` with a Measured Sum registry on the
-    /// blackboard and attach the meter that samples them every `period`
-    /// to the link-less node `meter`. Endpoint designs need neither.
-    pub fn install_mbac(
-        &self,
-        sim: &mut Sim,
-        meter: NodeId,
-        links: &[LinkId],
-        capacity_bps: u64,
-        window: SimDuration,
-        period: SimDuration,
-    ) {
+    /// blackboard and attach the meter that samples them every
+    /// [`mbac::SAMPLE_PERIOD`] to the link-less node `meter`. Endpoint
+    /// designs need neither.
+    pub fn install_mbac(&self, sim: &mut Sim, meter: NodeId, links: &[LinkId], capacity_bps: u64) {
         let Design::Mbac { eta } = self.design else {
             return;
         };
         let mut reg = MbacRegistry::new(eta);
         for &l in links {
-            reg.register(l, capacity_bps as f64, window);
+            reg.register(l, capacity_bps as f64, mbac::WINDOW);
         }
         sim.net.blackboard = Some(Box::new(reg));
-        sim.attach(meter, Box::new(MeterAgent { period }));
+        sim.attach(
+            meter,
+            Box::new(MeterAgent {
+                period: mbac::SAMPLE_PERIOD,
+            }),
+        );
     }
 
     /// Utilization and mean drop fraction of the data on `links`, which run

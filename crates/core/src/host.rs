@@ -1,14 +1,16 @@
 //! The sending host: flow arrivals, probing, and data transmission.
 //!
 //! One [`HostAgent`] banks every flow originating at its node (avoiding
-//! per-flow agent churn). For each flow it runs the sender half of the
-//! probing protocol — emit probe packets per the [`ProbePlan`], announce
-//! stage boundaries, await the receiver's verdict — and, once admitted,
-//! drives the flow's [`PacketProcess`] through its token-bucket policer
-//! until the flow's lifetime expires.
+//! per-flow agent churn). A flow moves through three phases, each holding
+//! only its own state: probing (emit probe packets per the [`ProbePlan`]
+//! and announce stage boundaries), awaiting the verdict, and sending
+//! (drive the flow's [`PacketProcess`] through its token-bucket policer
+//! until the flow's lifetime expires).
 //!
-//! Under [`Design::Mbac`] probing is skipped entirely: the arrival event
-//! consults the Measured Sum registry on the network blackboard
+//! Every verdict lands in one place, `HostAgent::decide`, whatever gave
+//! it: the receiver's `Accept`/`Reject`, the verdict timeout, or, under
+//! [`Design::Mbac`], the Measured Sum registry on the network blackboard,
+//! which the arrival event consults at once instead of probing
 //! (idealised, serialised signalling — exactly the property §2.2.3
 //! credits router-based admission with).
 
@@ -150,32 +152,33 @@ impl HostStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a flow stands; each phase carries only the state it needs.
 enum Phase {
-    Probing,
+    /// Emitting probe packets, stage by stage.
+    Probing {
+        plan: ProbePlan,
+        stage: usize,
+        sent: u32,
+        stage_pkts: u32,
+        spacing: SimDuration,
+    },
+    /// Probes done (or, under MBAC, the registry about to answer).
     AwaitDecision,
-    Sending,
+    /// Admitted: policed data until the lifetime ends.
+    Sending {
+        process: Box<dyn PacketProcess>,
+        policer: Policer,
+        pending_size: u32,
+    },
 }
 
 struct HostFlow {
     group: usize,
     attempt: u32,
-    phase: Phase,
-    // Probing state.
-    plan: ProbePlan,
-    stage: usize,
-    sent_in_stage: u32,
-    stage_pkts: u32,
-    spacing: SimDuration,
+    /// Next sequence number; probes and data share the space.
     seq: u64,
-    // Traffic description.
-    r_bps: u64,
-    pkt_bytes: u32,
     lifetime: SimDuration,
-    // Data state (built lazily on accept).
-    process: Option<Box<dyn PacketProcess>>,
-    policer: Option<Policer>,
-    pending_size: u32,
+    phase: Phase,
 }
 
 /// The sending-host agent.
@@ -221,7 +224,7 @@ impl HostAgent {
     pub fn stranded_flows(&self) -> usize {
         self.flows
             .values()
-            .filter(|f| f.phase == Phase::AwaitDecision)
+            .filter(|f| matches!(f.phase, Phase::AwaitDecision))
             .count()
     }
 
@@ -249,203 +252,142 @@ impl HostAgent {
         .with_aux(msg.encode())
     }
 
-    fn begin_flow(&mut self, api: &mut Api) {
-        let group = self.pick_group();
-        self.begin_flow_for(group, 0, api);
-    }
-
-    fn begin_flow_for(&mut self, group: usize, attempt: u32, api: &mut Api) {
+    /// A new flow (or a retry's next attempt) of `group` arrives: MBAC
+    /// decides it at once, an endpoint design starts probing.
+    fn begin_flow(&mut self, group: usize, attempt: u32, api: &mut Api) {
         let id = self.flow_base | self.next_flow;
         self.next_flow += 1;
+        let now = api.now();
         let spec = &self.cfg.groups[group].source;
-        let r_bps = spec.token_rate_bps();
-        let pkt_bytes = spec.pkt_bytes;
+        let (r_bps, pkt_bytes) = (spec.token_rate_bps(), spec.pkt_bytes);
         let lifetime =
             SimDuration::from_secs_f64(self.cfg.demography.sample_lifetime(&mut self.rng));
-
-        match self.cfg.design {
-            Design::Mbac { .. } => {
-                // Idealised signalling: consult the registry right now.
-                let mut bb = api.net.blackboard.take();
-                let admitted = bb
-                    .as_mut()
-                    .and_then(|b| b.downcast_mut::<MbacRegistry>())
-                    .map(|reg| reg.admit(&self.cfg.mbac_path, r_bps as f64, api.now()))
-                    .unwrap_or_else(|| panic!("MBAC design without registry on blackboard"));
-                api.net.blackboard = bb;
-                let counted = self.in_window(api.now());
-                if counted {
-                    self.stats.decided[group].inc();
-                }
-                let mut flow = HostFlow {
-                    group,
-                    attempt,
-                    phase: Phase::Sending,
-                    plan: ProbePlan::new(crate::probe::ProbeStyle::Simple, self.cfg.probe_total),
-                    stage: 0,
-                    sent_in_stage: 0,
-                    stage_pkts: 0,
-                    spacing: SimDuration::ZERO,
-                    seq: 0,
-                    r_bps,
-                    pkt_bytes,
-                    lifetime,
-                    process: None,
-                    policer: None,
-                    pending_size: 0,
-                };
-                if admitted {
-                    if counted {
-                        self.stats.accepted[group].inc();
-                    }
-                    self.start_sending(&mut flow, id, api);
-                    self.flows.insert(id, flow);
-                } else {
-                    if counted {
-                        self.stats.rejected[group].inc();
-                    }
-                    self.schedule_retry(group, attempt, api);
-                }
-                self.tel_decision(id, group, admitted, false, api);
-            }
-            Design::Endpoint { style, .. } => {
-                let plan = ProbePlan::new(style, self.cfg.probe_total);
-                let stage_pkts = plan.stage_packets(0, r_bps, pkt_bytes);
-                let spacing = plan.stage_spacing(0, r_bps, pkt_bytes);
-                let expected = plan.total_packets(r_bps, pkt_bytes);
-                let abort = plan.in_flight_abort;
-                let flow = HostFlow {
-                    group,
-                    attempt,
-                    phase: Phase::Probing,
-                    plan,
-                    stage: 0,
-                    sent_in_stage: 0,
-                    stage_pkts,
-                    spacing,
-                    seq: 0,
-                    r_bps,
-                    pkt_bytes,
-                    lifetime,
-                    process: None,
-                    policer: None,
-                    pending_size: 0,
-                };
-                self.flows.insert(id, flow);
-                let now = api.now();
-                if let Some(tel) = api.net.telemetry.as_deref_mut() {
-                    tel.metrics.inc("host.probes_started", 1);
-                    tel.metrics.add_gauge("flows.probing", 1.0);
-                    tel.recorder
-                        .record(now, "probe.start", format!("flow {id} group {group}"));
-                }
-                let start = self.control(
-                    id,
-                    api,
-                    Msg::ProbeStart {
-                        group: group as u8,
-                        expected,
-                        abort,
-                    },
-                );
-                api.send(start);
-                // First probe packet goes out immediately.
-                api.timer_in(SimDuration::ZERO, timer::PROBE, id);
-            }
+        let mut flow = HostFlow {
+            group,
+            attempt,
+            seq: 0,
+            lifetime,
+            phase: Phase::AwaitDecision,
+        };
+        let Design::Endpoint { style, .. } = self.cfg.design else {
+            // Idealised signalling: the Measured Sum registry answers now.
+            let admitted = api
+                .net
+                .blackboard
+                .as_mut()
+                .and_then(|b| b.downcast_mut::<MbacRegistry>())
+                .expect("MBAC design without registry on blackboard")
+                .admit(&self.cfg.mbac_path, r_bps as f64, now);
+            return self.decide(id, flow, admitted, api);
+        };
+        let plan = ProbePlan::new(style, self.cfg.probe_total);
+        let start = Msg::ProbeStart {
+            group: group as u8,
+            expected: plan.total_packets(r_bps, pkt_bytes),
+            abort: plan.in_flight_abort,
+        };
+        flow.phase = Phase::Probing {
+            stage_pkts: plan.stage_packets(0, r_bps, pkt_bytes),
+            spacing: plan.stage_spacing(0, r_bps, pkt_bytes),
+            plan,
+            stage: 0,
+            sent: 0,
+        };
+        self.flows.insert(id, flow);
+        if let Some(tel) = api.net.telemetry.as_deref_mut() {
+            tel.metrics.inc("host.probes_started", 1);
+            tel.metrics.add_gauge("flows.probing", 1.0);
+            tel.recorder
+                .record(now, "probe.start", format!("flow {id} group {group}"));
         }
-    }
-
-    fn start_sending(&mut self, flow: &mut HostFlow, id: u64, api: &mut Api) {
-        flow.phase = Phase::Sending;
-        let spec = &self.cfg.groups[flow.group].source;
-        let mut process = spec.build();
-        flow.policer = Some(Policer::new(spec.token));
-        let (gap, size) = process.next_packet(&mut self.rng);
-        flow.pending_size = size;
-        flow.process = Some(process);
-        api.timer_in(flow.lifetime, timer::END, id);
-        api.timer_in(gap, timer::DATA, id);
+        let start = self.control(id, api, start);
+        api.send(start);
+        // First probe packet goes out immediately.
+        api.timer_in(SimDuration::ZERO, timer::PROBE, id);
     }
 
     fn probe_tick(&mut self, id: u64, api: &mut Api) {
+        // A flow rejected mid-probe leaves its next tick behind.
         let Some(flow) = self.flows.get_mut(&id) else {
-            return; // rejected mid-probe; stale tick
-        };
-        if flow.phase != Phase::Probing {
             return;
-        }
+        };
+        let Phase::Probing {
+            plan,
+            stage,
+            sent,
+            stage_pkts,
+            spacing,
+        } = &mut flow.phase
+        else {
+            return;
+        };
+        let spec = &self.cfg.groups[flow.group].source;
         let pkt = Packet::new(
             flow.seq,
             FlowId(id),
             api.node,
             self.cfg.sink,
-            flow.pkt_bytes,
+            spec.pkt_bytes,
             TrafficClass::Probe,
             flow.seq,
             api.now(),
         )
-        .with_aux(probe_aux(flow.stage as u8, flow.group as u8));
+        .with_aux(probe_aux(*stage as u8, flow.group as u8));
         flow.seq += 1;
-        flow.sent_in_stage += 1;
+        *sent += 1;
         api.send(pkt);
-
-        if flow.sent_in_stage >= flow.stage_pkts {
-            // Stage finished: report and advance.
-            let is_final = flow.stage + 1 >= flow.plan.num_stages();
-            let msg = Msg::StageEnd {
-                stage: flow.stage as u8,
-                sent: flow.sent_in_stage,
-                is_final,
-            };
-            if is_final {
-                flow.phase = Phase::AwaitDecision;
-                // A lost verdict must not strand the flow: resolve as a
-                // rejection after the timeout (feeding the back-off path).
-                if let Some(timeout) = self.cfg.verdict_timeout {
-                    api.timer_in(timeout, timer::VERDICT, id);
-                }
-            } else {
-                flow.stage += 1;
-                flow.sent_in_stage = 0;
-                flow.stage_pkts = flow
-                    .plan
-                    .stage_packets(flow.stage, flow.r_bps, flow.pkt_bytes);
-                flow.spacing = flow
-                    .plan
-                    .stage_spacing(flow.stage, flow.r_bps, flow.pkt_bytes);
-                let spacing = flow.spacing;
-                api.timer_in(spacing, timer::PROBE, id);
-            }
-            let ctrl = self.control(id, api, msg);
-            api.send(ctrl);
-        } else {
-            let spacing = flow.spacing;
-            api.timer_in(spacing, timer::PROBE, id);
+        if *sent < *stage_pkts {
+            api.timer_in(*spacing, timer::PROBE, id);
+            return;
         }
+
+        // Stage finished: report and advance.
+        let is_final = *stage + 1 >= plan.num_stages();
+        let msg = Msg::StageEnd {
+            stage: *stage as u8,
+            sent: *sent,
+            is_final,
+        };
+        if is_final {
+            flow.phase = Phase::AwaitDecision;
+            // A lost verdict must not strand the flow: resolve as a
+            // rejection after the timeout (feeding the back-off path).
+            if let Some(timeout) = self.cfg.verdict_timeout {
+                api.timer_in(timeout, timer::VERDICT, id);
+            }
+        } else {
+            *stage += 1;
+            *sent = 0;
+            *stage_pkts = plan.stage_packets(*stage, spec.token_rate_bps(), spec.pkt_bytes);
+            *spacing = plan.stage_spacing(*stage, spec.token_rate_bps(), spec.pkt_bytes);
+            api.timer_in(*spacing, timer::PROBE, id);
+        }
+        let ctrl = self.control(id, api, msg);
+        api.send(ctrl);
     }
 
     fn data_tick(&mut self, id: u64, api: &mut Api) {
-        let Some(flow) = self.flows.get_mut(&id) else {
-            return; // flow ended; stale tick
-        };
-        if flow.phase != Phase::Sending {
-            return;
-        }
-        let size = flow.pending_size;
         let now = api.now();
-        let in_window = now >= self.cfg.measure_start && now < self.cfg.measure_end;
-        let conforms = flow
-            .policer
-            .as_mut()
-            .expect("sending flow has policer")
-            .conforms(size, now);
-        if conforms {
+        let in_window = self.in_window(now);
+        // An ended flow leaves its next tick behind.
+        let Some(flow) = self.flows.get_mut(&id) else {
+            return;
+        };
+        let Phase::Sending {
+            process,
+            policer,
+            pending_size,
+        } = &mut flow.phase
+        else {
+            return;
+        };
+        if policer.conforms(*pending_size, now) {
             let pkt = Packet::new(
                 flow.seq,
                 FlowId(id),
                 api.node,
                 self.cfg.sink,
-                size,
+                *pending_size,
                 TrafficClass::Data,
                 flow.seq,
                 now,
@@ -457,42 +399,69 @@ impl HostAgent {
             }
             api.send(pkt);
         }
-        let (gap, next_size) = flow
-            .process
-            .as_mut()
-            .expect("sending flow has process")
-            .next_packet(&mut self.rng);
-        flow.pending_size = next_size;
+        let (gap, next_size) = process.next_packet(&mut self.rng);
+        *pending_size = next_size;
         api.timer_in(gap, timer::DATA, id);
     }
 
-    fn on_decision(&mut self, id: u64, accepted: bool, api: &mut Api) {
-        let Some(mut flow) = self.flows.remove(&id) else {
-            return; // duplicate / late decision
-        };
-        if flow.phase == Phase::Sending {
-            // Should not happen (one decision per flow), but be safe.
-            self.flows.insert(id, flow);
-            return;
+    /// Take flow `id` out of the table unless it is already sending: a late
+    /// or duplicate verdict, or a timeout after the verdict, takes nothing.
+    /// (The sink may reject a flow that is still probing.)
+    fn take_undecided(&mut self, id: u64) -> Option<HostFlow> {
+        if let Phase::Sending { .. } = self.flows.get(&id)?.phase {
+            return None;
         }
-        let counted = self.in_window(api.now());
-        if counted {
-            self.stats.decided[flow.group].inc();
-        }
+        self.flows.remove(&id)
+    }
+
+    /// The one admission path, whoever gave the verdict (the Measured Sum
+    /// registry, the sink, or the verdict timeout): count it, start
+    /// sending or arm the retry, and note it in telemetry.
+    fn decide(&mut self, id: u64, mut flow: HostFlow, accepted: bool, api: &mut Api) {
         let group = flow.group;
+        let now = api.now();
+        if self.in_window(now) {
+            self.stats.decided[group].inc();
+            let verdicts = if accepted {
+                &mut self.stats.accepted
+            } else {
+                &mut self.stats.rejected
+            };
+            verdicts[group].inc();
+        }
         if accepted {
-            if counted {
-                self.stats.accepted[flow.group].inc();
-            }
-            self.start_sending(&mut flow, id, api);
+            let spec = &self.cfg.groups[group].source;
+            let mut process = spec.build();
+            let policer = Policer::new(spec.token);
+            let (gap, pending_size) = process.next_packet(&mut self.rng);
+            flow.phase = Phase::Sending {
+                process,
+                policer,
+                pending_size,
+            };
+            api.timer_in(flow.lifetime, timer::END, id);
+            api.timer_in(gap, timer::DATA, id);
             self.flows.insert(id, flow);
         } else {
-            if counted {
-                self.stats.rejected[flow.group].inc();
-            }
-            self.schedule_retry(flow.group, flow.attempt, api);
+            self.schedule_retry(group, flow.attempt, api);
         }
-        self.tel_decision(id, group, accepted, true, api);
+
+        let Some(tel) = api.net.telemetry.as_deref_mut() else {
+            return;
+        };
+        if let Design::Endpoint { .. } = self.cfg.design {
+            tel.metrics.add_gauge("flows.probing", -1.0);
+        }
+        if accepted {
+            tel.metrics.inc("admission.accepts", 1);
+            tel.metrics.add_gauge("flows.admitted", 1.0);
+            tel.recorder
+                .record(now, "admission.accept", format!("flow {id} group {group}"));
+        } else {
+            tel.metrics.inc("admission.rejects", 1);
+            tel.recorder
+                .record(now, "admission.reject", format!("flow {id} group {group}"));
+        }
     }
 
     /// Arm an exponential-back-off retry for a rejected flow, if the
@@ -519,12 +488,10 @@ impl HostAgent {
 
     /// The verdict for `id` never arrived: resolve as a rejection.
     fn on_verdict_timeout(&mut self, id: u64, api: &mut Api) {
-        let Some(flow) = self.flows.get(&id) else {
-            return; // verdict arrived after all; stale timer
+        // Stale once the verdict arrived after all.
+        let Some(flow) = self.take_undecided(id) else {
+            return;
         };
-        if flow.phase != Phase::AwaitDecision {
-            return; // decided in the meantime
-        }
         self.stats.timeouts.inc();
         let now = api.now();
         if let Some(tel) = api.net.telemetry.as_deref_mut() {
@@ -532,37 +499,7 @@ impl HostAgent {
             tel.recorder
                 .record(now, "admission.timeout", format!("flow {id}"));
         }
-        self.on_decision(id, false, api);
-    }
-
-    /// Note an admission verdict in the telemetry hub (no-op when
-    /// telemetry is off): adjust the live-flow gauges, bump the verdict
-    /// counter, and log a flight event.
-    fn tel_decision(
-        &mut self,
-        id: u64,
-        group: usize,
-        accepted: bool,
-        probing: bool,
-        api: &mut Api,
-    ) {
-        let now = api.now();
-        let Some(tel) = api.net.telemetry.as_deref_mut() else {
-            return;
-        };
-        if probing {
-            tel.metrics.add_gauge("flows.probing", -1.0);
-        }
-        if accepted {
-            tel.metrics.inc("admission.accepts", 1);
-            tel.metrics.add_gauge("flows.admitted", 1.0);
-            tel.recorder
-                .record(now, "admission.accept", format!("flow {id} group {group}"));
-        } else {
-            tel.metrics.inc("admission.rejects", 1);
-            tel.recorder
-                .record(now, "admission.reject", format!("flow {id} group {group}"));
-        }
+        self.decide(id, flow, false, api);
     }
 }
 
@@ -595,10 +532,13 @@ impl Agent for HostAgent {
         if pkt.class != TrafficClass::Control {
             return; // hosts only expect verdicts
         }
-        match Msg::decode(pkt.aux) {
-            Some(Msg::Accept) => self.on_decision(pkt.flow.0, true, api),
-            Some(Msg::Reject) => self.on_decision(pkt.flow.0, false, api),
-            _ => {}
+        let accepted = match Msg::decode(pkt.aux) {
+            Some(Msg::Accept) => true,
+            Some(Msg::Reject) => false,
+            _ => return,
+        };
+        if let Some(flow) = self.take_undecided(pkt.flow.0) {
+            self.decide(pkt.flow.0, flow, accepted, api);
         }
     }
 
@@ -606,7 +546,8 @@ impl Agent for HostAgent {
         match kind {
             timer::ARRIVAL => {
                 if api.now() < self.cfg.stop_arrivals_at {
-                    self.begin_flow(api);
+                    let group = self.pick_group();
+                    self.begin_flow(group, 0, api);
                     let gap = self.cfg.demography.sample_interarrival(&mut self.rng);
                     api.timer_in(SimDuration::from_secs_f64(gap), timer::ARRIVAL, 0);
                 }
@@ -614,18 +555,17 @@ impl Agent for HostAgent {
             timer::PROBE => self.probe_tick(data, api),
             timer::DATA => self.data_tick(data, api),
             timer::END => {
-                if let Some(flow) = self.flows.remove(&data) {
-                    if flow.phase == Phase::Sending {
-                        if let Some(tel) = api.net.telemetry.as_deref_mut() {
-                            tel.metrics.add_gauge("flows.admitted", -1.0);
-                        }
+                // Only a sending flow arms its end.
+                if self.flows.remove(&data).is_some() {
+                    if let Some(tel) = api.net.telemetry.as_deref_mut() {
+                        tel.metrics.add_gauge("flows.admitted", -1.0);
                     }
                 }
             }
             timer::RETRY => {
                 let group = (data & 0xFFFF_FFFF) as usize;
                 let attempt = (data >> 32) as u32;
-                self.begin_flow_for(group, attempt, api);
+                self.begin_flow(group, attempt, api);
             }
             timer::VERDICT => self.on_verdict_timeout(data, api),
             // An unknown timer kind is a wiring bug elsewhere, but

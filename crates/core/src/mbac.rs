@@ -18,6 +18,12 @@ use netsim::{Link, LinkId, TrafficClass};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 
+/// The measurement window T every metered link uses.
+pub const WINDOW: SimDuration = SimDuration::from_secs(1);
+
+/// The sampling period S at which the meter feeds every estimator.
+pub const SAMPLE_PERIOD: SimDuration = SimDuration::from_millis(100);
+
 /// Per-link Measured Sum state.
 #[derive(Clone, Debug)]
 pub struct MeasuredSum {
@@ -167,11 +173,9 @@ impl MbacRegistry {
 mod tests {
     use super::*;
 
-    const WIN: SimDuration = SimDuration::from_secs(1);
-
     #[test]
     fn estimate_tracks_sampled_rate() {
-        let mut m = MeasuredSum::new(10_000_000.0, WIN);
+        let mut m = MeasuredSum::new(10_000_000.0, WINDOW);
         // 125 kB every 100 ms = 10 Mbps.
         let mut bytes = 0;
         for i in 1..=20 {
@@ -183,7 +187,7 @@ mod tests {
 
     #[test]
     fn admit_and_commit() {
-        let mut m = MeasuredSum::new(10_000_000.0, WIN);
+        let mut m = MeasuredSum::new(10_000_000.0, WINDOW);
         assert!(m.admits(256_000.0, 0.9));
         m.commit(256_000.0, SimTime::ZERO);
         assert_eq!(m.estimate_bps(), 256_000.0);
@@ -197,7 +201,7 @@ mod tests {
 
     #[test]
     fn window_end_decays_estimate_to_measured_max() {
-        let mut m = MeasuredSum::new(10_000_000.0, WIN);
+        let mut m = MeasuredSum::new(10_000_000.0, WINDOW);
         m.commit(5_000_000.0, SimTime::ZERO); // phantom reservation
         assert_eq!(m.estimate_bps(), 5_000_000.0);
         // Actual traffic is only 1 Mbps; after a full window the estimate
@@ -216,7 +220,7 @@ mod tests {
 
     #[test]
     fn sample_spike_raises_estimate_immediately() {
-        let mut m = MeasuredSum::new(10_000_000.0, WIN);
+        let mut m = MeasuredSum::new(10_000_000.0, WINDOW);
         m.sample(125_000, SimTime::from_secs_f64(0.1)); // 10 Mbps spike
         assert!(m.estimate_bps() > 9_000_000.0);
     }
@@ -224,8 +228,8 @@ mod tests {
     #[test]
     fn registry_multi_hop_all_must_admit() {
         let mut reg = MbacRegistry::new(0.9);
-        reg.register(LinkId(0), 10_000_000.0, WIN);
-        reg.register(LinkId(1), 1_000_000.0, WIN);
+        reg.register(LinkId(0), 10_000_000.0, WINDOW);
+        reg.register(LinkId(1), 1_000_000.0, WINDOW);
         let path = [LinkId(0), LinkId(1)];
         // 900 kbps fits both; commit loads link 1 to its cap.
         assert!(reg.admit(&path, 900_000.0, SimTime::ZERO));

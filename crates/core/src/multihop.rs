@@ -194,14 +194,7 @@ impl MultihopScenario {
         }
 
         let mut sim = Sim::new(net);
-        plan.install_mbac(
-            &mut sim,
-            meter_n,
-            &backbone,
-            self.link_bps,
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(100),
-        );
+        plan.install_mbac(&mut sim, meter_n, &backbone, self.link_bps);
 
         // Every host carries the same 4-slot group list so group indices
         // line up at every sink; the slots other than its own weigh 1e-12,

@@ -131,10 +131,6 @@ pub struct Scenario {
     /// Rejected-flow retry with exponential back-off (the paper's
     /// footnote-10 extension; None = no retries, as in the paper).
     pub retry: Option<crate::host::RetryPolicy>,
-    /// MBAC measurement window T.
-    pub mbac_window_s: f64,
-    /// MBAC sampling period S.
-    pub mbac_sample_s: f64,
     /// Simulation horizon, seconds.
     pub horizon_s: f64,
     /// Warm-up discarded from statistics, seconds.
@@ -188,8 +184,6 @@ impl Scenario {
             vq_factor: 0.9,
             probe_pushout: true,
             retry: None,
-            mbac_window_s: 1.0,
-            mbac_sample_s: 0.1,
             horizon_s: 3_000.0,
             warmup_s: 500.0,
             seed: 1,
@@ -354,14 +348,7 @@ impl Scenario {
         let reverse = fast_link(&mut net, sink_n, host_n, prop);
 
         let mut sim = Sim::new(net);
-        plan.install_mbac(
-            &mut sim,
-            meter_n,
-            &[bottleneck],
-            self.link_bps,
-            SimDuration::from_secs_f64(self.mbac_window_s),
-            SimDuration::from_secs_f64(self.mbac_sample_s),
-        );
+        plan.install_mbac(&mut sim, meter_n, &[bottleneck], self.link_bps);
         let host_cfg = plan.host(sink_n, self.groups.clone(), self.tau_s, vec![bottleneck]);
         sim.attach(host_n, Box::new(HostAgent::new(host_cfg, root.derive(1))));
         let sink_cfg = plan.sink(
@@ -550,43 +537,47 @@ mod retry_tests {
 
     #[test]
     fn retries_raise_effective_load_and_fire_only_on_rejection() {
-        let d = Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.0);
-        // Light load: no rejections, so no retries.
-        let mut light = Scenario::basic()
-            .design(d)
-            .tau(60.0)
-            .horizon_secs(300.0)
-            .warmup_secs(50.0)
-            .seed(2);
-        light.retry = Some(RetryPolicy {
+        let policy = Some(RetryPolicy {
             max_attempts: 3,
             base_backoff: SimDuration::from_secs(5),
             max_backoff: SimDuration::from_secs(60),
         });
-        let r = light.clone().run().unwrap();
-        assert_eq!(r.blocking, 0.0);
+        // Probe verdicts and the Measured Sum registry's immediate answer
+        // both feed the same back-off path.
+        for d in [
+            Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.0),
+            Design::mbac(0.9),
+        ] {
+            // Light load: no rejections, so no retries.
+            let mut light = Scenario::basic()
+                .design(d)
+                .tau(60.0)
+                .horizon_secs(300.0)
+                .warmup_secs(50.0)
+                .seed(2);
+            light.retry = policy;
+            let r = light.run().unwrap();
+            assert_eq!(r.blocking, 0.0, "{}", d.name());
 
-        // Heavy load: rejections happen and retries fire; the retried
-        // attempts add decisions, so decided count exceeds the no-retry
-        // baseline's.
-        let mut heavy = Scenario::basic()
-            .design(d)
-            .tau(1.0)
-            .horizon_secs(400.0)
-            .warmup_secs(100.0)
-            .seed(2);
-        let base = heavy.clone().run().unwrap();
-        heavy.retry = Some(RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::from_secs(5),
-            max_backoff: SimDuration::from_secs(60),
-        });
-        let with_retry = heavy.run().unwrap();
-        let base_dec: u64 = base.groups.iter().map(|g| g.decided).sum();
-        let retry_dec: u64 = with_retry.groups.iter().map(|g| g.decided).sum();
-        assert!(
-            retry_dec > base_dec,
-            "retries should add decisions: {retry_dec} vs {base_dec}"
-        );
+            // Heavy load: rejections happen and retries fire; the retried
+            // attempts add decisions, so decided count exceeds the no-retry
+            // baseline's.
+            let mut heavy = Scenario::basic()
+                .design(d)
+                .tau(1.0)
+                .horizon_secs(400.0)
+                .warmup_secs(100.0)
+                .seed(2);
+            let base = heavy.clone().run().unwrap();
+            heavy.retry = policy;
+            let with_retry = heavy.run().unwrap();
+            let base_dec: u64 = base.groups.iter().map(|g| g.decided).sum();
+            let retry_dec: u64 = with_retry.groups.iter().map(|g| g.decided).sum();
+            assert!(
+                retry_dec > base_dec,
+                "{}: retries should add decisions: {retry_dec} vs {base_dec}",
+                d.name()
+            );
+        }
     }
 }

@@ -77,15 +77,20 @@ proptest! {
         let mut p = Policer::new(TokenBucketSpec::new(rate, bucket));
         let mut t = SimTime::ZERO;
         let mut accepted = 0u64;
+        let mut offered = 0u64;
         for (gap_us, size) in offers {
             t += simcore::SimDuration::from_micros(gap_us);
-            if size as f64 <= bucket && p.conforms(size, t) {
-                accepted += size as u64;
+            if size as f64 <= bucket {
+                offered += 1;
+                if p.conforms(size, t) {
+                    accepted += size as u64;
+                }
             }
         }
         let envelope = bucket + rate as f64 / 8.0 * t.as_secs_f64() + 1.0;
         prop_assert!(accepted as f64 <= envelope);
-        prop_assert_eq!(p.passed() + p.dropped(), p.passed() + p.dropped());
+        // Every packet offered is either passed or dropped, once.
+        prop_assert_eq!(p.passed() + p.dropped(), offered);
     }
 
     /// Every Table 1 preset builds a process whose first emissions carry

@@ -136,9 +136,15 @@ fn bench_figures(c: &mut Criterion) {
             Placement::InBand,
             ProbeStyle::SlowStart,
             0.01,
-        ))
-        .telemetry(telemetry::TelemetryConfig::new());
-        b.iter(|| black_box(s.run_full().unwrap().report))
+        ));
+        b.iter(|| {
+            let recorder = telemetry::FlightRecorder::new(telemetry::RECORDER_CAPACITY);
+            let traced = Scenario {
+                telemetry: Some(recorder),
+                ..s.clone()
+            };
+            black_box(traced.run_full().unwrap().report)
+        })
     });
 
     // The pooled executor on a 4-seed grid, serial vs all workers.

@@ -6,10 +6,10 @@ use crate::catalog::{design, endpoint_designs, eps_grid, fig9_eps, Workload, ETA
 use crate::output::{fmt_prob, print_table, save_json};
 use crate::pool;
 use crate::runner::Fidelity;
-use crate::sweep::Sweep;
+use crate::sweep::{Point, Sweep};
 use eac::coexist::CoexistScenario;
 use eac::design::{Design, Group};
-use eac::metrics::Report;
+use eac::metrics::{share, Report};
 use eac::multihop::{product_blocking, MultihopScenario};
 use eac::probe::{Placement, ProbeStyle, Signal};
 use eac::scenario::Scenario;
@@ -110,8 +110,8 @@ fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
 
 /// Run every labelled scenario at the fidelity's run length as one sweep
 /// over its seeds, and pair each label with its point's seed average.
-fn points<L>(fid: Fidelity, grid: impl IntoIterator<Item = (L, Scenario)>) -> Vec<(L, Report)> {
-    let (labels, scenarios): (Vec<L>, Vec<Scenario>) =
+fn points<L, P: Point>(fid: Fidelity, grid: impl IntoIterator<Item = (L, P)>) -> Vec<(L, Report)> {
+    let (labels, scenarios): (Vec<L>, Vec<P>) =
         grid.into_iter().map(|(l, s)| (l, fid.apply(s))).unzip();
     let reports = Sweep::new(scenarios, &fid.seeds()).run().expect_reports();
     labels.into_iter().zip(reports).collect()
@@ -347,11 +347,7 @@ fn table4(fid: Fidelity) {
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
         let dec: u64 = small.iter().map(|g| g.decided).sum();
         let rej: u64 = small.iter().map(|g| g.rejected).sum();
-        let small_b = if dec == 0 {
-            0.0
-        } else {
-            rej as f64 / dec as f64
-        };
+        let small_b = share(rej, dec);
         let large_b = r.groups[1].blocking;
         rows.push(vec![
             label.to_string(),
@@ -368,33 +364,13 @@ fn table4(fid: Fidelity) {
 /// with the product approximation.
 fn tables56(fid: Fidelity) {
     println!("# Tables 5 & 6 — multi-hop topology (Fig 10), eps = 0\n");
-    let designs = table_designs(|_| 0.0);
-    let (h, w) = fid.lengths();
-    let seeds = fid.seeds();
-    // Multihop scenarios are not `Scenario`s, so fan the design × seed
-    // grid out on the pool directly, design-major; slot order keeps each
-    // design's average bit-identical.
-    let raw = pool::run_indexed(designs.len() * seeds.len(), pool::default_jobs(), |i| {
-        MultihopScenario::tables56()
-            .design(designs[i / seeds.len()].1)
-            .horizon_secs(h)
-            .warmup_secs(w)
-            .seed(seeds[i % seeds.len()])
-            .run()
-    });
-    let reports: Vec<Report> = raw
+    let grid = table_designs(|_| 0.0)
         .into_iter()
-        .map(|r| match r {
-            Ok(Ok(rep)) => rep,
-            Ok(Err(e)) => panic!("{e}"),
-            Err(payload) => std::panic::resume_unwind(payload),
-        })
-        .collect();
+        .map(|(label, d)| (label, MultihopScenario::tables56().design(d)));
     let mut loss_rows = Vec::new();
     let mut block_rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
-    for ((label, _), per_seed) in designs.iter().zip(reports.chunks(seeds.len())) {
-        let r = Report::average(per_seed);
+    for (label, r) in points(fid, grid) {
         let short_loss = (r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0;
         loss_rows.push(vec![
             label.to_string(),

@@ -1,7 +1,7 @@
 //! Run-length presets: how long each experiment runs and over which
 //! seeds.
 
-use eac::scenario::Scenario;
+use crate::sweep::Point;
 
 /// How long and how many seeds to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,9 +46,9 @@ impl Fidelity {
     }
 
     /// Apply run length to a scenario.
-    pub fn apply(self, s: Scenario) -> Scenario {
+    pub fn apply<P: Point>(self, s: P) -> P {
         let (h, w) = self.lengths();
-        s.horizon_secs(h).warmup_secs(w)
+        s.run_length(h, w)
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! A [`Sweep`] fans its point × seed grid out over the [`pool`] and
 //! averages each point's surviving seeds into one [`Report`]. A point is
-//! any [`Scenario`], so one sweep runs a whole figure: every curve's ε
-//! grid, one scenario per workload, or one variant per ablation row. With
-//! [`Sweep::isolated`] a failing seed is contained to itself.
+//! any [`Point`]: a single-link [`Scenario`] or a [`MultihopScenario`].
+//! So one sweep runs a whole figure: every curve's ε grid, one scenario
+//! per workload, one variant per ablation row, or one design per row of
+//! Tables 5–6. With [`Sweep::isolated`] a failing seed is contained to
+//! itself.
 //!
 //! Determinism: jobs are laid out point-major (`point * seeds + seed`),
 //! results come back from the pool in job-index order, and each point's
@@ -14,12 +16,63 @@
 
 use crate::pool::{self, run_indexed};
 use eac::metrics::Report;
-use eac::scenario::Scenario;
+use eac::multihop::MultihopScenario;
+use eac::scenario::{RunOutput, Scenario, ScenarioError};
 use simcore::SimTime;
 use std::path::{Path, PathBuf};
-use telemetry::{
-    FlightRecorder, Metrics, Telemetry, TelemetryConfig, TimeSeries, RECORDER_CAPACITY,
-};
+use telemetry::{FlightRecorder, Metrics, Telemetry, TimeSeries, RECORDER_CAPACITY};
+
+/// A scenario a [`Sweep`] can run as one of its points.
+pub trait Point: Clone + Sync {
+    /// This point with its horizon and warm-up set, in seconds.
+    fn run_length(self, horizon_s: f64, warmup_s: f64) -> Self;
+
+    /// Run once at `seed`, which replaces the point's own, capturing
+    /// telemetry into `recorder` when one is given.
+    fn run_seed(
+        &self,
+        seed: u64,
+        recorder: Option<FlightRecorder>,
+    ) -> Result<RunOutput, ScenarioError>;
+}
+
+impl Point for Scenario {
+    fn run_length(self, horizon_s: f64, warmup_s: f64) -> Self {
+        self.horizon_secs(horizon_s).warmup_secs(warmup_s)
+    }
+
+    fn run_seed(
+        &self,
+        seed: u64,
+        recorder: Option<FlightRecorder>,
+    ) -> Result<RunOutput, ScenarioError> {
+        Scenario {
+            seed,
+            telemetry: recorder,
+            ..self.clone()
+        }
+        .run_full()
+    }
+}
+
+impl Point for MultihopScenario {
+    fn run_length(self, horizon_s: f64, warmup_s: f64) -> Self {
+        self.horizon_secs(horizon_s).warmup_secs(warmup_s)
+    }
+
+    fn run_seed(
+        &self,
+        seed: u64,
+        recorder: Option<FlightRecorder>,
+    ) -> Result<RunOutput, ScenarioError> {
+        MultihopScenario {
+            seed,
+            telemetry: recorder,
+            ..self.clone()
+        }
+        .run_full()
+    }
+}
 
 /// Turn a caught panic payload into a displayable message.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -94,8 +147,8 @@ impl SweepResult {
 ///     .run();
 /// ```
 #[derive(Debug)]
-pub struct Sweep {
-    points: Vec<Scenario>,
+pub struct Sweep<P> {
+    points: Vec<P>,
     seeds: Vec<u64>,
     jobs: usize,
     isolated: bool,
@@ -103,9 +156,9 @@ pub struct Sweep {
     telemetry: Option<PathBuf>,
 }
 
-impl Sweep {
+impl<P: Point> Sweep<P> {
     /// Run every point once per seed; the seed replaces the point's own.
-    pub fn new(points: Vec<Scenario>, seeds: &[u64]) -> Self {
+    pub fn new(points: Vec<P>, seeds: &[u64]) -> Self {
         assert!(!seeds.is_empty());
         Sweep {
             points,
@@ -171,13 +224,7 @@ impl Sweep {
         };
 
         let raw = run_indexed(n_jobs, workers, |i| {
-            let mut sc = self.points[i / n_seeds]
-                .clone()
-                .seed(self.seeds[i % n_seeds]);
-            if tdir.is_some() {
-                sc = sc.telemetry(TelemetryConfig::new().with_recorder(recorders[i].clone()));
-            }
-            sc.run_full()
+            self.points[i / n_seeds].run_seed(self.seeds[i % n_seeds], recorders.get(i).cloned())
         });
 
         let dump_flight = |pi: usize, seed: u64, i: usize| {

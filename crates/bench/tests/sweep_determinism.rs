@@ -3,9 +3,10 @@
 //! designs × two seeds) at one and eight workers and compares the JSON.
 
 use eac::design::Design;
+use eac::multihop::MultihopScenario;
 use eac::probe::{Placement, ProbeStyle, Signal};
 use eac::scenario::Scenario;
-use eac_bench::Sweep;
+use eac_bench::{SeedOutcome, Sweep};
 
 fn fig2_grid() -> Vec<Scenario> {
     let base = Scenario::basic().horizon_secs(400.0).warmup_secs(100.0);
@@ -65,4 +66,20 @@ fn isolated_sweep_is_deterministic_too() {
     )
     .unwrap();
     assert_eq!(ja, jb);
+}
+
+#[test]
+fn isolated_multihop_sweep_records_each_failing_seed() {
+    // Fifty events exhaust the budget during setup: every seed errors
+    // gracefully and the sweep records it instead of panicking.
+    let point = MultihopScenario::tables56().event_budget(50);
+    let result = Sweep::new(vec![point], &[1, 2])
+        .jobs(2)
+        .isolated(true)
+        .run();
+    assert!(result.reports[0].is_err());
+    assert_eq!(result.outcomes[0].len(), 2);
+    assert!(result.outcomes[0]
+        .iter()
+        .all(|o| matches!(o, SeedOutcome::Error { .. })));
 }

@@ -1,6 +1,8 @@
 //! Sweep-level telemetry: output is byte-identical at any worker count,
 //! and failed seeds dump a flight ring naming the triggering event.
 
+use eac::design::Design;
+use eac::multihop::MultihopScenario;
 use eac::scenario::Scenario;
 use eac_bench::Sweep;
 use std::collections::BTreeMap;
@@ -52,6 +54,39 @@ fn telemetry_output_is_byte_identical_across_worker_counts() {
     for (name, bytes) in &t1 {
         assert_eq!(bytes, &t8[name], "{name} differs between --jobs 1 and 8");
     }
+
+    let _ = std::fs::remove_dir_all(&d1);
+    let _ = std::fs::remove_dir_all(&d8);
+}
+
+#[test]
+fn multihop_sweep_is_byte_identical_across_worker_counts() {
+    let grid = || {
+        [
+            MultihopScenario::tables56().design(Design::mbac(0.9)),
+            MultihopScenario::tables56(),
+        ]
+        .map(|s| s.horizon_secs(200.0).warmup_secs(50.0))
+        .to_vec()
+    };
+    let d1 = fresh_dir("eac-telemetry-multihop-jobs1");
+    let d8 = fresh_dir("eac-telemetry-multihop-jobs8");
+
+    let r1 = Sweep::new(grid(), &[1, 2]).jobs(1).telemetry(&d1).run();
+    let r8 = Sweep::new(grid(), &[1, 2]).jobs(8).telemetry(&d8).run();
+    let j1 = serde_json::to_string(&r1.expect_reports()).unwrap();
+    let j8 = serde_json::to_string(&r8.expect_reports()).unwrap();
+    assert_eq!(j1, j8, "multihop reports differ between --jobs 1 and 8");
+
+    let t1 = read_tree(&d1);
+    let t8 = read_tree(&d8);
+    for name in ["d0_s1.series.csv", "d1_s2.metrics.json", "d1.series.csv"] {
+        assert!(t1.contains_key(name), "{name} missing: {:?}", t1.keys());
+    }
+    assert!(
+        t1 == t8,
+        "multihop telemetry trees differ between --jobs 1 and 8"
+    );
 
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d8);

@@ -12,12 +12,12 @@
 use crate::design::{Design, Group};
 use crate::host::{HostAgent, HostConfig, RetryPolicy};
 use crate::mbac::{self, MbacRegistry};
-use crate::metrics::{GroupReport, Report};
+use crate::metrics::{loss, share, GroupReport, Report};
 use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
 use crate::sink::{SinkAgent, SinkConfig};
 use netsim::{DropTail, Limit, LinkId, Network, NodeId, Sim, TrafficClass};
 use simcore::{SimDuration, SimTime};
-use telemetry::{HistSummary, LogHistogram, Telemetry, TelemetryConfig};
+use telemetry::{FlightRecorder, HistSummary, LogHistogram, Telemetry};
 use traffic::Demography;
 
 /// What a scenario fixes about its run, whatever its topology.
@@ -33,7 +33,8 @@ pub(crate) struct Plan<'a> {
     /// is exact.
     pub drain: SimDuration,
     pub run_config: RunConfig,
-    pub telemetry: Option<&'a TelemetryConfig>,
+    /// Instrument the run, recording into this flight ring.
+    pub telemetry: Option<&'a FlightRecorder>,
     pub seed: u64,
 }
 
@@ -66,23 +67,6 @@ pub(crate) fn fast_link(net: &mut Network, a: NodeId, b: NodeId, prop: SimDurati
         Box::new(DropTail::new(Limit::Packets(100_000))),
         None,
     )
-}
-
-/// `part / whole`, or zero when `whole` is.
-pub(crate) fn share(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
-    }
-}
-
-fn loss(sent: u64, received: u64) -> f64 {
-    if sent == 0 {
-        0.0
-    } else {
-        1.0 - received as f64 / sent as f64
-    }
 }
 
 impl Plan<'_> {
@@ -202,8 +186,8 @@ impl Plan<'_> {
             Some(budget) => world.sim.set_event_budget(budget),
             None => world.sim.set_lenient_scheduling(self.run_config.audit),
         }
-        if let Some(cfg) = self.telemetry {
-            world.sim.net.telemetry = Some(Box::new(cfg.build()));
+        if let Some(recorder) = self.telemetry {
+            world.sim.net.telemetry = Some(Box::new(Telemetry::new(recorder.clone())));
         }
         let measured = self.measure(world, at_horizon);
         let tel = world.sim.net.telemetry.take();

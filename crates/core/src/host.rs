@@ -16,6 +16,7 @@
 
 use crate::design::{Design, Group};
 use crate::mbac::MbacRegistry;
+use crate::metrics::share;
 use crate::msg::{data_aux, probe_aux, Msg};
 use crate::probe::ProbePlan;
 use netsim::{Agent, Api, FlowId, LinkId, NodeId, Packet, TrafficClass};
@@ -144,11 +145,7 @@ impl HostStats {
     pub fn blocking(&self) -> f64 {
         let dec: u64 = self.decided.iter().map(|c| c.since_mark()).sum();
         let rej: u64 = self.rejected.iter().map(|c| c.since_mark()).sum();
-        if dec == 0 {
-            0.0
-        } else {
-            rej as f64 / dec as f64
-        }
+        share(rej, dec)
     }
 }
 

@@ -8,6 +8,26 @@
 use serde::Serialize;
 use telemetry::HistSummary;
 
+/// `part / whole`, or zero when `whole` is: blocking is
+/// `share(rejected, decided)`.
+pub fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// The fraction of `sent` packets that were not `received`, or zero when
+/// none were sent.
+pub fn loss(sent: u64, received: u64) -> f64 {
+    if sent == 0 {
+        0.0
+    } else {
+        1.0 - received as f64 / sent as f64
+    }
+}
+
 /// Per-group results.
 #[derive(Clone, Debug, Serialize)]
 pub struct GroupReport {
@@ -47,13 +67,18 @@ pub struct Report {
     /// Overall blocking probability.
     pub blocking: f64,
     /// Fraction of transmitted admission-controlled bytes that were
-    /// probes (probe overhead).
+    /// probes (probe overhead). Single-link scenarios only: the
+    /// multi-hop scenario leaves it 0, which is not a measurement.
     pub probe_overhead: f64,
     /// Fraction of delivered data packets carrying an ECN mark.
+    /// Single-link scenarios only; 0 in multi-hop reports.
     pub mark_fraction: f64,
     /// Mean end-to-end delay of delivered data packets, milliseconds.
+    /// Single-link scenarios only; 0 in multi-hop reports, whose delays
+    /// are in `delay_hist`.
     pub delay_ms_mean: f64,
-    /// Standard deviation of that delay, milliseconds.
+    /// Standard deviation of that delay, milliseconds. Single-link
+    /// scenarios only; 0 in multi-hop reports.
     pub delay_ms_std: f64,
     /// Delay distribution summary (quantiles in milliseconds), from the
     /// sink's log-bucketed histogram over the measurement window.
@@ -111,16 +136,8 @@ impl Report {
             g.rejected = reports.iter().map(|r| r.groups[gi].rejected).sum();
             g.data_sent = reports.iter().map(|r| r.groups[gi].data_sent).sum();
             g.data_received = reports.iter().map(|r| r.groups[gi].data_received).sum();
-            g.blocking = if g.decided == 0 {
-                0.0
-            } else {
-                g.rejected as f64 / g.decided as f64
-            };
-            g.loss = if g.data_sent == 0 {
-                0.0
-            } else {
-                1.0 - g.data_received as f64 / g.data_sent as f64
-            };
+            g.blocking = share(g.rejected, g.decided);
+            g.loss = loss(g.data_sent, g.data_received);
         }
         out
     }

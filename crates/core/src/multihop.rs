@@ -21,10 +21,11 @@ use crate::driver::{fast_link, Plan, World};
 use crate::host::HostAgent;
 use crate::metrics::Report;
 use crate::probe::{Placement, Signal};
-use crate::scenario::{RunConfig, ScenarioError};
+use crate::scenario::{RunConfig, RunOutput, ScenarioError};
 use crate::sink::{stage_grace, SinkAgent};
 use netsim::{Limit, LinkId, Network, NodeId, Sim, StrictPrio, VirtualQueue};
 use simcore::{SimDuration, SimRng};
+use telemetry::FlightRecorder;
 use traffic::SourceSpec;
 
 /// Configuration of the multi-hop experiment.
@@ -58,6 +59,9 @@ pub struct MultihopScenario {
     pub seed: u64,
     /// Watchdogs and post-run checks (see [`RunConfig`]).
     pub run_config: RunConfig,
+    /// Telemetry capture into this flight ring, as for
+    /// [`Scenario::telemetry`](crate::scenario::Scenario::telemetry).
+    pub telemetry: Option<FlightRecorder>,
 }
 
 impl MultihopScenario {
@@ -86,6 +90,7 @@ impl MultihopScenario {
             warmup_s: 500.0,
             seed: 1,
             run_config: RunConfig::default(),
+            telemetry: None,
         }
     }
 
@@ -132,6 +137,12 @@ impl MultihopScenario {
     /// graceful error, as configured by the scenario's [`RunConfig`].
     /// Without watchdogs armed it cannot fail.
     pub fn run(&self) -> Result<Report, ScenarioError> {
+        self.run_full().map(|o| o.report)
+    }
+
+    /// Like [`run`](MultihopScenario::run), but also returns the
+    /// telemetry hub when the scenario has a flight recorder.
+    pub fn run_full(&self) -> Result<RunOutput, ScenarioError> {
         let plan = Plan {
             design: self.design,
             lifetime_s: self.lifetime_s,
@@ -141,7 +152,7 @@ impl MultihopScenario {
             horizon_s: self.horizon_s,
             drain: SimDuration::from_secs(5),
             run_config: self.run_config,
-            telemetry: None,
+            telemetry: self.telemetry.as_ref(),
             seed: self.seed,
         };
         let root = SimRng::new(self.seed);
@@ -232,10 +243,11 @@ impl MultihopScenario {
             hosts: &hosts,
             sinks: &sinks,
         };
-        let (links, _) = plan.run(&mut world, |sim| {
+        let (links, telemetry) = plan.run(&mut world, |sim| {
             plan.read_links(sim, &backbone, self.link_bps)
         })?;
-        Ok(plan.report(&mut world, names.map(String::from), links))
+        let report = plan.report(&mut world, names.map(String::from), links);
+        Ok(RunOutput { report, telemetry })
     }
 }
 

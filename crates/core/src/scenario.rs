@@ -6,14 +6,14 @@
 //! Following the paper's simplification, the bottleneck link itself runs
 //! at the admission-controlled traffic's allocated share, so no explicit
 //! rate limiter or best-effort background is simulated (the full
-//! rate-limited priority scheduler exists in `netsim` and is exercised by
-//! the ablation benches and the coexistence experiment).
+//! rate-limited priority scheduler, `netsim::StrictPrio::rate_limited_link`,
+//! is verified end to end by `tests/scheduler.rs`; no experiment runs it).
 
 use crate::design::{effective_epsilons, Design, Group};
-use crate::driver::{fast_link, share, Plan, World};
+use crate::driver::{fast_link, Plan, World};
 use crate::host::HostAgent;
 use crate::mbac::MbacRegistry;
-use crate::metrics::Report;
+use crate::metrics::{share, Report};
 use crate::probe::{Placement, Signal};
 use crate::sink::{stage_grace, SinkAgent};
 use netsim::{
@@ -22,7 +22,7 @@ use netsim::{
 };
 use simcore::{SimDuration, SimRng, SimTime};
 use std::any::Any;
-use telemetry::{Telemetry, TelemetryConfig};
+use telemetry::{FlightRecorder, Telemetry};
 use traffic::SourceSpec;
 
 /// The periodic load-sampler driving MBAC's Measured Sum estimators.
@@ -145,14 +145,14 @@ pub struct Scenario {
     pub flaps_s: Vec<(f64, f64)>,
     /// Watchdogs and post-run checks (see [`RunConfig`]).
     pub run_config: RunConfig,
-    /// Optional telemetry capture (metrics, time-series sampler, flight
-    /// recorder). `None` keeps the hot path free of instrumentation.
-    pub telemetry: Option<TelemetryConfig>,
+    /// Telemetry capture (metrics, time-series sampler) recording into
+    /// this flight ring; [`run_full`](Scenario::run_full) returns the hub.
+    /// `None` keeps the hot path free of instrumentation.
+    pub telemetry: Option<FlightRecorder>,
 }
 
 /// Everything a completed run produces: the [`Report`] plus, when the
-/// scenario was configured with [`Scenario::telemetry`], the captured
-/// telemetry hub.
+/// scenario was given a flight recorder, the captured telemetry hub.
 #[derive(Debug)]
 pub struct RunOutput {
     /// The scenario's result metrics.
@@ -278,13 +278,6 @@ impl Scenario {
         self
     }
 
-    /// Enable telemetry capture (metrics, periodic time-series sampling,
-    /// flight recorder). Retrieve the hub with [`run_full`](Scenario::run_full).
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry = Some(cfg);
-        self
-    }
-
     /// Largest packet size among the groups (sizes the buffer in bytes).
     fn max_pkt_bytes(&self) -> u32 {
         self.groups
@@ -305,8 +298,8 @@ impl Scenario {
     /// Like [`run`](Scenario::run), but also returns the telemetry hub
     /// when the scenario was configured with one. A failed run returns
     /// only the error; its flight recorder stays reachable through a
-    /// [`TelemetryConfig::with_recorder`] handle the caller kept (the
-    /// sweep executor keeps one per seed and dumps it).
+    /// clone of the handle the caller kept (the sweep executor keeps one
+    /// per seed and dumps it).
     pub fn run_full(&self) -> Result<RunOutput, ScenarioError> {
         let plan = Plan {
             design: self.design,

@@ -692,7 +692,9 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         net.add_link(a, b, 1_000_000, SimDuration::from_millis(5), dt(), None);
-        net.telemetry = Some(Box::new(telemetry::TelemetryConfig::new().build()));
+        net.telemetry = Some(Box::new(telemetry::Telemetry::new(
+            telemetry::FlightRecorder::new(telemetry::RECORDER_CAPACITY),
+        )));
         let mut sim = Sim::new(net);
         sim.attach(
             a,

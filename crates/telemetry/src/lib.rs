@@ -54,38 +54,15 @@ pub struct Telemetry {
     pub recorder: FlightRecorder,
 }
 
-/// How to instrument a run: sampling every [`SAMPLE_PERIOD`] into a
-/// fresh [`RECORDER_CAPACITY`]-event flight ring, or into a recorder
-/// handle the caller keeps.
-#[derive(Clone, Debug, Default)]
-pub struct TelemetryConfig {
-    /// Use this (shared) recorder handle instead of a fresh ring — the
-    /// sweep executor passes one it retains outside `catch_unwind` and
-    /// dumps it when the run fails.
-    pub recorder: Option<FlightRecorder>,
-}
-
-impl TelemetryConfig {
-    /// The default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record into an existing shared recorder handle.
-    pub fn with_recorder(mut self, rec: FlightRecorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Instantiate the instrument hub.
-    pub fn build(&self) -> Telemetry {
+impl Telemetry {
+    /// A hub sampling every [`SAMPLE_PERIOD`] and recording into
+    /// `recorder`: a fresh [`RECORDER_CAPACITY`]-event ring, or a shared
+    /// handle the caller keeps to dump the ring if the run dies.
+    pub fn new(recorder: FlightRecorder) -> Self {
         Telemetry {
             metrics: Metrics::new(),
             sampler: Sampler::new(SAMPLE_PERIOD),
-            recorder: self
-                .recorder
-                .clone()
-                .unwrap_or_else(|| FlightRecorder::new(RECORDER_CAPACITY)),
+            recorder,
         }
     }
 }

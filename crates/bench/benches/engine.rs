@@ -5,10 +5,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use netsim::{
-    Agent, Api, Dequeue, DropTail, Drr, FlowId, Limit, Network, NodeId, Packet, Qdisc, Sim,
-    StrictPrio, TokenBucket, TrafficClass, VirtualQueue,
+    Agent, Api, Dequeue, DropTail, FlowId, Limit, Network, NodeId, Packet, Qdisc, Sim, StrictPrio,
+    TrafficClass, VirtualQueue,
 };
 use simcore::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use traffic::shaper::TokenBucket;
 use traffic::{OnOff, PacketProcess, PeriodDist};
 
 fn pkt(id: u64, class: TrafficClass) -> Packet {
@@ -197,12 +198,6 @@ fn bench_qdiscs(c: &mut Criterion) {
         b.iter(|| {
             let mut q = StrictPrio::admission_queue(Limit::Packets(256), true);
             black_box(run_qdisc(&mut q, 10_000, TrafficClass::Probe))
-        })
-    });
-    g.bench_function("drr (64 flows)", |b| {
-        b.iter(|| {
-            let mut q = Drr::new(125, Limit::Packets(256));
-            black_box(run_qdisc(&mut q, 10_000, TrafficClass::Data))
         })
     });
     g.finish();

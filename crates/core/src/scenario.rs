@@ -5,9 +5,8 @@
 //! low-multiplexing case), 20 ms propagation delay, 200-packet buffer.
 //! Following the paper's simplification, the bottleneck link itself runs
 //! at the admission-controlled traffic's allocated share, so no explicit
-//! rate limiter or best-effort background is simulated (the full
-//! rate-limited priority scheduler, `netsim::StrictPrio::rate_limited_link`,
-//! is verified end to end by `tests/scheduler.rs`; no experiment runs it).
+//! rate limiter or best-effort background is simulated, and every queue
+//! is work-conserving.
 
 use crate::design::{effective_epsilons, Design, Group};
 use crate::driver::{fast_link, Plan, World};

@@ -1,11 +1,8 @@
 //! # fluid — the paper's analytical models
 //!
-//! Section 2 of the paper argues architecture with two kinds of
-//! mathematics, both implemented here:
+//! The analysis behind the paper's simulations:
 //!
-//! - [`statics`]: closed-form results (stolen bandwidth under fair
-//!   queueing, acceptance-threshold windows, the in-band drop-rate
-//!   floor);
+//! - [`statics`]: the in-band drop-rate floor of §4.1;
 //! - [`thrash`]: the dynamic fluid model behind Figure 1 — a CTMC over
 //!   (admitted, probing) flow counts with perfect probing, evaluated by
 //!   finite-horizon Monte-Carlo (the collapsed regime is absorbing, so

@@ -3,10 +3,10 @@
 //! The workspace's middle layer — the stand-in for the ns-2 models the
 //! paper used (§3.1): store-and-forward
 //! links driven by a discrete-event calendar, the router queueing
-//! mechanisms the paper's architectural discussion needs (drop-tail,
-//! strict priority with probe push-out and aggregate rate limits, DRR fair
-//! queueing, virtual-queue ECN marking), static minimum-hop routing, and an
-//! ns-2-style [`Agent`] framework for endpoints.
+//! mechanisms the paper's simulations use (drop-tail, strict priority with
+//! probe push-out, virtual-queue ECN marking; all work-conserving), static
+//! minimum-hop routing, and an ns-2-style [`Agent`] framework for
+//! endpoints.
 //!
 //! Layering:
 //!
@@ -17,7 +17,7 @@
 //!   │  Sim (run loop)  │  Event calendar (simcore::EventQueue)
 //!   │  Network         │  routing, inject/forward, wire arena
 //!   │  Link            │  bandwidth, propagation, stats
-//!   │  Qdisc           │  DropTail / StrictPrio / Drr (+ VirtualQueue)
+//!   │  Qdisc           │  DropTail / StrictPrio (+ VirtualQueue)
 //!   └──────────────────┘
 //! ```
 
@@ -35,8 +35,7 @@ pub use fault::{FaultPlan, FaultStats, Impairment, LinkFlap};
 pub use link::{ClassStats, Link, LinkStats};
 pub use packet::{FlowId, LinkId, NodeId, Packet, TrafficClass};
 pub use qdisc::{
-    class_band_map, Band, Dequeue, DropTail, Drr, Enqueued, Limit, Qdisc, StrictPrio, TokenBucket,
-    VirtualQueue,
+    class_band_map, Band, Dequeue, DropTail, Enqueued, Limit, Qdisc, StrictPrio, VirtualQueue,
 };
 pub use sim::{Agent, Api, Event, RunError, Sim};
 pub use topo::Network;

@@ -111,8 +111,6 @@ pub struct Link {
     /// the per-packet hot path never allocates (a push-out free-list).
     evict_buf: Vec<Packet>,
     in_flight: Option<Packet>,
-    /// Earliest pending `TryDequeue` wake-up, to avoid duplicate events.
-    wakeup_at: Option<SimTime>,
     /// Operational state (fault injection): a down link neither starts
     /// new transmissions nor delivers the one on the wire; queued packets
     /// wait for the link to come back up.
@@ -128,8 +126,6 @@ pub enum LinkAction {
     None,
     /// Schedule a `TxComplete` for this link at the given time.
     TxCompleteAt(SimTime),
-    /// Schedule a `TryDequeue` for this link at the given time.
-    WakeupAt(SimTime),
 }
 
 impl Link {
@@ -154,7 +150,6 @@ impl Link {
             marker,
             evict_buf: Vec::new(),
             in_flight: None,
-            wakeup_at: None,
             up: true,
             stats: LinkStats::default(),
         }
@@ -196,17 +191,6 @@ impl Link {
                 self.in_flight = Some(p);
                 LinkAction::TxCompleteAt(now + tx)
             }
-            Dequeue::NotBefore(t) => {
-                // Deduplicate wake-ups: only schedule if nothing earlier or
-                // equal is already pending.
-                let stale = self.wakeup_at.is_none_or(|w| w <= now || w > t);
-                if stale {
-                    self.wakeup_at = Some(t);
-                    LinkAction::WakeupAt(t)
-                } else {
-                    LinkAction::None
-                }
-            }
             Dequeue::Empty => LinkAction::None,
         }
     }
@@ -222,12 +206,6 @@ impl Link {
         cs.transmitted.inc();
         cs.transmitted_bytes.add(p.size as u64);
         p
-    }
-
-    /// Handle a `TryDequeue` wake-up.
-    pub fn wakeup(&mut self, now: SimTime) -> LinkAction {
-        self.wakeup_at = None;
-        self.try_start(now)
     }
 
     /// Packets currently buffered (excluding any packet on the wire).

@@ -28,11 +28,6 @@ impl DropTail {
         self.limit
     }
 
-    /// Peek at the head packet without removing it.
-    pub fn peek(&self) -> Option<&Packet> {
-        self.queue.front()
-    }
-
     /// Remove the most recently enqueued packet (used by push-out schedulers).
     pub fn pop_tail(&mut self) -> Option<Packet> {
         let p = self.queue.pop_back()?;
@@ -146,6 +141,6 @@ mod tests {
         let p = q.pop_tail().unwrap();
         assert_eq!(p.id, 1);
         assert_eq!(q.len_bytes(), 10);
-        assert_eq!(q.peek().unwrap().id, 0);
+        assert!(matches!(q.dequeue(SimTime::ZERO), Dequeue::Packet(p) if p.id == 0));
     }
 }

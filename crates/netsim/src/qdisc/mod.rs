@@ -6,20 +6,20 @@
 //! - enqueue may *reject the arriving packet* (tail drop) or *evict resident
 //!   packets* (probe push-out, §3.1: "incoming data packets push out
 //!   resident probe packets if the buffer is full");
-//! - dequeue may answer "nothing is eligible before time T"
-//!   ([`Dequeue::NotBefore`]), which is how non-work-conserving rate-limited
-//!   schedulers (§2.1.2) are expressed without giving qdiscs access to the
-//!   event queue.
+//! - every qdisc is work-conserving: dequeue returns a packet whenever one
+//!   is buffered.
 //!
-//! Implementations: [`DropTail`], [`StrictPrio`], [`Drr`], and the
-//! [`VirtualQueue`] ECN marker that wraps a link.
+//! The paper's rate-limited priority scheduler (§2.1.2) is modelled as it
+//! simulated it (§3.2): the link itself runs at the admission-controlled
+//! share, so no qdisc holds back a queued packet.
+//!
+//! Implementations: [`DropTail`], [`StrictPrio`], and the [`VirtualQueue`]
+//! ECN marker that wraps a link.
 
-mod drr;
 mod fifo;
 mod prio;
 mod vq;
 
-pub use drr::Drr;
 pub use fifo::DropTail;
 pub use prio::{class_band_map, Band, StrictPrio};
 pub use vq::VirtualQueue;
@@ -81,9 +81,6 @@ impl Enqueued {
 pub enum Dequeue {
     /// A packet is ready to transmit.
     Packet(Packet),
-    /// Packets are queued but none is eligible before this time (rate
-    /// limiter exhausted). The link schedules a retry then.
-    NotBefore(SimTime),
     /// The buffer is empty.
     Empty,
 }
@@ -112,7 +109,8 @@ pub trait Qdisc: Send {
         Enqueued { accepted, evicted }
     }
 
-    /// Ask for the next packet to transmit at time `now`.
+    /// Ask for the next packet to transmit at time `now`. Work-conserving:
+    /// returns [`Dequeue::Packet`] exactly when a packet is buffered.
     fn dequeue(&mut self, now: SimTime) -> Dequeue;
 
     /// Packets currently buffered.
@@ -127,81 +125,9 @@ pub trait Qdisc: Send {
     }
 }
 
-/// A token bucket used as a dequeue rate limiter (non-work-conserving
-/// schedulers) and exported for reuse by traffic policers.
-///
-/// Tokens are tracked in *bytes* with nanosecond-exact accrual.
-#[derive(Clone, Debug)]
-pub struct TokenBucket {
-    rate_bps: u64,
-    depth_bytes: f64,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// A bucket that refills at `rate_bps` and holds at most `depth_bytes`,
-    /// starting full.
-    pub fn new(rate_bps: u64, depth_bytes: f64) -> Self {
-        assert!(rate_bps > 0 && depth_bytes > 0.0);
-        TokenBucket {
-            rate_bps,
-            depth_bytes,
-            tokens: depth_bytes,
-            last: SimTime::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.since(self.last).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.rate_bps as f64 / 8.0).min(self.depth_bytes);
-        self.last = now;
-    }
-
-    /// Current token level in bytes.
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// Try to spend `bytes` tokens; returns true on success.
-    pub fn try_take(&mut self, bytes: u32, now: SimTime) -> bool {
-        self.refill(now);
-        if self.tokens + 1e-9 >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Earliest time at which `bytes` tokens will be available (never
-    /// earlier than `now`). Panics if `bytes` exceeds the bucket depth —
-    /// such a packet could never be sent.
-    pub fn ready_at(&mut self, bytes: u32, now: SimTime) -> SimTime {
-        assert!(
-            bytes as f64 <= self.depth_bytes,
-            "packet larger than bucket depth"
-        );
-        self.refill(now);
-        if self.tokens + 1e-9 >= bytes as f64 {
-            now
-        } else {
-            let deficit = bytes as f64 - self.tokens;
-            let secs = deficit * 8.0 / self.rate_bps as f64;
-            // Round up to at least one tick: a sub-nanosecond deficit must
-            // not produce "ready now" while try_take still refuses.
-            let d =
-                simcore::SimDuration::from_secs_f64(secs).max(simcore::SimDuration::from_nanos(1));
-            now + d
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
 
     #[test]
     fn limit_overflow_checks() {
@@ -209,37 +135,5 @@ mod tests {
         assert!(!Limit::Packets(2).would_overflow(1, 0, 1));
         assert!(Limit::Bytes(100).would_overflow(0, 90, 11));
         assert!(!Limit::Bytes(100).would_overflow(0, 90, 10));
-    }
-
-    #[test]
-    fn token_bucket_accrues_and_caps() {
-        let mut tb = TokenBucket::new(8_000, 1_000.0); // 1000 B/s refill, 1000 B depth
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_take(1_000, t0)); // starts full
-        assert!(!tb.try_take(100, t0));
-        let t1 = t0 + SimDuration::from_millis(100); // +100 B
-        assert!(tb.try_take(100, t1));
-        // Far future: capped at depth, not unbounded.
-        let t2 = t1 + SimDuration::from_secs(1_000);
-        assert!((tb.available(t2) - 1_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn token_bucket_ready_at() {
-        let mut tb = TokenBucket::new(8_000, 1_000.0);
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_take(1_000, t0));
-        // Need 500 bytes: at 1000 B/s that's 0.5 s away.
-        let ready = tb.ready_at(500, t0);
-        assert_eq!(ready, t0 + SimDuration::from_millis(500));
-        // And it is actually takeable then.
-        assert!(tb.try_take(500, ready));
-    }
-
-    #[test]
-    #[should_panic]
-    fn oversized_packet_panics() {
-        let mut tb = TokenBucket::new(8_000, 100.0);
-        tb.ready_at(200, SimTime::ZERO);
     }
 }

@@ -1,18 +1,17 @@
-//! Strict-priority scheduling with shared buffers, probe push-out and
-//! aggregate rate limiting.
+//! Strict-priority scheduling with shared buffers and probe push-out.
 //!
 //! This is the scheduler §2.1 argues endpoint admission control needs:
 //!
-//! - strict priority between bands (no borrowing between admission-
-//!   controlled and best-effort traffic);
+//! - strict priority between bands;
 //! - an optional *shared buffer* across the admission-controlled bands in
-//!   which arriving data packets push out resident probe packets (§3.1);
-//! - an optional *aggregate rate limit* over the admission-controlled bands,
-//!   making the scheduler non-work-conserving for that group (§2.1.2): if
-//!   the group is over its share, the link serves lower bands (best effort)
-//!   or idles, never lets the group borrow.
+//!   which arriving data packets push out resident probe packets (§3.1).
+//!
+//! Dequeue pops the first non-empty band, so the scheduler is
+//! work-conserving. The aggregate rate limit of §2.1.2 is modelled as the
+//! paper simulated it (§3.2): the link runs at the admission-controlled
+//! share.
 
-use super::{Dequeue, DropTail, Limit, Qdisc, TokenBucket};
+use super::{Dequeue, DropTail, Limit, Qdisc};
 use crate::packet::{Packet, TrafficClass};
 use simcore::SimTime;
 
@@ -35,20 +34,12 @@ struct SharedGroup {
     pushout: bool,
 }
 
-/// Aggregate token-bucket rate limit over a set of bands.
-#[derive(Clone, Debug)]
-struct RateGroup {
-    bands: Vec<usize>,
-    bucket: TokenBucket,
-}
-
 /// Strict-priority scheduler.
 pub struct StrictPrio {
     bands: Vec<DropTail>,
     band_limits: Vec<Option<Limit>>,
     class_map: [usize; TrafficClass::COUNT],
     shared: Option<SharedGroup>,
-    rate: Option<RateGroup>,
 }
 
 impl StrictPrio {
@@ -69,7 +60,6 @@ impl StrictPrio {
             band_limits,
             class_map,
             shared: None,
-            rate: None,
         }
     }
 
@@ -83,19 +73,6 @@ impl StrictPrio {
             bands,
             limit,
             pushout,
-        });
-        self
-    }
-
-    /// Impose an aggregate rate limit (bits/s) over `bands`, with a token
-    /// bucket depth of `burst_bytes`.
-    pub fn with_rate_limit(mut self, bands: Vec<usize>, rate_bps: u64, burst_bytes: f64) -> Self {
-        for &b in &bands {
-            assert!(b < self.bands.len());
-        }
-        self.rate = Some(RateGroup {
-            bands,
-            bucket: TokenBucket::new(rate_bps, burst_bytes),
         });
         self
     }
@@ -132,50 +109,6 @@ impl StrictPrio {
                 class_band_map(0, 1, 1, 1),
             )
             .with_shared_buffer(vec![1], buffer, false)
-        }
-    }
-
-    /// A full-link scheduler with best effort below the admission-controlled
-    /// group, and the admission-controlled group (data + probes) strictly
-    /// rate-limited to `share_bps` (§2.1.2). `ac_buffer` bounds the
-    /// admission-controlled buffer (with probe push-out when `out_of_band`),
-    /// `be_buffer` the best-effort buffer.
-    pub fn rate_limited_link(
-        share_bps: u64,
-        ac_buffer: Limit,
-        be_buffer: Limit,
-        out_of_band: bool,
-        mtu_bytes: f64,
-    ) -> Self {
-        if out_of_band {
-            // bands: 0 control, 1 data, 2 probe, 3 best-effort
-            StrictPrio::new(
-                vec![
-                    Band { limit: None },
-                    Band { limit: None },
-                    Band { limit: None },
-                    Band {
-                        limit: Some(be_buffer),
-                    },
-                ],
-                class_band_map(0, 1, 2, 3),
-            )
-            .with_shared_buffer(vec![1, 2], ac_buffer, true)
-            .with_rate_limit(vec![1, 2], share_bps, mtu_bytes)
-        } else {
-            // bands: 0 control, 1 data+probe, 2 best-effort
-            StrictPrio::new(
-                vec![
-                    Band { limit: None },
-                    Band { limit: None },
-                    Band {
-                        limit: Some(be_buffer),
-                    },
-                ],
-                class_band_map(0, 1, 1, 2),
-            )
-            .with_shared_buffer(vec![1], ac_buffer, false)
-            .with_rate_limit(vec![1], share_bps, mtu_bytes)
         }
     }
 
@@ -275,32 +208,8 @@ impl Qdisc for StrictPrio {
     }
 
     fn dequeue(&mut self, now: SimTime) -> Dequeue {
-        let mut earliest: Option<SimTime> = None;
-        for b in 0..self.bands.len() {
-            if self.bands[b].is_empty() {
-                continue;
-            }
-            let restricted = self
-                .rate
-                .as_ref()
-                .map(|r| r.bands.contains(&b))
-                .unwrap_or(false);
-            if restricted {
-                let size = self.bands[b].peek().expect("non-empty").size;
-                let rate = self.rate.as_mut().expect("checked above");
-                let ready = rate.bucket.ready_at(size, now);
-                if ready <= now && rate.bucket.try_take(size, now) {
-                    return self.bands[b].dequeue(now);
-                }
-                let ready = ready.max(now + simcore::SimDuration::from_nanos(1));
-                earliest = Some(earliest.map_or(ready, |e| e.min(ready)));
-                // fall through to lower-priority (unrestricted) bands
-            } else {
-                return self.bands[b].dequeue(now);
-            }
-        }
-        match earliest {
-            Some(t) => Dequeue::NotBefore(t),
+        match self.bands.iter_mut().find(|b| !b.is_empty()) {
+            Some(band) => band.dequeue(now),
             None => Dequeue::Empty,
         }
     }
@@ -318,7 +227,6 @@ impl Qdisc for StrictPrio {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, NodeId};
-    use simcore::SimDuration;
 
     fn pkt(id: u64, class: TrafficClass, size: u32) -> Packet {
         Packet::new(
@@ -416,50 +324,32 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_defers_group_but_not_best_effort() {
-        // 1 Mbps share, 125-byte packets -> 1 ms per packet of tokens.
-        let mut q = StrictPrio::rate_limited_link(
-            1_000_000,
-            Limit::Packets(100),
-            Limit::Packets(100),
-            false,
-            125.0,
-        );
-        let t0 = SimTime::ZERO;
-        q.enqueue(pkt(0, TrafficClass::Data, 125), t0);
-        q.enqueue(pkt(1, TrafficClass::Data, 125), t0);
-        q.enqueue(pkt(2, TrafficClass::BestEffort, 125), t0);
-        // First data packet consumes the full bucket (depth = 1 MTU).
-        assert_eq!(deq(&mut q, t0).id, 0);
-        // Second data packet is rate-blocked; best effort goes instead.
-        assert_eq!(deq(&mut q, t0).id, 2);
-        // Now only data remains and it is blocked: NotBefore ~1ms.
-        match q.dequeue(t0) {
-            Dequeue::NotBefore(t) => {
-                assert_eq!(t, t0 + SimDuration::from_millis(1));
-                assert_eq!(deq(&mut q, t).id, 1);
-            }
-            other => panic!("expected NotBefore, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn per_band_limit_drops() {
-        let mut q = StrictPrio::rate_limited_link(
-            1_000_000,
-            Limit::Packets(100),
-            Limit::Packets(1),
-            false,
-            125.0,
+        // Fig 11's legacy queue: an unbounded control band over one
+        // bounded band for everything else.
+        let mut q = StrictPrio::new(
+            vec![
+                Band { limit: None },
+                Band {
+                    limit: Some(Limit::Packets(1)),
+                },
+            ],
+            class_band_map(0, 1, 1, 1),
         );
         assert!(
             q.enqueue(pkt(0, TrafficClass::BestEffort, 125), SimTime::ZERO)
                 .accepted
         );
         assert!(
-            !q.enqueue(pkt(1, TrafficClass::BestEffort, 125), SimTime::ZERO)
+            !q.enqueue(pkt(1, TrafficClass::Data, 125), SimTime::ZERO)
                 .accepted
         );
+        // The control band above it is not bounded by the full band.
+        assert!(
+            q.enqueue(pkt(2, TrafficClass::Control, 40), SimTime::ZERO)
+                .accepted
+        );
+        assert_eq!(q.band_len(1), 1);
     }
 
     #[test]

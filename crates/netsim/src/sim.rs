@@ -23,7 +23,8 @@ use std::any::Any;
 pub enum Event {
     /// A link finished serialising its in-flight packet.
     TxComplete { link: LinkId },
-    /// A rate-limited link should retry dequeueing.
+    /// A link that came back up should start sending its queue (the
+    /// zero-delay kick from [`Network::set_link_up`]).
     TryDequeue { link: LinkId },
     /// The packet in wire slot `slot` arrives at `node` after
     /// propagation.

@@ -216,7 +216,6 @@ impl Network {
         match action {
             LinkAction::None => {}
             LinkAction::TxCompleteAt(t) => q.schedule_at(t, Event::TxComplete { link: lid }),
-            LinkAction::WakeupAt(t) => q.schedule_at(t, Event::TryDequeue { link: lid }),
         }
     }
 
@@ -336,10 +335,13 @@ impl Network {
         }
     }
 
-    /// Handle a `TryDequeue` wake-up on a rate-limited link.
+    /// Handle the link-up kick: the `TryDequeue` that [`set_link_up`]
+    /// schedules so a link coming back up resumes sending its queue.
+    ///
+    /// [`set_link_up`]: Network::set_link_up
     pub fn try_dequeue(&mut self, lid: LinkId, q: &mut EventQueue<Event>) {
         let now = q.now();
-        let action = self.links[lid.0 as usize].wakeup(now);
+        let action = self.links[lid.0 as usize].try_start(now);
         self.apply(lid, action, q);
     }
 

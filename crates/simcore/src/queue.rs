@@ -12,7 +12,7 @@
 //!   `2^`[`WIDTH_BITS`] ns each (~67 ms) starting at the activation
 //!   cursor, and it slides forward with every bucket activation, so the
 //!   packet-level hot path (transmission completions, 20 ms propagation
-//!   deliveries, dequeue wake-ups) always lands in an O(1) bucket; only
+//!   deliveries, link-up kicks) always lands in an O(1) bucket; only
 //!   long-lived protocol timers (flow arrivals, lifetimes, probe
 //!   deadlines) pay the overflow heap, and they move into the ring once
 //!   the window reaches them. The active region is a sorted run, not a

@@ -5,8 +5,47 @@
 //! reshapes the video trace "by dropping" — and is also used in tests to
 //! verify that the Table 1 sources conform to their declared buckets.
 
-use netsim::TokenBucket;
 use simcore::SimTime;
+
+/// A token bucket, tracked in *bytes* with nanosecond-exact accrual.
+#[derive(Clone, Debug)]
+pub struct TokenBucket {
+    rate_bps: u64,
+    depth_bytes: f64,
+    tokens: f64,
+    last: SimTime,
+}
+
+impl TokenBucket {
+    /// A bucket that refills at `rate_bps` and holds at most `depth_bytes`,
+    /// starting full.
+    pub fn new(rate_bps: u64, depth_bytes: f64) -> Self {
+        assert!(rate_bps > 0 && depth_bytes > 0.0);
+        TokenBucket {
+            rate_bps,
+            depth_bytes,
+            tokens: depth_bytes,
+            last: SimTime::ZERO,
+        }
+    }
+
+    fn refill(&mut self, now: SimTime) {
+        let dt = now.since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + dt * self.rate_bps as f64 / 8.0).min(self.depth_bytes);
+        self.last = now;
+    }
+
+    /// Try to spend `bytes` tokens; returns true on success.
+    pub fn try_take(&mut self, bytes: u32, now: SimTime) -> bool {
+        self.refill(now);
+        if self.tokens + 1e-9 >= bytes as f64 {
+            self.tokens -= bytes as f64;
+            true
+        } else {
+            false
+        }
+    }
+}
 
 /// A (rate, bucket) traffic descriptor.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,6 +113,20 @@ mod tests {
     use super::*;
     use crate::process::{OnOff, PacketProcess, PeriodDist};
     use simcore::{SimDuration, SimRng};
+
+    #[test]
+    fn token_bucket_accrues_and_caps() {
+        let mut tb = TokenBucket::new(8_000, 1_000.0); // 1000 B/s refill, 1000 B depth
+        let t0 = SimTime::ZERO;
+        assert!(tb.try_take(1_000, t0)); // starts full
+        assert!(!tb.try_take(100, t0));
+        let t1 = t0 + SimDuration::from_millis(100); // +100 B
+        assert!(tb.try_take(100, t1));
+        // Far future: capped at depth, not unbounded.
+        let t2 = t1 + SimDuration::from_secs(1_000);
+        assert!(tb.try_take(1_000, t2));
+        assert!(!tb.try_take(1, t2));
+    }
 
     #[test]
     fn conforming_cbr_never_dropped() {

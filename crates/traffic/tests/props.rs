@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimRng, SimTime};
+use traffic::shaper::TokenBucket;
 use traffic::{OnOff, PacketProcess, PeriodDist, Policer, SourceSpec, TokenBucketSpec};
 
 proptest! {
@@ -115,5 +116,29 @@ proptest! {
             // Declared average never exceeds the token (peak) rate.
             prop_assert!(spec.avg_rate_bps() <= spec.token_rate_bps() as f64 + 1e-9);
         }
+    }
+}
+
+proptest! {
+    /// Token bucket conformance: over any horizon, accepted bytes never
+    /// exceed depth + rate × time.
+    #[test]
+    fn token_bucket_conformance(
+        rate in 8_000u64..10_000_000,
+        depth in 200f64..100_000.0,
+        offers in prop::collection::vec((0u64..1_000_000u64, 40u32..1500), 1..200)
+    ) {
+        let mut tb = TokenBucket::new(rate, depth);
+        let mut t = SimTime::ZERO;
+        let mut accepted_bytes = 0u64;
+        for (gap_us, size) in offers {
+            t += SimDuration::from_micros(gap_us);
+            if size as f64 <= depth && tb.try_take(size, t) {
+                accepted_bytes += size as u64;
+            }
+        }
+        let budget = depth + rate as f64 / 8.0 * t.as_secs_f64() + 1.0;
+        prop_assert!(accepted_bytes as f64 <= budget,
+            "{accepted_bytes} bytes exceeds budget {budget}");
     }
 }

@@ -4,8 +4,8 @@
 //! Stoica, Zhang — "Endpoint Admission Control: Architectural Issues and
 //! Performance" (SIGCOMM 2000)*.
 //!
-//! Re-exports every workspace crate so examples and downstream users can
-//! depend on a single crate:
+//! Re-exports every workspace crate so the root tests and downstream users
+//! can depend on a single crate:
 //!
 //! - [`simcore`] — discrete-event engine (time, event queue, RNG, stats);
 //! - [`netsim`] — packet-level network substrate (links, qdiscs, routing,
@@ -13,8 +13,8 @@
 //! - [`traffic`] — the paper's traffic sources (EXP1–4, POO1, video) and
 //!   token buckets;
 //! - [`tcpsim`] — TCP Reno endpoints for the incremental-deployment study;
-//! - [`fluid`] — the analytical models of Section 2 (thrashing CTMC,
-//!   stolen-bandwidth statics);
+//! - [`fluid`] — the analytical models (the Fig 1 thrashing CTMC, the
+//!   in-band drop-rate floor);
 //! - [`eac`] — the paper's contribution: endpoint probing admission
 //!   control, the MBAC baseline, scenario builders and metrics.
 //!

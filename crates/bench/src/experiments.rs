@@ -582,12 +582,12 @@ fn ablate_retry(fid: Fidelity) {
 /// its saved row carries, and the scenario it runs.
 type RobustVariant = ((Vec<String>, String), Scenario);
 
-/// In-band dropping at `eps` on the basic workload, with the conservation
-/// audit and the event budget on every seed.
+/// In-band dropping at `eps` on the basic workload, with the event budget
+/// on every seed. Like every run, each seed ends with the conservation
+/// audit.
 fn robust_base(fid: Fidelity, eps: f64) -> Scenario {
     let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, eps);
     fid.apply(Workload::Basic.scenario().design(d))
-        .audited()
         .event_budget(2_000_000_000)
 }
 

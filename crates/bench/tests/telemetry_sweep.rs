@@ -95,25 +95,40 @@ fn multihop_sweep_is_byte_identical_across_worker_counts() {
 #[test]
 fn failed_seed_dumps_flight_ring_with_trigger() {
     let dir = fresh_dir("eac-telemetry-sweep-dump");
-    // A flapping bottleneck plus a tiny event budget: the run dies with
-    // an EventBudgetExceeded RunError, which the sim loop records.
-    let base = Scenario::basic()
-        .horizon_secs(400.0)
-        .warmup_secs(100.0)
-        .flap(120.0, 150.0)
-        .event_budget(20_000);
-    let result = Sweep::new(vec![base], &[1])
-        .jobs(1)
-        .isolated(true)
-        .telemetry(&dir)
-        .run();
-    assert!(result.reports[0].is_err());
+    let cases = [
+        // A flapping bottleneck plus a tiny event budget: the run dies
+        // with an EventBudgetExceeded RunError, which the sim loop
+        // records.
+        (
+            Scenario::basic()
+                .horizon_secs(400.0)
+                .warmup_secs(100.0)
+                .flap(120.0, 150.0)
+                .event_budget(20_000),
+            "run.error",
+        ),
+        // A seed that panics (no measure window), as a schedule behind
+        // the clock does: the sweep catches it and records the message.
+        (
+            Scenario::basic().horizon_secs(400.0).warmup_secs(400.0),
+            "sweep.panic",
+        ),
+    ];
+    for (base, trigger) in cases {
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = Sweep::new(vec![base], &[1])
+            .jobs(1)
+            .isolated(true)
+            .telemetry(&dir)
+            .run();
+        assert!(result.reports[0].is_err());
 
-    let dump = dir.join("d0_s1.flight.jsonl");
-    let text = std::fs::read_to_string(&dump).expect("flight dump written");
-    assert!(
-        text.contains("run.error"),
-        "dump lacks the triggering event:\n{text}"
-    );
+        let dump = dir.join("d0_s1.flight.jsonl");
+        let text = std::fs::read_to_string(&dump).expect("flight dump written");
+        assert!(
+            text.contains(trigger),
+            "dump lacks the triggering {trigger} event:\n{text}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -171,7 +171,8 @@ impl CoexistScenario {
         self
     }
 
-    /// Build and run.
+    /// Build and run. Panics if the run fails its packet-conservation
+    /// audit.
     pub fn run(&self) -> CoexistReport {
         // No warm-up and no drain: the sampler's buckets cover the whole
         // run and the tail means pick the window.

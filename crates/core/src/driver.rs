@@ -170,21 +170,19 @@ impl Plan<'_> {
 
     /// Run `world` through the measure window: up to the warm-up, mark
     /// every link, host and sink, on to the horizon where `at_horizon`
-    /// reads the links, then the drain and, if configured, the
-    /// conservation audit. Returns what `at_horizon` read and the telemetry
-    /// hub when one was configured. A failed audit is noted in the flight
-    /// recorder before the error propagates, so a caller that kept the
-    /// recorder handle can dump it.
+    /// reads the links, then the drain and the conservation audit.
+    /// Returns what `at_horizon` read and the telemetry hub when one was
+    /// configured. A failed audit is noted in the flight recorder before
+    /// the error propagates, so a caller that kept the recorder handle
+    /// can dump it.
     pub fn run<T>(
         &self,
         world: &mut World,
         at_horizon: impl FnOnce(&Sim) -> T,
     ) -> Result<(T, Option<Box<Telemetry>>), ScenarioError> {
         assert!(self.warmup_s < self.horizon_s);
-        // A budget also switches the calendar to lenient scheduling.
-        match self.run_config.event_budget {
-            Some(budget) => world.sim.set_event_budget(budget),
-            None => world.sim.set_lenient_scheduling(self.run_config.audit),
+        if let Some(budget) = self.run_config.event_budget {
+            world.sim.set_event_budget(budget);
         }
         if let Some(recorder) = self.telemetry {
             world.sim.net.telemetry = Some(Box::new(Telemetry::new(recorder.clone())));
@@ -224,9 +222,7 @@ impl Plan<'_> {
         sim.try_run_until(self.horizon())?;
         let read = at_horizon(sim);
         sim.try_run_until(self.horizon() + self.drain)?;
-        if self.run_config.audit {
-            sim.check_conservation()?;
-        }
+        sim.check_conservation()?;
         Ok(read)
     }
 
@@ -305,5 +301,66 @@ impl Plan<'_> {
             events: world.sim.queue.events_fired(),
             seed: self.seed,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::probe::{Placement, ProbeStyle, Signal};
+    use netsim::{Agent, Api, Packet};
+    use std::any::Any;
+
+    /// Counts a send it never makes, so the books cannot balance.
+    struct PhantomSender;
+    impl Agent for PhantomSender {
+        fn on_start(&mut self, api: &mut Api) {
+            api.net.audit.injected += 1;
+        }
+        fn on_packet(&mut self, _pkt: Packet, _api: &mut Api) {}
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn default_run_config_still_audits() {
+        let recorder = FlightRecorder::new(64);
+        for telemetry in [None, Some(&recorder)] {
+            let plan = Plan {
+                design: Design::endpoint(
+                    Signal::Drop,
+                    Placement::InBand,
+                    ProbeStyle::SlowStart,
+                    0.01,
+                ),
+                lifetime_s: 300.0,
+                probe_total: SimDuration::from_secs(5),
+                retry: None,
+                warmup_s: 1.0,
+                horizon_s: 2.0,
+                drain: SimDuration::from_secs(1),
+                run_config: RunConfig::default(),
+                telemetry,
+                seed: 1,
+            };
+            let mut net = Network::new();
+            let a = net.add_node();
+            let mut sim = Sim::new(net);
+            sim.attach(a, Box::new(PhantomSender));
+            let mut world = World {
+                sim,
+                hosts: &[],
+                sinks: &[],
+            };
+            let Err(err) = plan.run(&mut world, |_| ()) else {
+                panic!("unbalanced books passed the audit");
+            };
+            assert!(matches!(err, ScenarioError::Audit(_)), "got {err}");
+        }
+        assert!(
+            recorder.snapshot().iter().any(|e| e.kind == "audit.error"),
+            "the failed audit is in the flight ring"
+        );
     }
 }

@@ -22,7 +22,7 @@
 //!     .horizon_secs(120.0)
 //!     .warmup_secs(30.0)
 //!     .run()
-//!     .expect("no watchdogs armed");
+//!     .expect("packets conserved");
 //! println!("utilization {:.3}, loss {:.5}", report.utilization, report.data_loss);
 //! ```
 //!
@@ -50,7 +50,7 @@
 //!     .horizon_secs(1_000.0)
 //!     .warmup_secs(200.0)
 //!     .seed(42);
-//! let r = endpoint.run().expect("no watchdogs armed");
+//! let r = endpoint.run().expect("packets conserved");
 //!
 //! // The router-based benchmark: Measured Sum with a 0.9 target.
 //! let mbac = Scenario::basic()
@@ -58,7 +58,7 @@
 //!     .horizon_secs(1_000.0)
 //!     .warmup_secs(200.0)
 //!     .seed(42);
-//! let m = mbac.run().expect("no watchdogs armed");
+//! let m = mbac.run().expect("packets conserved");
 //!
 //! // The paper's headline: the endpoint scheme loses only modestly to
 //! // the router-based benchmark, with no router state at all.
@@ -72,8 +72,10 @@
 //! );
 //! ```
 //!
-//! For fallible variants and richer run output (audit findings, abort
-//! reasons), see [`scenario::Scenario::run_full`].
+//! `run` fails only on an exhausted event budget or a failed
+//! packet-conservation audit, which every run ends with. For the
+//! telemetry hub as well as the report, see
+//! [`scenario::Scenario::run_full`].
 
 pub mod coexist;
 pub mod design;

@@ -57,7 +57,7 @@ pub struct MultihopScenario {
     pub warmup_s: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Watchdogs and post-run checks (see [`RunConfig`]).
+    /// Event budget and verdict timeout (see [`RunConfig`]).
     pub run_config: RunConfig,
     /// Telemetry capture into this flight ring, as for
     /// [`Scenario::telemetry`](crate::scenario::Scenario::telemetry).
@@ -118,13 +118,6 @@ impl MultihopScenario {
         self
     }
 
-    /// Check packet conservation over the whole 13-node topology before
-    /// reporting.
-    pub fn audited(mut self) -> Self {
-        self.run_config.audit = true;
-        self
-    }
-
     /// Cap total simulation events (event-storm watchdog).
     pub fn event_budget(mut self, budget: u64) -> Self {
         self.run_config.event_budget = Some(budget);
@@ -134,8 +127,8 @@ impl MultihopScenario {
     /// Build and run; returns a [`Report`] whose groups are
     /// `cross-0`, `cross-1`, `cross-2`, `long` (in that order), with
     /// `link_utils` holding the three backbone utilizations — or a
-    /// graceful error, as configured by the scenario's [`RunConfig`].
-    /// Without watchdogs armed it cannot fail.
+    /// graceful error: an exhausted event budget or a failed conservation
+    /// audit over the whole 13-node topology.
     pub fn run(&self) -> Result<Report, ScenarioError> {
         self.run_full().map(|o| o.report)
     }

@@ -83,19 +83,12 @@ impl From<AuditError> for ScenarioError {
     }
 }
 
-/// How a run is *supervised*, as opposed to what is simulated: watchdogs
-/// armed during the run and checks applied after it. One `RunConfig`
-/// drives every scenario type's single fallible `run()` entry point.
-///
-/// When any watchdog is armed (audit or event budget), the run also
-/// switches the calendar to lenient scheduling: an event scheduled behind
-/// the clock surfaces as [`RunError::ScheduledIntoPast`] — a counted,
-/// per-seed failure — instead of panicking the whole process (and with it
-/// a pooled sweep's worker).
+/// The run options every scenario type shares: the event budget (a
+/// watchdog) and the host-side verdict timeout (a protocol parameter
+/// rather than supervision). Every run ends with the packet-conservation
+/// audit whatever this holds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunConfig {
-    /// Verify packet conservation after the run.
-    pub audit: bool,
     /// Cap on total simulation events (event-storm watchdog).
     pub event_budget: Option<u64>,
     /// Host-side verdict timeout, seconds (lost verdicts resolve as
@@ -142,7 +135,7 @@ pub struct Scenario {
     pub control_loss: f64,
     /// Scheduled bottleneck outages, as `(down_s, up_s)` windows.
     pub flaps_s: Vec<(f64, f64)>,
-    /// Watchdogs and post-run checks (see [`RunConfig`]).
+    /// Event budget and verdict timeout (see [`RunConfig`]).
     pub run_config: RunConfig,
     /// Telemetry capture (metrics, time-series sampler) recording into
     /// this flight ring; [`run_full`](Scenario::run_full) returns the hub.
@@ -265,12 +258,6 @@ impl Scenario {
         self
     }
 
-    /// Enable the packet-conservation audit.
-    pub fn audited(mut self) -> Self {
-        self.run_config.audit = true;
-        self
-    }
-
     /// Cap total simulation events (event-storm watchdog).
     pub fn event_budget(mut self, budget: u64) -> Self {
         self.run_config.event_budget = Some(budget);
@@ -287,9 +274,8 @@ impl Scenario {
     }
 
     /// Build and run the simulation, producing a [`Report`] or a graceful
-    /// error (exhausted event budget, scheduling violation, failed
-    /// conservation audit), as configured by the scenario's [`RunConfig`].
-    /// Without watchdogs armed it cannot fail.
+    /// error: an exhausted event budget or a failed conservation audit.
+    /// An event scheduled behind the clock panics at its call site.
     pub fn run(&self) -> Result<Report, ScenarioError> {
         self.run_full().map(|o| o.report)
     }

@@ -17,8 +17,9 @@
 //! whose `Deliver` event is scheduled and not yet fired sits there, so
 //! the identity holds mid-run, not just after a drain.
 //!
-//! The check itself is opt-in — call [`check_conservation`] (or
-//! `Sim::check_conservation`) from tests or audited scenarios.
+//! The check runs on demand: [`check_conservation`] (or
+//! `Sim::check_conservation`). Every scenario run calls it after its
+//! drain, so each run's loss figures rest on a balanced identity.
 
 use crate::topo::Network;
 

@@ -56,17 +56,6 @@ pub enum RunError {
         /// Time of the offending event.
         to: SimTime,
     },
-    /// An agent or link scheduled an event behind the clock. Only
-    /// reported when lenient scheduling is armed
-    /// ([`Sim::set_lenient_scheduling`], implied by
-    /// [`Sim::set_event_budget`]); otherwise the calendar panics at the
-    /// offending call site.
-    ScheduledIntoPast {
-        /// The requested (past) timestamp.
-        at: SimTime,
-        /// The clock when the schedule was requested.
-        now: SimTime,
-    },
 }
 
 impl std::fmt::Display for RunError {
@@ -77,9 +66,6 @@ impl std::fmt::Display for RunError {
             }
             RunError::TimeRegression { from, to } => {
                 write!(f, "event time went backwards: {from} -> {to}")
-            }
-            RunError::ScheduledIntoPast { at, now } => {
-                write!(f, "event scheduled into the past: {at} < now {now}")
             }
         }
     }
@@ -199,18 +185,6 @@ impl Sim {
     /// an event storm (e.g. a zero-delay retry loop) hits the cap.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = Some(budget);
-        // A budgeted run is a watchdog-carrying run: scheduling bugs
-        // should surface as counted errors, not process aborts.
-        self.set_lenient_scheduling(true);
-    }
-
-    /// In lenient mode a schedule-into-the-past is reported from
-    /// [`try_run_until`](Sim::try_run_until) as
-    /// [`RunError::ScheduledIntoPast`] instead of panicking inside the
-    /// offending agent callback — so in a pooled sweep one bad schedule is
-    /// a counted seed failure, not a pool-wide abort.
-    pub fn set_lenient_scheduling(&mut self, lenient: bool) {
-        self.queue.set_lenient(lenient);
     }
 
     /// Check packet conservation right now (see [`crate::audit`]).
@@ -302,14 +276,9 @@ impl Sim {
     pub fn try_run_until(&mut self, until: SimTime) -> Result<(), RunError> {
         if !self.started {
             self.dispatch_start();
-            self.check_schedule_violation()
-                .map_err(|e| self.note_run_error(e))?;
         }
-        // An unset budget never runs out; strict mode panics at the
-        // offending schedule, so only a lenient queue can hold a
-        // violation. Agents cannot change either mid-run.
+        // An unset budget never runs out. Agents cannot change it mid-run.
         let budget = self.event_budget.unwrap_or(u64::MAX);
-        let lenient = self.queue.is_lenient();
         loop {
             if self.queue.events_fired() >= budget {
                 // Out of budget: an error only if another event is due,
@@ -342,24 +311,8 @@ impl Sim {
                 self.net.sample_telemetry(t, snap);
             }
             self.handle(ev);
-            if lenient {
-                self.check_schedule_violation()
-                    .map_err(|e| self.note_run_error(e))?;
-            }
         }
         Ok(())
-    }
-
-    /// Surface a lenient-mode scheduling violation as a [`RunError`].
-    #[inline]
-    fn check_schedule_violation(&mut self) -> Result<(), RunError> {
-        match self.queue.take_violation() {
-            Some(v) => Err(RunError::ScheduledIntoPast {
-                at: v.at,
-                now: v.now,
-            }),
-            None => Ok(()),
-        }
     }
 
     /// Stamp a fatal run error into the flight recorder (if telemetry is
@@ -532,7 +485,7 @@ mod tests {
         assert_eq!(sim.net.orphan_packets, 5);
     }
 
-    /// Arms a timer behind the clock after `trigger` fires.
+    /// Arms a timer behind the clock when its first timer fires.
     struct PastScheduler;
     impl Agent for PastScheduler {
         fn on_start(&mut self, api: &mut Api) {
@@ -549,31 +502,31 @@ mod tests {
     }
 
     #[test]
-    fn lenient_past_schedule_is_run_error() {
-        let mut net = Network::new();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.add_link(a, b, 10_000_000, SimDuration::ZERO, dt(), None);
-        let mut sim = Sim::new(net);
-        sim.attach(a, Box::new(PastScheduler));
-        sim.set_event_budget(1_000); // arms lenient scheduling too
-        let err = sim.try_run_until(SimTime::from_secs(1)).unwrap_err();
-        assert!(
-            matches!(err, RunError::ScheduledIntoPast { .. }),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduling into the past")]
     fn strict_past_schedule_still_panics() {
-        let mut net = Network::new();
-        let a = net.add_node();
-        let b = net.add_node();
-        net.add_link(a, b, 10_000_000, SimDuration::ZERO, dt(), None);
-        let mut sim = Sim::new(net);
-        sim.attach(a, Box::new(PastScheduler));
-        sim.run_to_completion();
+        // A watchdog bounds the event count; it does not soften a
+        // schedule behind the clock, which panics at its call site.
+        for budget in [None, Some(1_000)] {
+            let mut net = Network::new();
+            let a = net.add_node();
+            let b = net.add_node();
+            net.add_link(a, b, 10_000_000, SimDuration::ZERO, dt(), None);
+            let mut sim = Sim::new(net);
+            sim.attach(a, Box::new(PastScheduler));
+            if let Some(budget) = budget {
+                sim.set_event_budget(budget);
+            }
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.try_run_until(SimTime::from_secs(1))
+            }))
+            .expect_err("a past schedule panics");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                msg.contains("scheduling into the past"),
+                "budget {budget:?}: {msg}"
+            );
+        }
     }
 
     /// Arms one timer per entry of `at` on start and logs when each fires.
@@ -646,45 +599,6 @@ mod tests {
         sim.try_run_until(t1).unwrap();
         assert_eq!(sim.agent::<Script>(a).unwrap().fired, vec![t, t1]);
         assert!(sim.queue.is_empty());
-    }
-
-    /// Arms a timer at 2 ms and one at 3 ms; the first schedules behind
-    /// the clock.
-    struct PastThenLater;
-    impl Agent for PastThenLater {
-        fn on_start(&mut self, api: &mut Api) {
-            api.timer_in(SimDuration::from_millis(2), 0, 0);
-            api.timer_in(SimDuration::from_millis(3), 1, 0);
-        }
-        fn on_packet(&mut self, _pkt: Packet, _api: &mut Api) {}
-        fn on_timer(&mut self, kind: u32, _d: u64, api: &mut Api) {
-            if kind == 0 {
-                api.timer_at(SimTime::from_nanos(1_000_000), 0, 0);
-            }
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    #[test]
-    fn lenient_past_schedule_surfaces_from_the_event_that_made_it() {
-        let mut net = Network::new();
-        let a = net.add_node();
-        let mut sim = Sim::new(net);
-        sim.attach(a, Box::new(PastThenLater));
-        sim.set_lenient_scheduling(true);
-        let err = sim.try_run_until(SimTime::from_secs(1)).unwrap_err();
-        let ms = |i: u64| SimTime::from_nanos(i * 1_000_000);
-        assert!(
-            matches!(err, RunError::ScheduledIntoPast { at, now } if at == ms(1) && now == ms(2)),
-            "got {err:?}"
-        );
-        // The run stopped right after the offending event: the 3 ms
-        // timer has not fired.
-        assert_eq!(sim.queue.events_fired(), 1);
-        assert_eq!(sim.now(), ms(2));
-        assert_eq!(sim.queue.peek_time(), Some(ms(3)));
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod stats;
 pub mod time;
 
 pub use idmap::IdMap;
-pub use queue::{EventQueue, HeapEventQueue, QueueSnapshot, ScheduleViolation};
+pub use queue::{EventQueue, HeapEventQueue, QueueSnapshot};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

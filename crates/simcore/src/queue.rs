@@ -40,20 +40,6 @@ pub const WIDTH_BITS: u32 = 15;
 pub const NUM_BUCKETS: usize = 2048;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
 
-/// A scheduling-into-the-past violation recorded in lenient mode.
-///
-/// Scheduling behind the clock would silently reorder causality, so it is
-/// always a bug; lenient mode (armed by watchdog-carrying runs) records
-/// the first offense for the driver to surface as a graceful error
-/// instead of panicking the whole process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduleViolation {
-    /// The requested (past) timestamp.
-    pub at: SimTime,
-    /// The clock when the request was made.
-    pub now: SimTime,
-}
-
 /// A cheap point-in-time view of a calendar, read by periodic samplers
 /// (clock, throughput, backlog) without touching queue internals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,10 +84,7 @@ impl<E> Ord for Entry<E> {
 ///
 /// Tracks the current simulation clock: the clock advances to an event's
 /// timestamp when that event is popped. Scheduling in the past is a bug
-/// and panics (it would silently reorder causality otherwise) unless
-/// lenient mode is armed ([`EventQueue::set_lenient`]), in which case the
-/// offending event is dropped and the violation is recorded for the run
-/// driver to turn into a graceful error.
+/// and panics (it would silently reorder causality otherwise).
 pub struct EventQueue<E> {
     /// The near window as a ring: an entry whose absolute bucket
     /// `abs = at >> WIDTH_BITS` lies in `cursor..cursor + NUM_BUCKETS`
@@ -127,8 +110,6 @@ pub struct EventQueue<E> {
     now: SimTime,
     seq: u64,
     popped: u64,
-    lenient: bool,
-    violation: Option<ScheduleViolation>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -150,8 +131,6 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
-            lenient: false,
-            violation: None,
         }
     }
 
@@ -189,37 +168,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// In lenient mode a past-timestamp schedule records a
-    /// [`ScheduleViolation`] (and drops the event) instead of panicking;
-    /// run drivers with a watchdog armed poll
-    /// [`take_violation`](EventQueue::take_violation) and abort the run
-    /// gracefully.
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.lenient = lenient;
-    }
-
-    /// Whether lenient mode is armed.
-    #[inline]
-    pub fn is_lenient(&self) -> bool {
-        self.lenient
-    }
-
-    /// Take the recorded scheduling violation, if any.
-    pub fn take_violation(&mut self) -> Option<ScheduleViolation> {
-        self.violation.take()
-    }
-
     /// Schedule `event` at absolute time `at`. Panics if `at` is in the
-    /// past (or records a violation in lenient mode; see
-    /// [`set_lenient`](EventQueue::set_lenient)).
+    /// past.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         if at < self.now {
-            if self.lenient {
-                if self.violation.is_none() {
-                    self.violation = Some(ScheduleViolation { at, now: self.now });
-                }
-                return;
-            }
             panic!("scheduling into the past: {at:?} < now {:?}", self.now);
         }
         let seq = self.seq;
@@ -549,20 +501,6 @@ mod tests {
         q.schedule_at(SimTime::from_secs(2), ());
         q.pop();
         q.schedule_at(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn lenient_mode_records_violation_and_drops_event() {
-        let mut q = EventQueue::new();
-        q.set_lenient(true);
-        q.schedule_at(SimTime::from_secs(2), 1u32);
-        q.pop();
-        q.schedule_at(SimTime::from_secs(1), 2u32);
-        let v = q.take_violation().expect("violation recorded");
-        assert_eq!(v.at, SimTime::from_secs(1));
-        assert_eq!(v.now, SimTime::from_secs(2));
-        assert!(q.take_violation().is_none(), "violation is taken once");
-        assert!(q.is_empty(), "offending event was dropped");
     }
 
     #[test]

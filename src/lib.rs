@@ -36,7 +36,7 @@
 //!     .warmup_secs(20.0)
 //!     .seed(1)
 //!     .run()
-//!     .expect("no watchdogs armed");
+//!     .expect("packets conserved");
 //! assert!(report.utilization >= 0.0 && report.utilization <= 1.5);
 //! ```
 

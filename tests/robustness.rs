@@ -8,8 +8,8 @@ use endpoint_admission::eac::scenario::Scenario;
 use proptest::prelude::*;
 
 /// The Fig 2 single-bottleneck scenario with the full fault kit switched
-/// on: a link flap, Bernoulli control-channel loss, verdict timeouts, the
-/// conservation auditor and the event-budget watchdog.
+/// on: a link flap, Bernoulli control-channel loss, verdict timeouts and
+/// the event-budget watchdog. Every run ends with the conservation audit.
 fn faulty(seed: u64, ctrl_loss: f64, flap_at: f64) -> Scenario {
     Scenario::basic()
         .design(Design::endpoint(
@@ -24,7 +24,6 @@ fn faulty(seed: u64, ctrl_loss: f64, flap_at: f64) -> Scenario {
         .control_loss(ctrl_loss)
         .flap(flap_at, flap_at + 6.0)
         .verdict_timeout(5.0)
-        .audited()
         .event_budget(500_000_000)
 }
 
@@ -70,7 +69,6 @@ fn fig2_scenario_conserves_packets() {
         .horizon_secs(300.0)
         .warmup_secs(75.0)
         .seed(5)
-        .audited()
         .run()
         .expect("fault-free conservation");
     // And with faults on (control-packet loss and a bottleneck flap):
@@ -85,7 +83,6 @@ fn multihop_tables56_conserves_packets() {
         .horizon_secs(400.0)
         .warmup_secs(100.0)
         .seed(2)
-        .audited()
         .run()
         .expect("multi-hop conservation");
     assert_eq!(r.groups.len(), 4);

@@ -13,6 +13,7 @@
 //! A mistyped flag, a second target or more than one fidelity flag exits
 //! 2 with the usage and runs nothing.
 //!
+//! The flags build one `eac_bench::Session`, which every target runs in.
 //! Each target runs its whole grid of points (curves, workloads,
 //! variants or table rows) as one sweep over the fidelity's seeds.
 //! --jobs N sets the worker count for that sweep (default: available
@@ -21,8 +22,11 @@
 //!
 //! --telemetry DIR captures per-seed time-series (CSV), metrics (JSON)
 //! and flight-recorder dumps for failed seeds, as `d<point>_s<seed>`
-//! files under one numbered subdirectory of DIR per sweep (`sweep000`
-//! for a single target). Output is byte-identical at any --jobs value.
+//! files under one numbered subdirectory of DIR per sweep. The session
+//! numbers sweeps in the order it runs them: `sweep000` for a single
+//! target, and under `all`, `sweep000` to `sweep022` across the targets
+//! (fig1 and fig11 run no sweep). Output is byte-identical at any --jobs
+//! value.
 //!
 //! experiments check [--target T] [--write-docs]
 //!
@@ -36,7 +40,7 @@
 
 use eac_bench::experiments::TARGETS;
 use eac_bench::pool;
-use eac_bench::runner::Fidelity;
+use eac_bench::runner::{Fidelity, Session};
 
 /// The value of `--name V` / `--name=V`, parsed by `parse`. Exits 2 with
 /// "`name` takes `what`" on a missing, flag-like or unparsable value.
@@ -190,21 +194,19 @@ fn main() {
         eprintln!("give at most one of {}", FIDELITIES.join(", "));
         usage();
     }
-    let fid = Fidelity::from_args(&args);
     let positive = |v: &str| v.parse().ok().filter(|&n: &usize| n >= 1);
-    if let Some(n) = flag_value(&args, "--jobs", "a positive integer", positive) {
-        pool::set_default_jobs(n);
-    }
-    let text = |v: &str| Some(v.to_string());
-    if let Some(dir) = flag_value(&args, "--telemetry", "an output directory", text) {
-        eac_bench::telemetry_session::set_session_dir(dir);
-    }
+    let jobs = flag_value(&args, "--jobs", "a positive integer", positive)
+        .unwrap_or_else(pool::available_jobs);
+    let dir = |v: &str| Some(v.into());
+    let telemetry = flag_value(&args, "--telemetry", "an output directory", dir);
+    let session = Session::new(Fidelity::from_args(&args), jobs, telemetry);
 
     let done = |name: &str, t0: std::time::Instant| {
         eprintln!(
-            "\n[{name} done in {:.1?} at {fid:?} fidelity, {} worker(s)]",
+            "\n[{name} done in {:.1?} at {:?} fidelity, {} worker(s)]",
             t0.elapsed(),
-            pool::default_jobs()
+            session.fidelity,
+            session.jobs
         );
     };
     let t0 = std::time::Instant::now();
@@ -212,11 +214,11 @@ fn main() {
         for t in TARGETS.iter().filter(|t| t.in_all) {
             println!("\n=============== {} ===============", t.name);
             let t1 = std::time::Instant::now();
-            (t.run)(fid);
+            (t.run)(&session);
             done(t.name, t1);
         }
     } else if let Some(t) = TARGETS.iter().find(|t| t.name == target) {
-        (t.run)(fid);
+        (t.run)(&session);
     } else {
         eprintln!("unknown target '{target}'");
         std::process::exit(2);

@@ -1,7 +1,7 @@
 //! The workload catalogue (Table 2 of the paper) and the design sweeps.
 
-use eac::design::{Design, Group};
-use eac::probe::{Placement, ProbeStyle, Signal};
+use eac::design::Group;
+use eac::probe::{Placement, Signal};
 use eac::scenario::Scenario;
 use traffic::SourceSpec;
 
@@ -110,11 +110,6 @@ pub fn fig9_eps(placement: Placement) -> f64 {
         Placement::InBand => 0.01,
         Placement::OutOfBand => 0.05,
     }
-}
-
-/// Shorthand to build an endpoint design.
-pub fn design(signal: Signal, placement: Placement, style: ProbeStyle, eps: f64) -> Design {
-    Design::endpoint(signal, placement, style, eps)
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! rows/series the paper reports and persists raw JSON under `results/`.
 //! [`TARGETS`] names them for the `experiments` CLI.
 
-use crate::catalog::{design, endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
+use crate::catalog::{endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
 use crate::output::{fmt_prob, print_table, save_json};
 use crate::pool;
-use crate::runner::Fidelity;
-use crate::sweep::{Point, Sweep};
+use crate::runner::{Fidelity, Session};
+use crate::sweep::Point;
 use eac::coexist::CoexistScenario;
 use eac::design::{Design, Group};
 use eac::metrics::{share, Report};
@@ -19,13 +19,13 @@ use traffic::SourceSpec;
 pub struct Target {
     /// The name the CLI takes.
     pub name: &'static str,
-    /// Runs the target at a fidelity.
-    pub run: fn(Fidelity),
+    /// Runs the target in a session.
+    pub run: fn(&Session),
     /// Whether `experiments all` runs it.
     pub in_all: bool,
 }
 
-const fn target(name: &'static str, run: fn(Fidelity)) -> Target {
+const fn target(name: &'static str, run: fn(&Session)) -> Target {
     Target {
         name,
         run,
@@ -34,21 +34,22 @@ const fn target(name: &'static str, run: fn(Fidelity)) -> Target {
 }
 
 /// Every target, in the order `experiments all` runs them. The order
-/// fixes the `--telemetry` sweep numbering, so append new targets.
+/// fixes the `--telemetry` sweep numbering (one session numbers the
+/// sweeps of every target it runs), so append new targets.
 pub const TARGETS: &[Target] = &[
     target("fig1", fig1),
     target("fig2", fig2),
     target("fig3", fig3),
-    target("fig4", |fid| fig4to7(4, fid)),
-    target("fig5", |fid| fig4to7(5, fid)),
-    target("fig6", |fid| fig4to7(6, fid)),
-    target("fig7", |fid| fig4to7(7, fid)),
-    target("fig8a", |fid| fig8('a', fid)),
-    target("fig8b", |fid| fig8('b', fid)),
-    target("fig8c", |fid| fig8('c', fid)),
-    target("fig8d", |fid| fig8('d', fid)),
-    target("fig8e", |fid| fig8('e', fid)),
-    target("fig8f", |fid| fig8('f', fid)),
+    target("fig4", |s| fig4to7(4, s)),
+    target("fig5", |s| fig4to7(5, s)),
+    target("fig6", |s| fig4to7(6, s)),
+    target("fig7", |s| fig4to7(7, s)),
+    target("fig8a", |s| fig8('a', s)),
+    target("fig8b", |s| fig8('b', s)),
+    target("fig8c", |s| fig8('c', s)),
+    target("fig8d", |s| fig8('d', s)),
+    target("fig8e", |s| fig8('e', s)),
+    target("fig8f", |s| fig8('f', s)),
     target("fig9", fig9),
     target("table3", table3),
     target("table4", table4),
@@ -94,13 +95,13 @@ type Curve = (&'static str, Scenario, Vec<Design>);
 
 /// Run every curve's points as one sweep, print the loss-load table and
 /// save every point as `id`.
-fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
+fn loss_load_figure(id: &str, curves: Vec<Curve>, session: &Session) {
     let grid = curves.into_iter().flat_map(|(label, base, designs)| {
         designs
             .into_iter()
             .map(move |d| (label, base.clone().design(d)))
     });
-    let (rows, all): (Vec<_>, Vec<_>) = points(fid, grid)
+    let (rows, all): (Vec<_>, Vec<_>) = points(session, grid)
         .into_iter()
         .map(|(label, r)| (curve_row(label, &r), r))
         .unzip();
@@ -108,12 +109,14 @@ fn loss_load_figure(id: &str, curves: Vec<Curve>, fid: Fidelity) {
     save_json(id, &all);
 }
 
-/// Run every labelled scenario at the fidelity's run length as one sweep
-/// over its seeds, and pair each label with its point's seed average.
-fn points<L, P: Point>(fid: Fidelity, grid: impl IntoIterator<Item = (L, P)>) -> Vec<(L, Report)> {
-    let (labels, scenarios): (Vec<L>, Vec<P>) =
-        grid.into_iter().map(|(l, s)| (l, fid.apply(s))).unzip();
-    let reports = Sweep::new(scenarios, &fid.seeds()).run().expect_reports();
+/// Run every labelled scenario as one session sweep, and pair each
+/// label with its point's seed average.
+fn points<L, P: Point>(
+    session: &Session,
+    grid: impl IntoIterator<Item = (L, P)>,
+) -> Vec<(L, Report)> {
+    let (labels, scenarios): (Vec<L>, Vec<P>) = grid.into_iter().unzip();
+    let reports = session.sweep(scenarios).run().expect_reports();
     labels.into_iter().zip(reports).collect()
 }
 
@@ -131,7 +134,7 @@ fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
         .map(|(label, signal, placement)| {
             let designs = eps_grid(placement)
                 .into_iter()
-                .map(|e| design(signal, placement, style, e))
+                .map(|e| Design::endpoint(signal, placement, style, e))
                 .collect();
             (label, base.clone(), designs)
         })
@@ -146,7 +149,7 @@ fn table_designs(eps: fn(Placement) -> f64) -> Vec<(&'static str, Design)> {
     let mut designs: Vec<(&'static str, Design)> = endpoint_designs()
         .into_iter()
         .map(|(label, signal, placement)| {
-            let d = design(signal, placement, ProbeStyle::SlowStart, eps(placement));
+            let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, eps(placement));
             (label, d)
         })
         .collect();
@@ -156,11 +159,11 @@ fn table_designs(eps: fn(Placement) -> f64) -> Vec<(&'static str, Design)> {
 
 /// Fig 1 — fluid-model thrashing: utilization and in-band loss vs mean
 /// probe duration.
-fn fig1(fid: Fidelity) {
+fn fig1(session: &Session) {
     println!("# Fig 1 — thrashing in the fluid model");
     println!("# utilization applies to in-band AND out-of-band probing;");
     println!("# the loss column is in-band (out-of-band data loss is 0)\n");
-    let (horizon, seeds) = match fid {
+    let (horizon, seeds) = match session.fidelity {
         Fidelity::Smoke => (2_000.0, 2),
         Fidelity::Quick => (8_000.0, 10),
         Fidelity::Paper => (14_000.0, 30),
@@ -192,21 +195,23 @@ fn fig1(fid: Fidelity) {
 }
 
 /// Fig 2 — the basic scenario's loss-load curves (5 algorithms).
-fn fig2(fid: Fidelity) {
+fn fig2(session: &Session) {
     println!("# Fig 2 — basic scenario (EXP1, tau=3.5s, slow-start probing)\n");
     let curves = design_curves(Workload::Basic.scenario(), ProbeStyle::SlowStart);
-    loss_load_figure("fig2", curves, fid);
+    loss_load_figure("fig2", curves, session);
 }
 
 /// Fig 3 — longer probing: 5 s vs 25 s slow-start, in-band dropping.
-fn fig3(fid: Fidelity) {
+fn fig3(session: &Session) {
     println!("# Fig 3 — basic scenario with long probing (in-band dropping)\n");
     let mut curves: Vec<Curve> = [("5 second probes", 5.0), ("25 second probes", 25.0)]
         .into_iter()
         .map(|(label, probe_s)| {
             let designs = eps_grid(Placement::InBand)
                 .into_iter()
-                .map(|e| design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e))
+                .map(|e| {
+                    Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e)
+                })
                 .collect();
             (
                 label,
@@ -216,12 +221,12 @@ fn fig3(fid: Fidelity) {
         })
         .collect();
     curves.push(mbac_curve(Workload::Basic.scenario()));
-    loss_load_figure("fig3", curves, fid);
+    loss_load_figure("fig3", curves, session);
 }
 
 /// Figs 4–7 — high load (τ = 1 s): the three probing algorithms under
 /// each prototype design, against MBAC.
-fn fig4to7(which: u8, fid: Fidelity) {
+fn fig4to7(which: u8, session: &Session) {
     let (signal, placement) = match which {
         4 => (Signal::Drop, Placement::InBand),
         5 => (Signal::Drop, Placement::OutOfBand),
@@ -231,7 +236,7 @@ fn fig4to7(which: u8, fid: Fidelity) {
     };
     println!(
         "# Fig {which} — high load (tau=1.0s), {}\n",
-        design(signal, placement, ProbeStyle::Simple, 0.0).name()
+        Design::endpoint(signal, placement, ProbeStyle::Simple, 0.0).name()
     );
     let base = Workload::HighLoad.scenario();
     let mut curves: Vec<Curve> = [
@@ -243,17 +248,17 @@ fn fig4to7(which: u8, fid: Fidelity) {
     .map(|(label, style)| {
         let designs = eps_grid(placement)
             .into_iter()
-            .map(|e| design(signal, placement, style, e))
+            .map(|e| Design::endpoint(signal, placement, style, e))
             .collect();
         (label, base.clone(), designs)
     })
     .collect();
     curves.push(mbac_curve(base));
-    loss_load_figure(&format!("fig{which}"), curves, fid);
+    loss_load_figure(&format!("fig{which}"), curves, session);
 }
 
 /// Fig 8(a)–(f) — robustness across source models.
-fn fig8(letter: char, fid: Fidelity) {
+fn fig8(letter: char, session: &Session) {
     let w = match letter {
         'a' => Workload::Exp2,
         'b' => Workload::Exp3,
@@ -265,25 +270,25 @@ fn fig8(letter: char, fid: Fidelity) {
     };
     println!("# Fig 8({letter}) — robustness: {}\n", w.name());
     let curves = design_curves(w.scenario(), ProbeStyle::SlowStart);
-    loss_load_figure(&format!("fig8{letter}"), curves, fid);
+    loss_load_figure(&format!("fig8{letter}"), curves, session);
 }
 
 /// Fig 9 — loss at a fixed ε across all scenarios, per design.
-fn fig9(fid: Fidelity) {
+fn fig9(session: &Session) {
     println!("# Fig 9 — loss for many scenarios at fixed eps");
     println!("# (eps = 0.01 in-band, 0.05 out-of-band)\n");
     let grid = endpoint_designs()
         .into_iter()
         .flat_map(|(label, signal, placement)| {
             let eps = fig9_eps(placement);
-            let d = design(signal, placement, ProbeStyle::SlowStart, eps);
+            let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, eps);
             Workload::ALL
                 .into_iter()
                 .map(move |w| ((label, w.name(), eps), w.scenario().design(d)))
         });
     let mut rows = Vec::new();
     let mut ser: Vec<(String, String, f64)> = Vec::new();
-    for ((label, name, eps), r) in points(fid, grid) {
+    for ((label, name, eps), r) in points(session, grid) {
         rows.push(vec![
             label.to_string(),
             name.to_string(),
@@ -298,7 +303,7 @@ fn fig9(fid: Fidelity) {
 }
 
 /// Table 3 — heterogeneous thresholds: blocking for low- vs high-ε flows.
-fn table3(fid: Fidelity) {
+fn table3(session: &Session) {
     println!("# Table 3 — blocking probabilities for low and high eps\n");
     let grid = endpoint_designs()
         .into_iter()
@@ -311,12 +316,12 @@ fn table3(fid: Fidelity) {
                 Group::new("low-eps", SourceSpec::exp1(), 1.0).with_epsilon(0.0),
                 Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
             ];
-            let d = design(signal, placement, ProbeStyle::SlowStart, 0.0);
+            let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, 0.0);
             (label, Workload::Basic.scenario().groups(groups).design(d))
         });
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, r) in points(fid, grid) {
+    for (label, r) in points(session, grid) {
         rows.push(vec![
             label.to_string(),
             format!("{:.4}", r.groups[0].blocking),
@@ -333,7 +338,7 @@ fn table3(fid: Fidelity) {
 }
 
 /// Table 4 — blocking for small vs large flows in the heterogeneous mix.
-fn table4(fid: Fidelity) {
+fn table4(session: &Session) {
     println!("# Table 4 — blocking for small vs large flows (heterogeneous mix)");
     println!("# large = EXP2 (token rate 1024k, 4x the others)\n");
     let grid = table_designs(fig9_eps)
@@ -341,7 +346,7 @@ fn table4(fid: Fidelity) {
         .map(|(label, d)| (label, Workload::Hetero.scenario().design(d)));
     let mut rows = Vec::new();
     let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, r) in points(fid, grid) {
+    for (label, r) in points(session, grid) {
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
         let small: Vec<&eac::metrics::GroupReport> =
             r.groups.iter().filter(|g| g.name != "EXP2").collect();
@@ -362,7 +367,7 @@ fn table4(fid: Fidelity) {
 
 /// Tables 5 and 6 — the multi-hop topology: per-class loss and blocking
 /// with the product approximation.
-fn tables56(fid: Fidelity) {
+fn tables56(session: &Session) {
     println!("# Tables 5 & 6 — multi-hop topology (Fig 10), eps = 0\n");
     let grid = table_designs(|_| 0.0)
         .into_iter()
@@ -370,7 +375,7 @@ fn tables56(fid: Fidelity) {
     let mut loss_rows = Vec::new();
     let mut block_rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
-    for (label, r) in points(fid, grid) {
+    for (label, r) in points(session, grid) {
         let short_loss = (r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0;
         loss_rows.push(vec![
             label.to_string(),
@@ -406,10 +411,10 @@ fn tables56(fid: Fidelity) {
 }
 
 /// Fig 11 — TCP coexistence at a legacy drop-tail router.
-fn fig11(fid: Fidelity) {
+fn fig11(session: &Session) {
     println!("# Fig 11 — TCP utilization vs admission-controlled traffic");
     println!("# (20 TCP Reno flows from t=0; EAC in-band dropping from t=50s)\n");
-    let (horizon, steady) = match fid {
+    let (horizon, steady) = match session.fidelity {
         Fidelity::Smoke => (400.0, 150.0),
         Fidelity::Quick => (2_000.0, 500.0),
         Fidelity::Paper => (14_000.0, 2_000.0),
@@ -417,7 +422,7 @@ fn fig11(fid: Fidelity) {
     let mut rows = Vec::new();
     let mut ser = Vec::new();
     let eps_points = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.08, 0.10];
-    let raw = pool::run_indexed(eps_points.len(), pool::default_jobs(), |i| {
+    let raw = pool::run_indexed(eps_points.len(), session.jobs, |i| {
         CoexistScenario::fig11(eps_points[i])
             .horizon_secs(horizon)
             .steady_after_secs(steady)
@@ -446,7 +451,7 @@ type Extra = Option<(&'static str, fn(&Report) -> f64)>;
 /// Run one ablation: print `title`, run its labelled variants as one
 /// sweep and tabulate each one's utilization, loss, blocking and `extra`.
 fn ablation(
-    fid: Fidelity,
+    session: &Session,
     title: &str,
     label: &str,
     extra: Extra,
@@ -455,7 +460,7 @@ fn ablation(
     println!("{title}\n");
     let mut header = vec![label, "utilization", "loss", "blocking"];
     header.extend(extra.map(|(name, _)| name));
-    let rows: Vec<Vec<String>> = points(fid, variants)
+    let rows: Vec<Vec<String>> = points(session, variants)
         .into_iter()
         .map(|(label, r)| {
             let mut row = vec![
@@ -474,12 +479,12 @@ fn ablation(
 /// The scenario every ablation but push-out and retry varies: the basic
 /// workload under `signal` in-band at ε = 0.01.
 fn basic_in_band(signal: Signal) -> Scenario {
-    let d = design(signal, Placement::InBand, ProbeStyle::SlowStart, 0.01);
+    let d = Design::endpoint(signal, Placement::InBand, ProbeStyle::SlowStart, 0.01);
     Workload::Basic.scenario().design(d)
 }
 
 /// ablate-probe-duration — how long slow-start probing lasts.
-fn ablate_probe_duration(fid: Fidelity) {
+fn ablate_probe_duration(session: &Session) {
     let variants = [1.0, 2.5, 5.0, 10.0, 25.0].map(|dur| {
         (
             format!("{dur:.1}"),
@@ -487,7 +492,7 @@ fn ablate_probe_duration(fid: Fidelity) {
         )
     });
     ablation(
-        fid,
+        session,
         "# Ablation — probe duration (in-band dropping, eps=0.01)",
         "probe-s",
         Some(("probe-ovh", |r| r.probe_overhead)),
@@ -496,14 +501,14 @@ fn ablate_probe_duration(fid: Fidelity) {
 }
 
 /// ablate-vq-factor — the virtual queue's share of the link rate.
-fn ablate_vq_factor(fid: Fidelity) {
+fn ablate_vq_factor(session: &Session) {
     let variants = [0.8, 0.85, 0.9, 0.95, 1.0].map(|f| {
         let mut s = basic_in_band(Signal::Mark);
         s.vq_factor = f;
         (format!("{f:.2}"), s)
     });
     ablation(
-        fid,
+        session,
         "# Ablation — virtual-queue rate factor (in-band marking, eps=0.01)",
         "vq-factor",
         Some(("mark-frac", |r| r.mark_fraction)),
@@ -512,8 +517,8 @@ fn ablate_vq_factor(fid: Fidelity) {
 }
 
 /// ablate-pushout — data pushing resident probes out of a full buffer.
-fn ablate_pushout(fid: Fidelity) {
-    let d = design(
+fn ablate_pushout(session: &Session) {
+    let d = Design::endpoint(
         Signal::Drop,
         Placement::OutOfBand,
         ProbeStyle::SlowStart,
@@ -525,7 +530,7 @@ fn ablate_pushout(fid: Fidelity) {
         (label.to_string(), s)
     });
     ablation(
-        fid,
+        session,
         "# Ablation — probe push-out (out-of-band dropping, eps=0.05)",
         "variant",
         None,
@@ -534,14 +539,14 @@ fn ablate_pushout(fid: Fidelity) {
 }
 
 /// ablate-buffer — the bottleneck buffer size.
-fn ablate_buffer(fid: Fidelity) {
+fn ablate_buffer(session: &Session) {
     let variants = [50usize, 100, 200, 400].map(|b| {
         let mut s = basic_in_band(Signal::Drop);
         s.buffer_pkts = b;
         (format!("{b}"), s)
     });
     ablation(
-        fid,
+        session,
         "# Ablation — bottleneck buffer size (in-band dropping, eps=0.01)",
         "buffer-pkts",
         None,
@@ -550,13 +555,13 @@ fn ablate_buffer(fid: Fidelity) {
 }
 
 /// ablate-retry — footnote 10's retries after a rejection.
-fn ablate_retry(fid: Fidelity) {
+fn ablate_retry(session: &Session) {
     let policy = |max_attempts, base_s, max_s| eac::host::RetryPolicy {
         max_attempts,
         base_backoff: simcore::SimDuration::from_secs(base_s),
         max_backoff: simcore::SimDuration::from_secs(max_s),
     };
-    let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
+    let d = Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01);
     let variants = [
         ("no retries (paper)", None),
         ("3 retries, 5s base backoff", Some(policy(3, 5, 60))),
@@ -568,7 +573,7 @@ fn ablate_retry(fid: Fidelity) {
         (label.to_string(), s)
     });
     ablation(
-        fid,
+        session,
         "# Ablation — footnote-10 retry extension (in-band dropping,\n\
          # eps=0.01, ~400% offered load): retries act as extra offered\n\
          # load, trading blocking statistics for utilization",
@@ -585,19 +590,22 @@ type RobustVariant = ((Vec<String>, String), Scenario);
 /// In-band dropping at `eps` on the basic workload, with the event budget
 /// on every seed. Like every run, each seed ends with the conservation
 /// audit.
-fn robust_base(fid: Fidelity, eps: f64) -> Scenario {
-    let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, eps);
-    fid.apply(Workload::Basic.scenario().design(d))
+fn robust_base(eps: f64) -> Scenario {
+    let d = Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, eps);
+    Workload::Basic
+        .scenario()
+        .design(d)
         .event_budget(2_000_000_000)
 }
 
 /// The body both robustness targets share. All variants run as one
-/// sweep, with seeds isolated so one pathological run cannot take down
-/// the rest. A variant whose seeds all died prints `-` cells and
+/// sweep, whose seeds fail alone, so one pathological run cannot take
+/// down the rest: each variant averages its surviving seeds and counts
+/// them as `ok/n`. A variant whose seeds all died prints `-` cells and
 /// `ok/n: error`; the others are saved to `<id>.json` under their
 /// relabelled design.
 fn robustness(
-    fid: Fidelity,
+    session: &Session,
     title: &str,
     id: &str,
     lead: &[&str],
@@ -612,7 +620,7 @@ fn robustness(
     }
     header.extend(["blocking", "timeouts", "leaked", "seeds-ok"]);
     let (labels, scenarios): (Vec<_>, Vec<_>) = variants.into_iter().unzip();
-    let result = Sweep::new(scenarios, &fid.seeds()).isolated(true).run();
+    let result = session.sweep(scenarios).run();
     let mut rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
     let per_variant = result.reports.into_iter().zip(result.outcomes);
@@ -650,8 +658,8 @@ fn robustness(
 /// bottleneck mid-run. Packets on the wire die, routes recompute, and every
 /// control packet caught in the outage is resolved by the hosts' verdict
 /// timeout instead of stranding the flow.
-fn robust_flap(fid: Fidelity) {
-    let (h, w) = fid.lengths();
+fn robust_flap(session: &Session) {
+    let (h, w) = session.fidelity.lengths();
     let measured = h - w;
     let flaps = [
         (w + 0.25 * measured, w + 0.27 * measured),
@@ -660,7 +668,7 @@ fn robust_flap(fid: Fidelity) {
     let mut variants = Vec::new();
     for eps in [0.01, 0.05] {
         for (label, flapping) in [("steady", false), ("flapping", true)] {
-            let mut s = robust_base(fid, eps).verdict_timeout(5.0);
+            let mut s = robust_base(eps).verdict_timeout(5.0);
             if flapping {
                 for &(down, up) in &flaps {
                     s = s.flap(down, up);
@@ -671,7 +679,7 @@ fn robust_flap(fid: Fidelity) {
         }
     }
     robustness(
-        fid,
+        session,
         "# robust-flap — in-band dropping under a flapping bottleneck\n\
          # (5 s verdict timeout; packet-conservation audit on every seed)",
         "robust-flap",
@@ -688,11 +696,11 @@ fn robust_flap(fid: Fidelity) {
 /// the bottleneck path. With the timeout, a lost Accept/Reject resolves as
 /// a counted rejection and blocking stays bounded; without it, flows strand
 /// in AwaitDecision and show up as leaked per-flow state.
-fn robust_ctrl_loss(fid: Fidelity) {
+fn robust_ctrl_loss(session: &Session) {
     let mut variants = Vec::new();
     for p in [0.0, 0.05, 0.1, 0.2] {
         for (label, timeout) in [("timeout 5s", Some(5.0)), ("no timeout", None)] {
-            let mut s = robust_base(fid, 0.01).control_loss(p);
+            let mut s = robust_base(0.01).control_loss(p);
             if let Some(t) = timeout {
                 s = s.verdict_timeout(t);
             }
@@ -701,7 +709,7 @@ fn robust_ctrl_loss(fid: Fidelity) {
         }
     }
     robustness(
-        fid,
+        session,
         "# robust-ctrl-loss — Bernoulli loss on the control channel\n\
          # (in-band dropping, eps=0.01; audit + event budget on every seed)",
         "robust-ctrl-loss",
@@ -744,22 +752,23 @@ pub struct SweepBenchRecord {
 /// The same grid runs twice — once with one worker (the serial loop,
 /// no threads) and once with the session's worker count — and the two
 /// result sets are compared byte-for-byte after serialization.
-fn bench_sweep(fid: Fidelity) {
+fn bench_sweep(session: &Session) {
     println!("# bench-sweep — pooled vs serial executor (Fig 2 in-band dropping)\n");
     let points: Vec<Scenario> = eps_grid(Placement::InBand)
         .into_iter()
         .map(|e| {
-            let d = design(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e);
-            fid.apply(Workload::Basic.scenario().design(d))
+            let d = Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, e);
+            Workload::Basic.scenario().design(d)
         })
         .collect();
-    let seeds = fid.seeds();
-    let grid = points.len() * seeds.len();
-    let parallel_jobs = pool::default_jobs();
+    let fid = session.fidelity;
+    let grid = points.len() * fid.seeds().len();
+    let parallel_jobs = session.jobs;
 
     let timed = |jobs| {
+        let sweep = session.sweep(points.clone()).jobs(jobs);
         let t0 = std::time::Instant::now();
-        let reports = Sweep::new(points.clone(), &seeds).jobs(jobs).run();
+        let reports = sweep.run();
         (reports.expect_reports(), t0.elapsed().as_secs_f64())
     };
     let (serial, serial_s) = timed(1);

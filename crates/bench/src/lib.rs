@@ -3,9 +3,11 @@
 //! One entry point per table and figure of the paper, named by
 //! [`experiments::TARGETS`] for the `experiments` binary, plus shared
 //! machinery: the workload catalogue (§3.2/Table 2), the design sweeps
-//! (§3.2's ε grids), run-length presets (`--quick` vs `--paper`), the work pool and [`sweep::Sweep`]
-//! builder that parallelize every multi-run experiment deterministically,
-//! aligned table printing and JSON persistence under `results/`.
+//! (§3.2's ε grids), run-length presets (`--quick` vs `--paper`), the
+//! [`runner::Session`] that fixes one invocation's fidelity, workers and
+//! telemetry root, the work pool and [`sweep::Sweep`] builder that
+//! parallelize every multi-run experiment deterministically, aligned
+//! table printing and JSON persistence under `results/`.
 //!
 //! The reproduction gate lives in [`shapecheck`] (the spec language and
 //! evaluator) and [`spec`] (the per-target catalog): `experiments --
@@ -19,12 +21,11 @@ pub mod runner;
 pub mod shapecheck;
 pub mod spec;
 pub mod sweep;
-pub mod telemetry_session;
 
 pub use catalog::{Workload, EPS_IN_BAND, EPS_OUT_OF_BAND, ETAS_MBAC};
 pub use output::{print_table, save_json};
-pub use pool::{available_jobs, default_jobs, set_default_jobs};
-pub use runner::Fidelity;
+pub use pool::available_jobs;
+pub use runner::{Fidelity, Session};
 pub use shapecheck::{check_targets, TargetSpec, Verdicts};
 pub use spec::catalog as spec_catalog;
 pub use sweep::{SeedOutcome, Sweep, SweepResult};

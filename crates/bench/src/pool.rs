@@ -11,8 +11,8 @@
 //! to the serial path** regardless of worker count or scheduling.
 //!
 //! Each job runs under `catch_unwind`, so one panicking job is reported
-//! in its slot instead of poisoning the pool (the per-seed isolation of
-//! [`crate::sweep::Sweep::isolated`]).
+//! in its slot instead of poisoning the pool; a
+//! [`Sweep`](crate::sweep::Sweep) records it as that seed's outcome.
 //!
 //! No external dependencies: plain `std::thread::scope` (the offline-shim
 //! build rules out rayon).
@@ -27,24 +27,6 @@ pub fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Session-wide default worker count; 0 = resolve to [`available_jobs`].
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the session default worker count (the `--jobs N` flag). 0 restores
-/// "use available parallelism".
-pub fn set_default_jobs(n: usize) {
-    DEFAULT_JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The worker count sweeps use when none is given explicitly: the value
-/// from [`set_default_jobs`], or the host's available parallelism.
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => available_jobs(),
-        n => n,
-    }
 }
 
 /// Run jobs `0..n_jobs` of `f` on up to `workers` threads, returning each
@@ -136,13 +118,5 @@ mod tests {
         let out = run_indexed(2, 16, |i| i + 1);
         let vals: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(vals, vec![1, 2]);
-    }
-
-    #[test]
-    fn default_jobs_resolves() {
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

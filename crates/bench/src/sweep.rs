@@ -1,12 +1,17 @@
 //! The sweep builder: one entry point for every multi-run experiment.
 //!
-//! A [`Sweep`] fans its point × seed grid out over the [`pool`] and
-//! averages each point's surviving seeds into one [`Report`]. A point is
-//! any [`Point`]: a single-link [`Scenario`] or a [`MultihopScenario`].
-//! So one sweep runs a whole figure: every curve's ε grid, one scenario
-//! per workload, one variant per ablation row, or one design per row of
-//! Tables 5–6. With [`Sweep::isolated`] a failing seed is contained to
-//! itself.
+//! A [`Sweep`] fans its point × seed grid out over the
+//! [`pool`](crate::pool) and averages each point's surviving seeds into
+//! one [`Report`]. A point is any [`Point`]: a single-link [`Scenario`]
+//! or a [`MultihopScenario`]. So one sweep runs a whole figure: every
+//! curve's ε grid, one scenario per workload, one variant per ablation
+//! row, or one design per row of Tables 5–6. The experiments build
+//! theirs with [`Session::sweep`](crate::runner::Session::sweep).
+//!
+//! A failing seed (an error or a panic) is recorded in the
+//! [`SweepResult`]'s outcomes and left out of its point's average;
+//! [`SweepResult::expect_reports`] turns any failure into a panic that
+//! names each failed seed.
 //!
 //! Determinism: jobs are laid out point-major (`point * seeds + seed`),
 //! results come back from the pool in job-index order, and each point's
@@ -14,7 +19,7 @@
 //! a serial loop performs — so sweep output is bit-identical at any
 //! worker count.
 
-use crate::pool::{self, run_indexed};
+use crate::pool::run_indexed;
 use eac::metrics::Report;
 use eac::multihop::MultihopScenario;
 use eac::scenario::{RunOutput, Scenario, ScenarioError};
@@ -102,6 +107,15 @@ impl SeedOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, SeedOutcome::Ok { .. })
     }
+
+    /// `seed N: ok`, `seed N: error: ...` or `seed N: panic: ...`.
+    fn describe(&self) -> String {
+        match self {
+            SeedOutcome::Ok { seed } => format!("seed {seed}: ok"),
+            SeedOutcome::Error { seed, message } => format!("seed {seed}: error: {message}"),
+            SeedOutcome::Panic { seed, message } => format!("seed {seed}: panic: {message}"),
+        }
+    }
 }
 
 /// Results of a [`Sweep`]: one averaged report and one per-seed outcome
@@ -116,20 +130,23 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// Unwrap every per-point report, panicking with the recorded
-    /// message if any point had no surviving seed.
+    /// Every per-point report, or a panic naming each failed seed unless
+    /// every seed of every point completed.
     pub fn expect_reports(self) -> Vec<Report> {
+        let failed: Vec<String> = self
+            .outcomes
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, per_point)| {
+                let failed = per_point.iter().filter(|o| !o.is_ok());
+                failed.map(move |o| format!("point {pi} {}", o.describe()))
+            })
+            .collect();
+        assert!(failed.is_empty(), "sweep failed: {}", failed.join("; "));
         self.reports
             .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+            .map(|r| r.expect("every seed completed"))
             .collect()
-    }
-
-    /// True if every seed of every point completed.
-    pub fn all_ok(&self) -> bool {
-        self.outcomes
-            .iter()
-            .all(|per_point| per_point.iter().all(|o| o.is_ok()))
     }
 }
 
@@ -141,17 +158,13 @@ impl SweepResult {
 /// use eac::scenario::Scenario;
 ///
 /// let points = vec![Scenario::basic(), Scenario::basic().tau(1.0)];
-/// let result = Sweep::new(points, &[1, 2, 3])
-///     .jobs(4)
-///     .isolated(true)
-///     .run();
+/// let result = Sweep::new(points, &[1, 2, 3]).jobs(4).run();
 /// ```
 #[derive(Debug)]
 pub struct Sweep<P> {
     points: Vec<P>,
     seeds: Vec<u64>,
     jobs: usize,
-    isolated: bool,
     /// Telemetry output directory (see [`Sweep::telemetry`]).
     telemetry: Option<PathBuf>,
 }
@@ -163,27 +176,15 @@ impl<P: Point> Sweep<P> {
         Sweep {
             points,
             seeds: seeds.to_vec(),
-            jobs: 0,
-            isolated: false,
+            jobs: 1,
             telemetry: None,
         }
     }
 
-    /// Worker threads to use; 0 (the default) resolves to the session
-    /// default ([`pool::default_jobs`] — the `--jobs` flag, or available
-    /// parallelism). 1 runs inline with no threads.
+    /// Worker threads to use; 1 (the default) runs inline with no
+    /// threads.
     pub fn jobs(mut self, n: usize) -> Self {
         self.jobs = n;
-        self
-    }
-
-    /// With isolation, a panicking or erroring seed is recorded in the
-    /// outcomes and excluded from its point's average instead of
-    /// propagating; a point errors only when *no* seed survives.
-    /// Without (the default), the first failure in grid order propagates
-    /// as a panic, as the old serial runners did.
-    pub fn isolated(mut self, yes: bool) -> Self {
-        self.isolated = yes;
         self
     }
 
@@ -193,9 +194,7 @@ impl<P: Point> Sweep<P> {
     /// point a seed-merged `d{point}.metrics.json` and a seed-averaged
     /// `d{point}.series.csv`. Failed seeds dump their flight ring as
     /// `d{point}_s{seed}.flight.jsonl` instead. Every job's hub is held
-    /// until the fold, so memory grows with the grid. Without this, a sweep
-    /// still picks up the session-wide `--telemetry` directory when the
-    /// CLI registered one.
+    /// until the fold, so memory grows with the grid.
     pub fn telemetry(mut self, dir: impl Into<PathBuf>) -> Self {
         self.telemetry = Some(dir.into());
         self
@@ -205,30 +204,21 @@ impl<P: Point> Sweep<P> {
     pub fn run(&self) -> SweepResult {
         let n_seeds = self.seeds.len();
         let n_jobs = self.points.len() * n_seeds;
-        let workers = if self.jobs == 0 {
-            pool::default_jobs()
-        } else {
-            self.jobs
-        };
-        let tdir = self
-            .telemetry
-            .clone()
-            .or_else(crate::telemetry_session::next_sweep_dir);
         // Shared ring handles, retained outside `catch_unwind`, so a dead
         // job's final seconds of events stay reachable for the dump.
-        let recorders: Vec<FlightRecorder> = match &tdir {
+        let recorders: Vec<FlightRecorder> = match &self.telemetry {
             Some(_) => (0..n_jobs)
                 .map(|_| FlightRecorder::new(RECORDER_CAPACITY))
                 .collect(),
             None => Vec::new(),
         };
 
-        let raw = run_indexed(n_jobs, workers, |i| {
+        let raw = run_indexed(n_jobs, self.jobs, |i| {
             self.points[i / n_seeds].run_seed(self.seeds[i % n_seeds], recorders.get(i).cloned())
         });
 
         let dump_flight = |pi: usize, seed: u64, i: usize| {
-            if let Some(dir) = &tdir {
+            if let Some(dir) = &self.telemetry {
                 let path = dir.join(format!("d{pi}_s{seed}.flight.jsonl"));
                 if let Err(io) = recorders[i].dump_jsonl(&path) {
                     eprintln!("flight-recorder dump to {} failed: {io}", path.display());
@@ -254,9 +244,6 @@ impl<P: Point> Sweep<P> {
                     Ok(Err(e)) => {
                         hubs.push(None);
                         dump_flight(pi, seed, i);
-                        if !self.isolated {
-                            panic!("{e}");
-                        }
                         per_seed.push(SeedOutcome::Error {
                             seed,
                             message: e.to_string(),
@@ -265,30 +252,16 @@ impl<P: Point> Sweep<P> {
                     Err(payload) => {
                         hubs.push(None);
                         let message = panic_message(payload);
-                        if tdir.is_some() {
+                        if self.telemetry.is_some() {
                             recorders[i].record(SimTime::ZERO, "sweep.panic", message.clone());
                         }
                         dump_flight(pi, seed, i);
-                        if !self.isolated {
-                            panic!("seed {seed} panicked: {message}");
-                        }
                         per_seed.push(SeedOutcome::Panic { seed, message });
                     }
                 }
             }
             let avg = if survivors.is_empty() {
-                let detail: Vec<String> = per_seed
-                    .iter()
-                    .map(|o| match o {
-                        SeedOutcome::Ok { seed } => format!("seed {seed}: ok"),
-                        SeedOutcome::Error { seed, message } => {
-                            format!("seed {seed}: error: {message}")
-                        }
-                        SeedOutcome::Panic { seed, message } => {
-                            format!("seed {seed}: panic: {message}")
-                        }
-                    })
-                    .collect();
+                let detail: Vec<String> = per_seed.iter().map(SeedOutcome::describe).collect();
                 Err(format!("no seed survived ({})", detail.join("; ")))
             } else {
                 Ok(Report::average(&survivors))
@@ -297,7 +270,7 @@ impl<P: Point> Sweep<P> {
             outcomes.push(per_seed);
         }
 
-        if let Some(dir) = &tdir {
+        if let Some(dir) = &self.telemetry {
             self.export_telemetry(dir, &hubs);
         }
 
@@ -359,20 +332,10 @@ impl<P: Point> Sweep<P> {
 mod tests {
     use super::*;
     use eac::design::Design;
+    use std::panic::AssertUnwindSafe;
 
     fn quick_base() -> Scenario {
         Scenario::basic().horizon_secs(400.0).warmup_secs(100.0)
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_bitwise() {
-        let serial = Sweep::new(vec![quick_base()], &[1, 2]).jobs(1).run();
-        let parallel = Sweep::new(vec![quick_base()], &[1, 2]).jobs(8).run();
-        let a = serial.expect_reports();
-        let b = parallel.expect_reports();
-        let ja = serde_json::to_string(&a).unwrap();
-        let jb = serde_json::to_string(&b).unwrap();
-        assert_eq!(ja, jb, "parallel sweep diverged from serial");
     }
 
     #[test]
@@ -385,8 +348,7 @@ mod tests {
             quick_base().tau(30.0).design(drop(0.0)),
             quick_base().tau(20.0).design(drop(0.05)),
         ];
-        let result = Sweep::new(points.clone(), &[1, 2]).isolated(true).run();
-        assert!(result.all_ok());
+        let result = Sweep::new(points.clone(), &[1, 2]).run();
         assert!(result.outcomes.iter().all(|o| o.len() == 2));
         let reports = result.expect_reports();
         assert_eq!(reports.len(), 2);
@@ -404,10 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn isolated_sweep_records_failures_without_dying() {
+    fn sweep_records_failures_without_dying() {
         // An absurdly small event budget errors every seed gracefully.
         let base = quick_base().event_budget(50);
-        let result = Sweep::new(vec![base], &[1, 2]).jobs(2).isolated(true).run();
+        let result = Sweep::new(vec![base], &[1, 2]).jobs(2).run();
         assert!(result.reports[0].is_err());
         assert!(result.outcomes[0]
             .iter()
@@ -415,20 +377,31 @@ mod tests {
     }
 
     #[test]
-    fn isolated_sweep_contains_panics() {
+    fn sweep_contains_panics() {
         // warmup >= horizon trips an assert inside run(); the panic must
         // stay confined to its seed while the good seed survives.
         let mut bad = quick_base();
         bad.warmup_s = bad.horizon_s;
-        let result = Sweep::new(vec![bad], &[1]).jobs(2).isolated(true).run();
+        let result = Sweep::new(vec![bad], &[1]).jobs(2).run();
         assert!(result.reports[0].is_err());
         assert!(matches!(result.outcomes[0][0], SeedOutcome::Panic { .. }));
     }
 
     #[test]
-    #[should_panic]
-    fn unisolated_sweep_propagates_failures() {
-        let base = quick_base().event_budget(50);
-        Sweep::new(vec![base], &[1]).jobs(1).run();
+    fn expect_reports_panics_naming_each_failed_seed() {
+        // The first point completes; both seeds of the second fail.
+        let points = vec![quick_base(), quick_base().event_budget(50)];
+        let result = Sweep::new(points, &[1, 2]).run();
+        assert!(result.reports[0].is_ok());
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| result.expect_reports()))
+            .expect_err("a failed seed must fail expect_reports");
+        let message = panic_message(payload);
+        for seed in [1, 2] {
+            assert!(
+                message.contains(&format!("point 1 seed {seed}: error")),
+                "{message}"
+            );
+        }
+        assert!(!message.contains("point 0"), "{message}");
     }
 }

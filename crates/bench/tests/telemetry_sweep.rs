@@ -116,11 +116,7 @@ fn failed_seed_dumps_flight_ring_with_trigger() {
     ];
     for (base, trigger) in cases {
         let _ = std::fs::remove_dir_all(&dir);
-        let result = Sweep::new(vec![base], &[1])
-            .jobs(1)
-            .isolated(true)
-            .telemetry(&dir)
-            .run();
+        let result = Sweep::new(vec![base], &[1]).telemetry(&dir).run();
         assert!(result.reports[0].is_err());
 
         let dump = dir.join("d0_s1.flight.jsonl");

@@ -119,15 +119,6 @@ pub struct Link {
     pub stats: LinkStats,
 }
 
-/// What a link wants the driver to do after an operation.
-#[derive(Debug, PartialEq, Eq)]
-pub enum LinkAction {
-    /// Nothing to schedule.
-    None,
-    /// Schedule a `TxComplete` for this link at the given time.
-    TxCompleteAt(SimTime),
-}
-
 impl Link {
     /// Build a link; `marker` enables virtual-queue ECN marking.
     pub fn new(
@@ -180,18 +171,20 @@ impl Link {
         }
     }
 
-    /// If idle, try to start transmitting; report what to schedule.
-    pub fn try_start(&mut self, now: SimTime) -> LinkAction {
+    /// If idle, try to start transmitting; returns when the started
+    /// transmission completes (the driver schedules a `TxComplete` then),
+    /// or `None` if nothing started.
+    pub fn try_start(&mut self, now: SimTime) -> Option<SimTime> {
         if !self.up || self.in_flight.is_some() {
-            return LinkAction::None;
+            return None;
         }
         match self.qdisc.dequeue(now) {
             Dequeue::Packet(p) => {
                 let tx = SimDuration::transmission(p.size, self.bandwidth_bps);
                 self.in_flight = Some(p);
-                LinkAction::TxCompleteAt(now + tx)
+                Some(now + tx)
             }
-            Dequeue::Empty => LinkAction::None,
+            Dequeue::Empty => None,
         }
     }
 
@@ -271,17 +264,13 @@ mod tests {
         let mut l = link();
         let t0 = SimTime::ZERO;
         l.receive(pkt(0), t0);
-        match l.try_start(t0) {
-            LinkAction::TxCompleteAt(t) => {
-                // 125 B at 10 Mbps = 100 us.
-                assert_eq!(t, t0 + SimDuration::from_micros(100));
-                assert!(l.is_busy());
-                let p = l.tx_complete();
-                assert_eq!(p.id, 0);
-                assert!(!l.is_busy());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let t = l.try_start(t0).expect("an idle link starts sending");
+        // 125 B at 10 Mbps = 100 us.
+        assert_eq!(t, t0 + SimDuration::from_micros(100));
+        assert!(l.is_busy());
+        let p = l.tx_complete();
+        assert_eq!(p.id, 0);
+        assert!(!l.is_busy());
         assert_eq!(l.stats.class(TrafficClass::Data).transmitted.total(), 1);
     }
 
@@ -290,11 +279,8 @@ mod tests {
         let mut l = link();
         l.receive(pkt(0), SimTime::ZERO);
         l.receive(pkt(1), SimTime::ZERO);
-        assert!(matches!(
-            l.try_start(SimTime::ZERO),
-            LinkAction::TxCompleteAt(_)
-        ));
-        assert_eq!(l.try_start(SimTime::ZERO), LinkAction::None);
+        assert!(l.try_start(SimTime::ZERO).is_some());
+        assert_eq!(l.try_start(SimTime::ZERO), None);
     }
 
     #[test]
@@ -333,7 +319,7 @@ mod tests {
         let mut l = link();
         let t0 = SimTime::ZERO;
         l.receive(pkt(0), t0);
-        if let LinkAction::TxCompleteAt(_) = l.try_start(t0) {
+        if l.try_start(t0).is_some() {
             l.tx_complete();
         }
         // 125 bytes over 1 second at 10 Mbps reference = 1e3 bits / 1e7.

@@ -6,7 +6,7 @@
 
 use crate::audit::AuditCounters;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::link::{Link, LinkAction};
+use crate::link::Link;
 use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Qdisc, VirtualQueue};
 use crate::sim::Event;
@@ -212,10 +212,9 @@ impl Network {
         Some(hops)
     }
 
-    fn apply(&mut self, lid: LinkId, action: LinkAction, q: &mut EventQueue<Event>) {
-        match action {
-            LinkAction::None => {}
-            LinkAction::TxCompleteAt(t) => q.schedule_at(t, Event::TxComplete { link: lid }),
+    fn apply(&mut self, lid: LinkId, tx_done: Option<SimTime>, q: &mut EventQueue<Event>) {
+        if let Some(t) = tx_done {
+            q.schedule_at(t, Event::TxComplete { link: lid });
         }
     }
 
@@ -254,7 +253,7 @@ impl Network {
             0
         };
         link.receive(pkt, now);
-        let action = link.try_start(now);
+        let tx_done = link.try_start(now);
         if tel_on {
             let dropped = link.stats.total_dropped() - drops_before;
             if dropped > 0 {
@@ -267,7 +266,7 @@ impl Network {
                 );
             }
         }
-        self.apply(lid, action, q);
+        self.apply(lid, tx_done, q);
     }
 
     /// Handle a `TxComplete` event: propagate the packet and restart the
@@ -311,8 +310,8 @@ impl Network {
             let slot = self.wire.put(pkt);
             q.schedule_in(delay, Event::Deliver { node: to, slot });
         }
-        let action = link.try_start(now);
-        self.apply(lid, action, q);
+        let tx_done = link.try_start(now);
+        self.apply(lid, tx_done, q);
     }
 
     /// Flip a link's operational state (fault flaps). Going down removes
@@ -341,8 +340,8 @@ impl Network {
     /// [`set_link_up`]: Network::set_link_up
     pub fn try_dequeue(&mut self, lid: LinkId, q: &mut EventQueue<Event>) {
         let now = q.now();
-        let action = self.links[lid.0 as usize].try_start(now);
-        self.apply(lid, action, q);
+        let tx_done = self.links[lid.0 as usize].try_start(now);
+        self.apply(lid, tx_done, q);
     }
 
     /// Drive the telemetry sampler: emit one row per tick boundary at or

@@ -173,9 +173,11 @@ fn packet_delays() -> Vec<SimDuration> {
 
 fn run_qdisc(q: &mut dyn Qdisc, n: u64, class: TrafficClass) -> u64 {
     let now = SimTime::ZERO;
+    let mut evicted = Vec::new();
     let mut out = 0;
     for i in 0..n {
-        let _ = q.enqueue(pkt(i, class), now);
+        evicted.clear();
+        q.enqueue_into(pkt(i, class), now, &mut evicted);
         if i % 2 == 1 {
             if let Dequeue::Packet(_) = q.dequeue(now) {
                 out += 1;

@@ -4,8 +4,8 @@
 //! per-flow agent churn). A flow moves through three phases, each holding
 //! only its own state: probing (emit probe packets per the [`ProbePlan`]
 //! and announce stage boundaries), awaiting the verdict, and sending
-//! (drive the flow's [`PacketProcess`] through its token-bucket policer
-//! until the flow's lifetime expires).
+//! (drive the flow's [`PacketProcess`] through its (r, b) [`TokenBucket`],
+//! dropping non-conforming packets, until the flow's lifetime expires).
 //!
 //! Every verdict lands in one place, `HostAgent::decide`, whatever gave
 //! it: the receiver's `Accept`/`Reject`, the verdict timeout, or, under
@@ -23,7 +23,8 @@ use netsim::{Agent, Api, FlowId, LinkId, NodeId, Packet, TrafficClass};
 use simcore::stats::Counter;
 use simcore::{IdMap, SimDuration, SimRng, SimTime};
 use std::any::Any;
-use traffic::{Demography, PacketProcess, Policer};
+use traffic::shaper::TokenBucket;
+use traffic::{Demography, PacketProcess};
 
 /// Timer kinds used by the host.
 pub mod timer {
@@ -164,7 +165,7 @@ enum Phase {
     /// Admitted: policed data until the lifetime ends.
     Sending {
         process: Box<dyn PacketProcess>,
-        policer: Policer,
+        bucket: TokenBucket,
         pending_size: u32,
     },
 }
@@ -372,13 +373,13 @@ impl HostAgent {
         };
         let Phase::Sending {
             process,
-            policer,
+            bucket,
             pending_size,
         } = &mut flow.phase
         else {
             return;
         };
-        if policer.conforms(*pending_size, now) {
+        if bucket.try_take(*pending_size, now) {
             let pkt = Packet::new(
                 flow.seq,
                 FlowId(id),
@@ -429,11 +430,11 @@ impl HostAgent {
         if accepted {
             let spec = &self.cfg.groups[group].source;
             let mut process = spec.build();
-            let policer = Policer::new(spec.token);
+            let bucket = TokenBucket::new(spec.token.rate_bps, spec.token.bucket_bytes);
             let (gap, pending_size) = process.next_packet(&mut self.rng);
             flow.phase = Phase::Sending {
                 process,
-                policer,
+                bucket,
                 pending_size,
             };
             api.timer_in(flow.lifetime, timer::END, id);

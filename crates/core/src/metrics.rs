@@ -70,7 +70,10 @@ pub struct Report {
     /// probes (probe overhead). Single-link scenarios only: the
     /// multi-hop scenario leaves it 0, which is not a measurement.
     pub probe_overhead: f64,
-    /// Fraction of delivered data packets carrying an ECN mark.
+    /// Data packets the bottleneck's virtual queue marked on arrival, per
+    /// data packet the bottleneck transmitted, over the measured window.
+    /// The marker runs before the real queue decides, so the numerator
+    /// also counts marked packets that the queue then dropped.
     /// Single-link scenarios only; 0 in multi-hop reports.
     pub mark_fraction: f64,
     /// Mean end-to-end delay of delivered data packets, milliseconds.

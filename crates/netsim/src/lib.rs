@@ -34,9 +34,7 @@ pub use audit::{check_conservation, AuditCounters, AuditError};
 pub use fault::{FaultPlan, FaultStats, Impairment, LinkFlap};
 pub use link::{ClassStats, Link, LinkStats};
 pub use packet::{FlowId, LinkId, NodeId, Packet, TrafficClass};
-pub use qdisc::{
-    class_band_map, Band, Dequeue, DropTail, Enqueued, Limit, Qdisc, StrictPrio, VirtualQueue,
-};
+pub use qdisc::{class_band_map, Band, Dequeue, DropTail, Limit, Qdisc, StrictPrio, VirtualQueue};
 pub use sim::{Agent, Api, Event, RunError, Sim};
 pub use topo::Network;
 pub use wire::WireSlot;

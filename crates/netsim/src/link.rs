@@ -15,7 +15,9 @@ pub struct ClassStats {
     pub offered_bytes: Counter,
     /// Packets dropped (tail drop or push-out eviction).
     pub dropped: Counter,
-    /// Packets that left the queue carrying an ECN mark.
+    /// Packets the virtual-queue marker marked on arrival. The marker runs
+    /// before the real queue decides, so this includes marked packets that
+    /// the queue then dropped.
     pub marked: Counter,
     /// Packets transmitted onto the wire.
     pub transmitted: Counter,
@@ -61,12 +63,6 @@ impl LinkStats {
         } else {
             cs.dropped.since_mark() as f64 / offered as f64
         }
-    }
-
-    /// Lifetime packets dropped, summed over all classes (telemetry
-    /// sampling works on lifetime totals and differences them itself).
-    pub fn total_dropped(&self) -> u64 {
-        self.per_class.iter().map(|cs| cs.dropped.total()).sum()
     }
 
     /// Lifetime bytes transmitted, summed over all classes.
@@ -146,8 +142,10 @@ impl Link {
         }
     }
 
-    /// Offer a packet to the link's queue, updating statistics.
-    pub fn receive(&mut self, mut pkt: Packet, now: SimTime) {
+    /// Offer a packet to the link's queue, updating statistics. Returns how
+    /// many packets the queue dropped: the arrival if it was refused, plus
+    /// every resident it evicted.
+    pub fn receive(&mut self, mut pkt: Packet, now: SimTime) -> u64 {
         let class = pkt.class;
         self.stats.class_mut(class).offered.inc();
         self.stats
@@ -166,9 +164,11 @@ impl Link {
         if !accepted {
             self.stats.class_mut(class).dropped.inc();
         }
+        let dropped = u64::from(!accepted) + self.evict_buf.len() as u64;
         for victim in self.evict_buf.drain(..) {
             self.stats.class_mut(victim.class).dropped.inc();
         }
+        dropped
     }
 
     /// If idle, try to start transmitting; returns when the started
@@ -286,9 +286,8 @@ mod tests {
     #[test]
     fn overflow_counts_drops() {
         let mut l = link();
-        for i in 0..5 {
-            l.receive(pkt(i), SimTime::ZERO);
-        }
+        let dropped: Vec<u64> = (0..5).map(|i| l.receive(pkt(i), SimTime::ZERO)).collect();
+        assert_eq!(dropped, [0, 0, 1, 1, 1]);
         assert_eq!(l.stats.class(TrafficClass::Data).offered.total(), 5);
         assert_eq!(l.stats.class(TrafficClass::Data).dropped.total(), 3);
         assert!((l.stats.drop_fraction(TrafficClass::Data) - 0.6).abs() < 1e-12);

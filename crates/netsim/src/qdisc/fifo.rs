@@ -99,8 +99,9 @@ mod tests {
     #[test]
     fn fifo_order() {
         let mut q = DropTail::new(Limit::Packets(10));
+        let mut ev = Vec::new();
         for i in 0..5 {
-            assert!(q.enqueue(pkt(i, 100), SimTime::ZERO).accepted);
+            assert!(q.enqueue_into(pkt(i, 100), SimTime::ZERO, &mut ev));
         }
         for i in 0..5 {
             match q.dequeue(SimTime::ZERO) {
@@ -114,30 +115,33 @@ mod tests {
     #[test]
     fn packet_limit_tail_drops() {
         let mut q = DropTail::new(Limit::Packets(2));
-        assert!(q.enqueue(pkt(0, 1), SimTime::ZERO).accepted);
-        assert!(q.enqueue(pkt(1, 1), SimTime::ZERO).accepted);
-        let r = q.enqueue(pkt(2, 1), SimTime::ZERO);
-        assert!(!r.accepted && r.evicted.is_empty());
+        let mut ev = Vec::new();
+        assert!(q.enqueue_into(pkt(0, 1), SimTime::ZERO, &mut ev));
+        assert!(q.enqueue_into(pkt(1, 1), SimTime::ZERO, &mut ev));
+        assert!(!q.enqueue_into(pkt(2, 1), SimTime::ZERO, &mut ev));
+        assert!(ev.is_empty());
         assert_eq!(q.len_packets(), 2);
     }
 
     #[test]
     fn byte_limit_and_accounting() {
         let mut q = DropTail::new(Limit::Bytes(250));
-        assert!(q.enqueue(pkt(0, 125), SimTime::ZERO).accepted);
-        assert!(q.enqueue(pkt(1, 125), SimTime::ZERO).accepted);
-        assert!(!q.enqueue(pkt(2, 1), SimTime::ZERO).accepted);
+        let mut ev = Vec::new();
+        assert!(q.enqueue_into(pkt(0, 125), SimTime::ZERO, &mut ev));
+        assert!(q.enqueue_into(pkt(1, 125), SimTime::ZERO, &mut ev));
+        assert!(!q.enqueue_into(pkt(2, 1), SimTime::ZERO, &mut ev));
         assert_eq!(q.len_bytes(), 250);
         q.dequeue(SimTime::ZERO);
         assert_eq!(q.len_bytes(), 125);
-        assert!(q.enqueue(pkt(3, 125), SimTime::ZERO).accepted);
+        assert!(q.enqueue_into(pkt(3, 125), SimTime::ZERO, &mut ev));
     }
 
     #[test]
     fn pop_tail_removes_newest() {
         let mut q = DropTail::new(Limit::Packets(10));
-        q.enqueue(pkt(0, 10), SimTime::ZERO);
-        q.enqueue(pkt(1, 20), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, 10), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, 20), SimTime::ZERO, &mut ev);
         let p = q.pop_tail().unwrap();
         assert_eq!(p.id, 1);
         assert_eq!(q.len_bytes(), 10);

@@ -48,34 +48,6 @@ impl Limit {
     }
 }
 
-/// Result of an enqueue attempt.
-#[derive(Debug, Default)]
-pub struct Enqueued {
-    /// The arriving packet was accepted into the buffer.
-    pub accepted: bool,
-    /// Resident packets evicted to make room (probe push-out). Empty in the
-    /// common case; `Vec::new()` does not allocate.
-    pub evicted: Vec<Packet>,
-}
-
-impl Enqueued {
-    /// The packet was queued and nothing was evicted.
-    pub fn ok() -> Self {
-        Enqueued {
-            accepted: true,
-            evicted: Vec::new(),
-        }
-    }
-
-    /// The packet was tail-dropped.
-    pub fn dropped() -> Self {
-        Enqueued {
-            accepted: false,
-            evicted: Vec::new(),
-        }
-    }
-}
-
 /// Result of a dequeue attempt.
 #[derive(Debug)]
 pub enum Dequeue {
@@ -91,23 +63,14 @@ pub enum Dequeue {
 /// threads.
 pub trait Qdisc: Send {
     /// Offer `pkt` to the buffer at time `now`, appending any evicted
-    /// resident packets (probe push-out, longest-queue drop) to `evicted`.
-    /// Returns whether the arriving packet was accepted.
+    /// resident packets (probe push-out) to `evicted`. Returns whether the
+    /// arriving packet was accepted.
     ///
-    /// `evicted` is caller-owned scratch: the link layer reuses one buffer
-    /// across all enqueues so the per-packet hot path allocates nothing.
+    /// The trait's only enqueue method. `evicted` is caller-owned scratch:
+    /// the link layer reuses one buffer across all enqueues so the
+    /// per-packet hot path allocates nothing, and tests and benches pass
+    /// their own `Vec`.
     fn enqueue_into(&mut self, pkt: Packet, now: SimTime, evicted: &mut Vec<Packet>) -> bool;
-
-    /// Offer `pkt` to the buffer at time `now`.
-    ///
-    /// Convenience wrapper over [`enqueue_into`](Qdisc::enqueue_into) that
-    /// allocates a fresh eviction list per call; fine for tests and cold
-    /// paths, avoid in per-packet loops.
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> Enqueued {
-        let mut evicted = Vec::new();
-        let accepted = self.enqueue_into(pkt, now, &mut evicted);
-        Enqueued { accepted, evicted }
-    }
 
     /// Ask for the next packet to transmit at time `now`. Work-conserving:
     /// returns [`Dequeue::Packet`] exactly when a packet is buffered.

@@ -251,9 +251,10 @@ mod tests {
     #[test]
     fn strict_priority_order() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(100), true);
-        q.enqueue(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO);
-        q.enqueue(pkt(1, TrafficClass::Data, 125), SimTime::ZERO);
-        q.enqueue(pkt(2, TrafficClass::Control, 40), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(2, TrafficClass::Control, 40), SimTime::ZERO, &mut ev);
         assert_eq!(deq(&mut q, SimTime::ZERO).class, TrafficClass::Control);
         assert_eq!(deq(&mut q, SimTime::ZERO).class, TrafficClass::Data);
         assert_eq!(deq(&mut q, SimTime::ZERO).class, TrafficClass::Probe);
@@ -263,8 +264,9 @@ mod tests {
     #[test]
     fn in_band_maps_probe_with_data_fifo() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(100), false);
-        q.enqueue(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO);
-        q.enqueue(pkt(1, TrafficClass::Data, 125), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
         // In-band: probe and data share a band FIFO, so the probe leaves first.
         assert_eq!(deq(&mut q, SimTime::ZERO).id, 0);
         assert_eq!(deq(&mut q, SimTime::ZERO).id, 1);
@@ -273,18 +275,12 @@ mod tests {
     #[test]
     fn data_pushes_out_probe_when_shared_buffer_full() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(2), true);
-        assert!(
-            q.enqueue(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO)
-                .accepted
-        );
-        assert!(
-            q.enqueue(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO)
-                .accepted
-        );
-        let r = q.enqueue(pkt(2, TrafficClass::Data, 125), SimTime::ZERO);
-        assert!(r.accepted);
-        assert_eq!(r.evicted.len(), 1);
-        assert_eq!(r.evicted[0].id, 1, "evicts the newest resident probe");
+        let mut ev = Vec::new();
+        assert!(q.enqueue_into(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev));
+        assert!(q.enqueue_into(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev));
+        assert!(q.enqueue_into(pkt(2, TrafficClass::Data, 125), SimTime::ZERO, &mut ev));
+        assert_eq!(ev.len(), 1);
+        assert_eq!(ev[0].id, 1, "evicts the newest resident probe");
         assert_eq!(q.band_len(1), 1); // data band
         assert_eq!(q.band_len(2), 1); // one probe left
     }
@@ -292,35 +288,33 @@ mod tests {
     #[test]
     fn probe_cannot_push_out_data() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(2), true);
-        q.enqueue(pkt(0, TrafficClass::Data, 125), SimTime::ZERO);
-        q.enqueue(pkt(1, TrafficClass::Data, 125), SimTime::ZERO);
-        let r = q.enqueue(pkt(2, TrafficClass::Probe, 125), SimTime::ZERO);
-        assert!(!r.accepted);
-        assert!(r.evicted.is_empty());
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
+        assert!(!q.enqueue_into(pkt(2, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev));
+        assert!(ev.is_empty());
     }
 
     #[test]
     fn shared_buffer_counts_both_bands() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(3), true);
-        q.enqueue(pkt(0, TrafficClass::Data, 125), SimTime::ZERO);
-        q.enqueue(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO);
-        q.enqueue(pkt(2, TrafficClass::Probe, 125), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(2, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
         // Full: another data packet must evict a probe, not be dropped.
-        let r = q.enqueue(pkt(3, TrafficClass::Data, 125), SimTime::ZERO);
-        assert!(r.accepted);
-        assert_eq!(r.evicted.len(), 1);
+        assert!(q.enqueue_into(pkt(3, TrafficClass::Data, 125), SimTime::ZERO, &mut ev));
+        assert_eq!(ev.len(), 1);
         assert_eq!(q.len_packets(), 3);
     }
 
     #[test]
     fn control_band_not_limited_by_shared_buffer() {
         let mut q = StrictPrio::admission_queue(Limit::Packets(1), true);
-        q.enqueue(pkt(0, TrafficClass::Data, 125), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Data, 125), SimTime::ZERO, &mut ev);
         // Shared buffer full, but control rides its own band.
-        assert!(
-            q.enqueue(pkt(1, TrafficClass::Control, 40), SimTime::ZERO)
-                .accepted
-        );
+        assert!(q.enqueue_into(pkt(1, TrafficClass::Control, 40), SimTime::ZERO, &mut ev));
     }
 
     #[test]
@@ -336,31 +330,27 @@ mod tests {
             ],
             class_band_map(0, 1, 1, 1),
         );
-        assert!(
-            q.enqueue(pkt(0, TrafficClass::BestEffort, 125), SimTime::ZERO)
-                .accepted
-        );
-        assert!(
-            !q.enqueue(pkt(1, TrafficClass::Data, 125), SimTime::ZERO)
-                .accepted
-        );
+        let mut ev = Vec::new();
+        assert!(q.enqueue_into(
+            pkt(0, TrafficClass::BestEffort, 125),
+            SimTime::ZERO,
+            &mut ev
+        ));
+        assert!(!q.enqueue_into(pkt(1, TrafficClass::Data, 125), SimTime::ZERO, &mut ev));
         // The control band above it is not bounded by the full band.
-        assert!(
-            q.enqueue(pkt(2, TrafficClass::Control, 40), SimTime::ZERO)
-                .accepted
-        );
+        assert!(q.enqueue_into(pkt(2, TrafficClass::Control, 40), SimTime::ZERO, &mut ev));
         assert_eq!(q.band_len(1), 1);
     }
 
     #[test]
     fn byte_limited_shared_buffer_pushout_frees_enough() {
         let mut q = StrictPrio::admission_queue(Limit::Bytes(250), true);
-        q.enqueue(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO);
-        q.enqueue(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO);
+        let mut ev = Vec::new();
+        q.enqueue_into(pkt(0, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
+        q.enqueue_into(pkt(1, TrafficClass::Probe, 125), SimTime::ZERO, &mut ev);
         // A 200-byte data packet needs to evict both 125-byte probes.
-        let r = q.enqueue(pkt(2, TrafficClass::Data, 200), SimTime::ZERO);
-        assert!(r.accepted);
-        assert_eq!(r.evicted.len(), 2);
+        assert!(q.enqueue_into(pkt(2, TrafficClass::Data, 200), SimTime::ZERO, &mut ev));
+        assert_eq!(ev.len(), 2);
         assert_eq!(q.len_bytes(), 200);
     }
 }

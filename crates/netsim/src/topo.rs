@@ -244,20 +244,12 @@ impl Network {
             return;
         };
         let now = q.now();
-        let tel_on = self.telemetry.is_some();
         let (flow, class) = (pkt.flow.0, pkt.class);
         let link = &mut self.links[lid.0 as usize];
-        let drops_before = if tel_on {
-            link.stats.total_dropped()
-        } else {
-            0
-        };
-        link.receive(pkt, now);
+        let dropped = link.receive(pkt, now);
         let tx_done = link.try_start(now);
-        if tel_on {
-            let dropped = link.stats.total_dropped() - drops_before;
-            if dropped > 0 {
-                let tel = self.telemetry.as_deref_mut().expect("telemetry on");
+        if dropped > 0 {
+            if let Some(tel) = self.telemetry.as_deref_mut() {
                 tel.metrics.inc("net.drops.queue", dropped);
                 tel.recorder.record(
                     now,
@@ -427,7 +419,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, TrafficClass};
-    use crate::qdisc::{DropTail, Limit};
+    use crate::qdisc::{DropTail, Limit, StrictPrio};
     use simcore::SimTime;
 
     fn dt() -> Box<dyn Qdisc> {
@@ -532,6 +524,56 @@ mod tests {
                 .total(),
             1
         );
+    }
+
+    #[test]
+    fn queue_drops_reach_telemetry_as_the_link_books_them() {
+        let mut net = Network::new();
+        let ns = net.add_nodes(2);
+        let lid = net.add_link(
+            ns[0],
+            ns[1],
+            1_000_000,
+            SimDuration::from_millis(1),
+            Box::new(StrictPrio::admission_queue(Limit::Packets(2), true)),
+            None,
+        );
+        net.telemetry = Some(Box::new(Telemetry::new(telemetry::FlightRecorder::new(
+            telemetry::RECORDER_CAPACITY,
+        ))));
+        let mut q: EventQueue<Event> = EventQueue::new();
+        let pkt =
+            |id, class| Packet::new(id, FlowId(id), ns[0], ns[1], 125, class, id, SimTime::ZERO);
+        let queue_drops = |net: &Network| {
+            let tel = net.telemetry.as_deref().expect("hub installed");
+            tel.metrics.counter("net.drops.queue")
+        };
+        // Probe 0 goes onto the wire; probes 1 and 2 fill the buffer.
+        for id in 0..3 {
+            net.inject(pkt(id, TrafficClass::Probe), ns[0], &mut q);
+        }
+        assert_eq!(queue_drops(&net), 0);
+        assert_eq!(net.link(lid).queue_len(), 2);
+        // A data arrival pushes out a probe; a probe arrival finds the
+        // buffer full of data and a probe it cannot evict, and is refused.
+        // Each inject adds what `receive` returned.
+        let mut per_arrival = Vec::new();
+        for (id, class) in [(3, TrafficClass::Data), (4, TrafficClass::Probe)] {
+            let before = queue_drops(&net);
+            net.inject(pkt(id, class), ns[0], &mut q);
+            per_arrival.push(queue_drops(&net) - before);
+        }
+        assert_eq!(per_arrival, [1, 1]);
+        let stats = &net.link(lid).stats;
+        let booked: u64 = TrafficClass::ALL
+            .iter()
+            .map(|&c| stats.class(c).dropped.total())
+            .sum();
+        assert_eq!(booked, 2);
+        assert_eq!(queue_drops(&net), booked);
+        let tel = net.telemetry.as_deref().expect("hub installed");
+        let events = tel.recorder.snapshot();
+        assert_eq!(events.iter().filter(|e| e.kind == "drop.queue").count(), 2);
     }
 
     #[test]

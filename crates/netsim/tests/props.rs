@@ -1,8 +1,6 @@
 //! Property-based tests of the queueing disciplines' invariants.
 
-use netsim::{
-    Dequeue, DropTail, Enqueued, FlowId, Limit, NodeId, Packet, Qdisc, StrictPrio, TrafficClass,
-};
+use netsim::{Dequeue, DropTail, FlowId, Limit, NodeId, Packet, Qdisc, StrictPrio, TrafficClass};
 use proptest::prelude::*;
 use simcore::SimTime;
 
@@ -50,21 +48,18 @@ fn class_of(idx: u8) -> TrafficClass {
 /// packet exactly when one was buffered before the call.
 fn check_conservation(q: &mut dyn Qdisc, steps: &[Step]) -> Result<(), TestCaseError> {
     let now = SimTime::ZERO;
-    let (mut offered, mut rejected, mut evicted, mut dequeued) = (0u64, 0u64, 0u64, 0u64);
+    let (mut offered, mut rejected, mut dequeued) = (0u64, 0u64, 0u64);
+    // Every eviction of the run accumulates here.
+    let mut evicted = Vec::new();
     let mut id = 0;
     for s in steps {
         match s {
             Step::Enq { flow, size, class } => {
                 offered += 1;
-                let Enqueued {
-                    accepted,
-                    evicted: ev,
-                } = q.enqueue(pkt(id, *flow, *size, class_of(*class)), now);
-                id += 1;
-                if !accepted {
+                if !q.enqueue_into(pkt(id, *flow, *size, class_of(*class)), now, &mut evicted) {
                     rejected += 1;
                 }
-                evicted += ev.len() as u64;
+                id += 1;
             }
             Step::Deq => {
                 let buffered = q.len_packets() > 0;
@@ -78,7 +73,7 @@ fn check_conservation(q: &mut dyn Qdisc, steps: &[Step]) -> Result<(), TestCaseE
     }
     prop_assert_eq!(
         offered,
-        rejected + evicted + dequeued + q.len_packets() as u64,
+        rejected + evicted.len() as u64 + dequeued + q.len_packets() as u64,
         "packet conservation violated"
     );
     Ok(())
@@ -96,10 +91,11 @@ proptest! {
     fn droptail_byte_limit_never_exceeded(s in steps(), limit in 100u64..20_000) {
         let mut q = DropTail::new(Limit::Bytes(limit));
         let now = SimTime::ZERO;
+        let mut ev = Vec::new();
         let mut id = 0;
         for step in &s {
             if let Step::Enq { flow, size, class } = step {
-                let _ = q.enqueue(pkt(id, *flow, *size, class_of(*class)), now);
+                q.enqueue_into(pkt(id, *flow, *size, class_of(*class)), now, &mut ev);
                 id += 1;
                 prop_assert!(q.len_bytes() <= limit);
             } else if let Dequeue::Packet(_) = q.dequeue(now) {}
@@ -125,11 +121,12 @@ proptest! {
     fn strict_prio_dequeues_highest_band(s in steps()) {
         let mut q = StrictPrio::admission_queue(Limit::Packets(1000), true);
         let now = SimTime::ZERO;
+        let mut ev = Vec::new();
         let mut id = 0;
         for step in &s {
             match step {
                 Step::Enq { flow, size, class } => {
-                    let _ = q.enqueue(pkt(id, *flow, *size, class_of(*class)), now);
+                    q.enqueue_into(pkt(id, *flow, *size, class_of(*class)), now, &mut ev);
                     id += 1;
                 }
                 Step::Deq => {
@@ -161,13 +158,15 @@ proptest! {
     fn pushout_only_evicts_lower_priority(s in steps(), limit in 1usize..32) {
         let mut q = StrictPrio::admission_queue(Limit::Packets(limit), true);
         let now = SimTime::ZERO;
+        let mut ev = Vec::new();
         let mut id = 0;
         for step in &s {
             if let Step::Enq { flow, size, class } = step {
                 let class = class_of(*class);
-                let r = q.enqueue(pkt(id, *flow, *size, class), now);
+                ev.clear();
+                q.enqueue_into(pkt(id, *flow, *size, class), now, &mut ev);
                 id += 1;
-                for victim in &r.evicted {
+                for victim in &ev {
                     // The probe band also carries best-effort packets in
                     // this queue's class map.
                     prop_assert!(

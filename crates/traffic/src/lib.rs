@@ -18,6 +18,6 @@ pub mod spec;
 pub mod video;
 
 pub use process::{OnOff, PacketProcess, PeriodDist};
-pub use shaper::{Policer, TokenBucketSpec};
+pub use shaper::TokenBucketSpec;
 pub use spec::{Demography, SourceKind, SourceSpec};
 pub use video::{VideoConfig, VideoSource};

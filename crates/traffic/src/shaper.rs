@@ -1,9 +1,11 @@
 //! Token-bucket policing.
 //!
 //! Hosts "must characterize their flows as conforming to an (r, b) token
-//! bucket" (§3.1). The policer drops non-conforming packets — the paper
-//! reshapes the video trace "by dropping" — and is also used in tests to
-//! verify that the Table 1 sources conform to their declared buckets.
+//! bucket" (§3.1). A host polices each admitted flow with a
+//! [`TokenBucket`] built from its [`TokenBucketSpec`] and drops the
+//! packets [`TokenBucket::try_take`] refuses — the paper reshapes the video
+//! trace "by dropping". Tests use the same bucket to verify that the
+//! Table 1 sources conform to their declared buckets.
 
 use simcore::SimTime;
 
@@ -67,47 +69,6 @@ impl TokenBucketSpec {
     }
 }
 
-/// A policer that drops non-conforming packets.
-#[derive(Clone, Debug)]
-pub struct Policer {
-    bucket: TokenBucket,
-    conformant: u64,
-    dropped: u64,
-}
-
-impl Policer {
-    /// A policer for the given descriptor (bucket starts full).
-    pub fn new(spec: TokenBucketSpec) -> Self {
-        Policer {
-            bucket: TokenBucket::new(spec.rate_bps, spec.bucket_bytes),
-            conformant: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Offer a packet of `bytes` at time `now`; true if it conforms (and
-    /// the tokens are consumed), false if it must be dropped.
-    pub fn conforms(&mut self, bytes: u32, now: SimTime) -> bool {
-        if self.bucket.try_take(bytes, now) {
-            self.conformant += 1;
-            true
-        } else {
-            self.dropped += 1;
-            false
-        }
-    }
-
-    /// Packets passed so far.
-    pub fn passed(&self) -> u64 {
-        self.conformant
-    }
-
-    /// Packets dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,29 +92,31 @@ mod tests {
     #[test]
     fn conforming_cbr_never_dropped() {
         // 125-byte packets at exactly the 256 kbps token rate conform.
-        let mut p = Policer::new(TokenBucketSpec::new(256_000, 125.0));
+        let mut tb = TokenBucket::new(256_000, 125.0);
         let gap = SimDuration::from_nanos(3_906_250); // 1000 bits at 256 kbps
         let mut t = SimTime::ZERO;
         for _ in 0..10_000 {
             t += gap;
-            assert!(p.conforms(125, t));
+            assert!(tb.try_take(125, t));
         }
-        assert_eq!(p.dropped(), 0);
     }
 
     #[test]
     fn oversubscribed_cbr_dropped_proportionally() {
         // 125-byte packets at twice the 128 kbps token rate: ~half the
         // packets must drop.
-        let mut p = Policer::new(TokenBucketSpec::new(128_000, 125.0));
+        let mut tb = TokenBucket::new(128_000, 125.0);
         let gap = SimDuration::from_nanos(3_906_250); // 1000 bits at 256 kbps
         let mut t = SimTime::ZERO;
         let n = 20_000;
+        let mut dropped = 0;
         for _ in 0..n {
             t += gap;
-            p.conforms(125, t);
+            if !tb.try_take(125, t) {
+                dropped += 1;
+            }
         }
-        let frac = p.dropped() as f64 / n as f64;
+        let frac = dropped as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.02, "drop fraction {frac}");
     }
 
@@ -170,14 +133,14 @@ mod tests {
         for (i, (burst, on, off, dist)) in cases.into_iter().enumerate() {
             let mut src = OnOff::new(burst, on, off, dist, 125);
             // Tiny slack (1 packet) absorbs nanosecond rounding of gaps.
-            let mut p = Policer::new(TokenBucketSpec::new(burst as u64, 250.0));
+            let mut tb = TokenBucket::new(burst as u64, 250.0);
             let mut rng = SimRng::new(100 + i as u64);
             let mut t = SimTime::ZERO;
             for _ in 0..50_000 {
                 let (gap, size) = src.next_packet(&mut rng);
                 t += gap;
                 assert!(
-                    p.conforms(size, t),
+                    tb.try_take(size, t),
                     "source {i} violated its bucket at {t:?}"
                 );
             }
@@ -187,11 +150,11 @@ mod tests {
     #[test]
     fn bucket_absorbs_bursts_up_to_depth() {
         // b = 1000 bytes allows an 8-packet back-to-back burst of 125 B.
-        let mut p = Policer::new(TokenBucketSpec::new(8_000, 1_000.0));
+        let mut tb = TokenBucket::new(8_000, 1_000.0);
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         for i in 0..8 {
-            assert!(p.conforms(125, t), "packet {i}");
+            assert!(tb.try_take(125, t), "packet {i}");
         }
-        assert!(!p.conforms(125, t));
+        assert!(!tb.try_take(125, t));
     }
 }

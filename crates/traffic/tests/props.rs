@@ -1,9 +1,10 @@
-//! Property-based tests of the traffic sources and policers.
+//! Property-based tests of the traffic sources and the token bucket
+//! hosts police with.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimRng, SimTime};
 use traffic::shaper::TokenBucket;
-use traffic::{OnOff, PacketProcess, PeriodDist, Policer, SourceSpec, TokenBucketSpec};
+use traffic::{OnOff, PacketProcess, PeriodDist, SourceSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -52,22 +53,22 @@ proptest! {
         }
     }
 
-    /// A constant-rate feed through a policer at its own rate never
+    /// A constant-rate feed through a token bucket at its own rate never
     /// drops (given one packet of slack for nanosecond rounding).
     #[test]
     fn cbr_conforms_to_own_bucket(rate_kbps in 64u32..4_096, pkt in 64u32..1_000) {
         let rate = rate_kbps as u64 * 1_000;
         let gap = SimDuration::from_secs_f64(pkt as f64 * 8.0 / rate as f64);
-        let mut p = Policer::new(TokenBucketSpec::new(rate, 2.0 * pkt as f64));
+        let mut tb = TokenBucket::new(rate, 2.0 * pkt as f64);
         let mut t = SimTime::ZERO;
         for _ in 0..5_000 {
             t += gap;
-            prop_assert!(p.conforms(pkt, t));
+            prop_assert!(tb.try_take(pkt, t));
         }
     }
 
-    /// A policer's accepted volume respects the (r, b) envelope for any
-    /// offered pattern.
+    /// A token bucket's accepted volume respects the (r, b) envelope for
+    /// any offered pattern.
     #[test]
     fn policer_envelope(
         rate_kbps in 64u32..4_096,
@@ -75,23 +76,17 @@ proptest! {
         offers in prop::collection::vec((0u64..200_000u64, 40u32..1500), 1..300),
     ) {
         let rate = rate_kbps as u64 * 1_000;
-        let mut p = Policer::new(TokenBucketSpec::new(rate, bucket));
+        let mut tb = TokenBucket::new(rate, bucket);
         let mut t = SimTime::ZERO;
         let mut accepted = 0u64;
-        let mut offered = 0u64;
         for (gap_us, size) in offers {
             t += simcore::SimDuration::from_micros(gap_us);
-            if size as f64 <= bucket {
-                offered += 1;
-                if p.conforms(size, t) {
-                    accepted += size as u64;
-                }
+            if size as f64 <= bucket && tb.try_take(size, t) {
+                accepted += size as u64;
             }
         }
         let envelope = bucket + rate as f64 / 8.0 * t.as_secs_f64() + 1.0;
         prop_assert!(accepted as f64 <= envelope);
-        // Every packet offered is either passed or dropped, once.
-        prop_assert_eq!(p.passed() + p.dropped(), offered);
     }
 
     /// Every Table 1 preset builds a process whose first emissions carry

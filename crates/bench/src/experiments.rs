@@ -674,7 +674,7 @@ fn robust_flap(session: &Session) {
                     s = s.flap(down, up);
                 }
             }
-            let relabel = format!("{label} / {}", s.design.name());
+            let relabel = format!("{label} / {} / eps {eps:.2}", s.design.name());
             variants.push(((vec![label.to_string(), format!("{eps:.2}")], relabel), s));
         }
     }

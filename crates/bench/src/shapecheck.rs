@@ -112,7 +112,7 @@ impl Expr {
 #[derive(Clone, Debug, Default)]
 pub struct Sel {
     design: Option<&'static str>,
-    contains: Option<(&'static str, &'static str)>,
+    contains: Vec<(&'static str, &'static str)>,
     range: Option<(&'static str, f64, f64)>,
     skip: usize,
     take: usize,
@@ -132,9 +132,10 @@ impl Sel {
         }
     }
 
-    /// Keep rows whose string field contains a substring.
+    /// Keep rows whose string field contains a substring (each call adds
+    /// one more substring the row must contain).
     pub fn has(mut self, field: &'static str, needle: &'static str) -> Sel {
-        self.contains = Some((field, needle));
+        self.contains.push((field, needle));
         self
     }
 
@@ -160,10 +161,10 @@ impl Sel {
                         return false;
                     }
                 }
-                if let Some((f, needle)) = self.contains {
-                    if !r.strs.get(f).is_some_and(|s| s.contains(needle)) {
-                        return false;
-                    }
+                let has =
+                    |&(f, needle): &(&str, &str)| r.strs.get(f).is_some_and(|s| s.contains(needle));
+                if !self.contains.iter().all(has) {
+                    return false;
                 }
                 if let Some((f, lo, hi)) = self.range {
                     if !r.nums.get(f).is_some_and(|&x| x >= lo && x <= hi) {
@@ -342,6 +343,8 @@ pub enum Pred {
         /// Constant bound.
         value: f64,
     },
+    /// Every part holds: a claim made of several relations.
+    All(Vec<Pred>),
     /// The selected row maximizing `metric` has `label` in `allowed`.
     ArgmaxIn {
         /// Row filter.
@@ -532,6 +535,17 @@ impl Pred {
                     true,
                     format!("all {} rows {} {}", picked.len(), op.sym(), fmtv(*value)),
                 ))
+            }
+            Pred::All(parts) => {
+                let mut details = Vec::new();
+                for part in parts {
+                    let (ok, detail) = part.try_eval(rows)?;
+                    if !ok {
+                        return Ok((false, detail));
+                    }
+                    details.push(detail);
+                }
+                Ok((true, details.join("; ")))
             }
             Pred::ArgmaxIn {
                 sel,

@@ -2,10 +2,9 @@
 //! the EXPERIMENTS.md verdicts as executable shape predicates.
 //!
 //! Thresholds are calibrated against the committed `results/*.json`,
-//! which are not paper fidelity: 17 of the 21 files are `--quick`
-//! output, `robust-flap.json` and `robust-ctrl-loss.json` are `--smoke`
-//! output, and `fig2.json` and `fig3.json` come from a 1200 s measured
-//! window that no CLI flag gives. The files record no fidelity. The
+//! which are all `--quick` output, one fidelity that `experiments all
+//! --quick` regenerates byte for byte (`BENCH_sweep.json`, a wall-clock
+//! measurement, is a `--smoke` run). That is not paper fidelity. The
 //! slack is enough that re-runs under fresh seeds stay green, but
 //! tight enough that a qualitative regression — a design winning that
 //! should lose, a floor vanishing, a crossover drifting out of its
@@ -596,7 +595,30 @@ fn fig11() -> TargetSpec {
     }
 }
 
+/// Every row `sel` picks has the same `field`: its largest value is no
+/// more than its smallest.
+fn same(sel: Sel, field: &'static str) -> Pred {
+    Pred::Cmp {
+        lhs: ext(sel.clone(), field, Agg::Max),
+        op: Op::Le,
+        rhs: Rhs::Scaled(ext(sel, field, Agg::Min), 1.0),
+    }
+}
+
+/// `field` strictly falls along `sels`: every value in one selection is
+/// above every value in the next.
+fn falls(field: &'static str, sels: Vec<Sel>) -> Vec<Pred> {
+    sels.windows(2)
+        .map(|w| Pred::Cmp {
+            lhs: ext(w[0].clone(), field, Agg::Min),
+            op: Op::Gt,
+            rhs: Rhs::Scaled(ext(w[1].clone(), field, Agg::Max), 1.0),
+        })
+        .collect()
+}
+
 fn robust_flap() -> TargetSpec {
+    let steady = || Sel::all().has("design", "steady");
     TargetSpec {
         target: "robust-flap",
         code: "✓",
@@ -607,13 +629,24 @@ fn robust_flap() -> TargetSpec {
             grid_complete("grid", 4),
             check(
                 "steady-clean",
-                "the steady baseline runs loss-, blocking- and timeout-free",
+                "the steady baseline has no verdict timeouts and no leaked flows",
                 Pred::EachRow {
-                    sel: Sel::all().has("design", "steady"),
-                    expr: Expr::MaxOf(&["data_loss", "blocking", "timeouts"]),
+                    sel: steady(),
+                    expr: Expr::MaxOf(&["timeouts", "leaked_flows"]),
                     op: Op::Le,
                     value: 0.0,
                 },
+            ),
+            check(
+                "steady-eps-blocks",
+                "the steady baseline's blocking is load: the stricter eps = 0.01 blocks more",
+                Pred::All(falls(
+                    "blocking",
+                    vec![
+                        steady().has("design", "eps 0.01"),
+                        steady().has("design", "eps 0.05"),
+                    ],
+                )),
             ),
             check(
                 "flap-costs-util",
@@ -625,10 +658,7 @@ fn robust_flap() -> TargetSpec {
                         Agg::Max,
                     ),
                     op: Op::Le,
-                    rhs: Rhs::Scaled(
-                        ext(Sel::all().has("design", "steady"), "utilization", Agg::Min),
-                        0.95,
-                    ),
+                    rhs: Rhs::Scaled(ext(steady(), "utilization", Agg::Min), 0.95),
                 },
             ),
             check(
@@ -666,6 +696,10 @@ fn robust_flap() -> TargetSpec {
 }
 
 fn robust_ctrl_loss() -> TargetSpec {
+    // One selection per control-loss level, in rising order.
+    let levels = ["0.00", "0.05", "0.10", "0.20"].map(|p| Sel::all().has("design", p));
+    let stranding = levels.clone().map(|l| l.has("design", "no timeout"));
+    let no_timeout = || Sel::all().has("design", "no timeout");
     TargetSpec {
         target: "robust-ctrl-loss",
         code: "✓",
@@ -676,13 +710,17 @@ fn robust_ctrl_loss() -> TargetSpec {
             grid_complete("grid", 8),
             check(
                 "baseline-clean",
-                "with no control loss both variants run clean",
-                Pred::EachRow {
-                    sel: Sel::all().has("design", "0.00"),
-                    expr: Expr::MaxOf(&["data_loss", "blocking", "timeouts", "leaked_flows"]),
-                    op: Op::Le,
-                    value: 0.0,
-                },
+                "at p = 0 neither variant times out or leaks; utilization and blocking agree",
+                Pred::All(vec![
+                    Pred::EachRow {
+                        sel: levels[0].clone(),
+                        expr: Expr::MaxOf(&["timeouts", "leaked_flows"]),
+                        op: Op::Le,
+                        value: 0.0,
+                    },
+                    same(levels[0].clone(), "utilization"),
+                    same(levels[0].clone(), "blocking"),
+                ]),
             ),
             check(
                 "timeout-rejects",
@@ -697,11 +735,7 @@ fn robust_ctrl_loss() -> TargetSpec {
                 "no-timeout-leaks",
                 "without the timeout the same losses strand flow state instead",
                 Pred::Cmp {
-                    lhs: ext(
-                        Sel::all().has("design", "no timeout"),
-                        "leaked_flows",
-                        Agg::Max,
-                    ),
+                    lhs: ext(no_timeout(), "leaked_flows", Agg::Max),
                     op: Op::Ge,
                     rhs: Rhs::Scaled(
                         ext(
@@ -715,25 +749,31 @@ fn robust_ctrl_loss() -> TargetSpec {
             ),
             check(
                 "no-timeout-silent",
-                "without the timeout nothing is rejected — the failure is silent",
-                Pred::EachRow {
-                    sel: Sel::all().has("design", "no timeout"),
-                    expr: Expr::MaxOf(&["blocking", "timeouts"]),
-                    op: Op::Le,
-                    value: 0.0,
-                },
+                "without the timeout nothing times out; leaks grow and blocking falls with p",
+                Pred::All(
+                    [
+                        vec![Pred::EachRow {
+                            sel: no_timeout(),
+                            expr: Expr::Field("timeouts"),
+                            op: Op::Le,
+                            value: 0.0,
+                        }],
+                        falls("leaked_flows", stranding.iter().rev().cloned().collect()),
+                        falls("blocking", vec![stranding[0].clone(), stranding[3].clone()]),
+                    ]
+                    .concat(),
+                ),
             ),
             check(
                 "ctrl-loss-costs-util",
-                "20% control loss costs a third of the utilization",
-                Pred::Cmp {
-                    lhs: ext(Sel::all().has("design", "0.20"), "utilization", Agg::Max),
-                    op: Op::Le,
-                    rhs: Rhs::Scaled(
-                        ext(Sel::all().has("design", "0.00"), "utilization", Agg::Min),
-                        0.7,
-                    ),
-                },
+                "utilization falls with control loss, identically with or without the timeout",
+                Pred::All(
+                    [
+                        falls("utilization", levels.to_vec()),
+                        levels.map(|l| same(l, "utilization")).to_vec(),
+                    ]
+                    .concat(),
+                ),
             ),
         ],
     }

@@ -4,7 +4,9 @@
 
 use eac_bench::shapecheck::{self, check_targets};
 use eac_bench::spec::catalog;
+use serde::Value;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -35,30 +37,107 @@ fn single_target_filter_checks_only_that_target() {
     assert!(v.pass);
 }
 
+/// Check `target` against a copy of its committed rows in which `edit`
+/// may change each row (given its design label), and return the ids of
+/// the checks that fail.
+fn failing_checks(target: &str, edit: impl Fn(&str, &mut [(String, Value)])) -> Vec<String> {
+    let text = std::fs::read_to_string(results_dir().join(format!("{target}.json"))).unwrap();
+    let Value::Array(mut rows) = serde_json::from_str(&text).unwrap() else {
+        panic!("{target}.json is not an array");
+    };
+    for row in &mut rows {
+        let Value::Object(entries) = row else {
+            panic!("{target}.json has a row that is not an object");
+        };
+        let design = entries
+            .iter()
+            .find_map(|(k, v)| (k == "design").then(|| v.as_str().unwrap().to_string()))
+            .unwrap();
+        edit(&design, entries);
+    }
+    let doctored = serde_json::to_string(&rows).unwrap();
+    assert_ne!(text, doctored, "perturbation must change the file");
+
+    // Tests run in parallel: give each call its own directory.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("shapecheck-{target}-{}-{call}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{target}.json")), doctored).unwrap();
+    let v = check_targets(&dir, &catalog(), Some(target));
+    std::fs::remove_dir_all(&dir).ok();
+    v.results[0]
+        .checks
+        .iter()
+        .filter(|c| !c.pass)
+        .map(|c| c.id.clone())
+        .collect()
+}
+
+/// Set the row field `key` to `value`.
+fn set(entries: &mut [(String, Value)], key: &str, value: Value) {
+    let slot = entries.iter_mut().find(|(k, _)| k == key).unwrap();
+    slot.1 = value;
+}
+
 #[test]
 fn perturbed_fig2_fails_the_gate() {
     // Scale every drop (in-band) loss down 10x: the irreducible in-band
     // loss floor — the paper's core negative result — disappears, and the
     // gate must notice.
-    let text = std::fs::read_to_string(results_dir().join("fig2.json")).unwrap();
-    let doctored = rescale_inband_losses(&text);
-    assert_ne!(text, doctored, "perturbation must change the file");
-
-    let dir = std::env::temp_dir().join(format!("shapecheck-perturb-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("fig2.json"), doctored).unwrap();
-    let v = check_targets(&dir, &catalog(), Some("fig2"));
-    std::fs::remove_dir_all(&dir).ok();
-
-    assert!(!v.pass, "gate passed on doctored fig2");
-    let fig2 = &v.results[0];
+    let failing = failing_checks("fig2", |design, row| {
+        if design == "drop (in-band)" {
+            let loss = row.iter().find(|(k, _)| k == "data_loss").unwrap();
+            let scaled = loss.1.as_f64().unwrap() * 0.1;
+            set(row, "data_loss", Value::Float(scaled));
+        }
+    });
     assert!(
-        fig2.checks
-            .iter()
-            .any(|c| c.id == "inband-floor" && !c.pass),
-        "the loss-floor check specifically should fail: {:#?}",
-        fig2.checks
+        failing.iter().any(|id| id == "inband-floor"),
+        "the loss-floor check specifically should fail: {failing:?}"
     );
+}
+
+#[test]
+fn steady_timeout_fails_steady_clean() {
+    let failing = failing_checks("robust-flap", |design, row| {
+        if design.starts_with("steady") && design.ends_with("eps 0.05") {
+            set(row, "timeouts", Value::UInt(1));
+        }
+    });
+    assert_eq!(failing, ["steady-clean"]);
+}
+
+#[test]
+fn baseline_variants_apart_fail_baseline_clean() {
+    let failing = failing_checks("robust-ctrl-loss", |design, row| {
+        if design == "ctrl-loss 0.00 / no timeout" {
+            set(row, "blocking", Value::Float(0.5));
+        }
+    });
+    assert_eq!(failing, ["baseline-clean"]);
+}
+
+#[test]
+fn no_timeout_row_timing_out_fails_no_timeout_silent() {
+    let failing = failing_checks("robust-ctrl-loss", |design, row| {
+        if design == "ctrl-loss 0.10 / no timeout" {
+            set(row, "timeouts", Value::UInt(1));
+        }
+    });
+    assert_eq!(failing, ["no-timeout-silent"]);
+}
+
+#[test]
+fn util_rising_with_ctrl_loss_fails_ctrl_loss_costs_util() {
+    // Both variants move together, so only the fall with loss breaks.
+    let failing = failing_checks("robust-ctrl-loss", |design, row| {
+        if design.starts_with("ctrl-loss 0.20") {
+            set(row, "utilization", Value::Float(0.9));
+        }
+    });
+    assert_eq!(failing, ["ctrl-loss-costs-util"]);
 }
 
 #[test]
@@ -135,37 +214,4 @@ fn rendered_docs_inject_idempotently() {
         refreshed, text,
         "EXPERIMENTS.md verdict block is stale; run `experiments check --write-docs`"
     );
-}
-
-/// Multiply the `data_loss` value of every `drop (in-band)` row by 0.1,
-/// editing the serialized JSON textually so the file stays otherwise
-/// byte-identical.
-fn rescale_inband_losses(text: &str) -> String {
-    let v = serde_json::from_str(text).expect("fig2.json parses");
-    let rows = v.as_array().expect("fig2.json is an array");
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let design = row.get("design").and_then(serde::Value::as_str).unwrap();
-        let entries = row.as_object().unwrap();
-        out.push('{');
-        for (j, (k, val)) in entries.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&serde_json::to_string(k).unwrap());
-            out.push(':');
-            if k == "data_loss" && design == "drop (in-band)" {
-                let scaled = val.as_f64().unwrap() * 0.1;
-                out.push_str(&serde_json::to_string(&scaled).unwrap());
-            } else {
-                out.push_str(&serde_json::to_string(val).unwrap());
-            }
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
 }

@@ -15,7 +15,8 @@ use crate::mbac::{self, MbacRegistry};
 use crate::metrics::{loss, share, GroupReport, Report};
 use crate::scenario::{MeterAgent, RunConfig, ScenarioError};
 use crate::sink::{SinkAgent, SinkConfig};
-use netsim::{DropTail, Limit, LinkId, Network, NodeId, Sim, TrafficClass};
+use netsim::{ClassStats, DropTail, Limit, LinkId, Network, NodeId, Sim, TrafficClass};
+use simcore::stats::Counter;
 use simcore::{SimDuration, SimTime};
 use telemetry::{FlightRecorder, HistSummary, LogHistogram, Telemetry};
 use traffic::Demography;
@@ -52,7 +53,9 @@ pub(crate) struct Links {
     pub utils: Vec<f64>,
     /// Mean data drop fraction over the links.
     pub loss: f64,
+    /// Probe share of the bytes the links transmitted.
     pub probe_overhead: f64,
+    /// Marked share of the data packets the links transmitted.
     pub mark_fraction: f64,
 }
 
@@ -143,8 +146,8 @@ impl Plan<'_> {
     }
 
     /// Utilization and mean drop fraction of the data on `links`, which run
-    /// at `bps`. Probe overhead and mark fraction are left at zero for a
-    /// caller that measures them to fill in.
+    /// at `bps`, plus the probe overhead and mark fraction of the bytes and
+    /// packets they transmitted, summed over the links.
     pub fn read_links(&self, sim: &Sim, links: &[LinkId], bps: u64) -> Links {
         let utils = links
             .iter()
@@ -160,11 +163,22 @@ impl Plan<'_> {
             .map(|&l| sim.net.link(l).stats.drop_fraction(TrafficClass::Data))
             .sum::<f64>()
             / links.len() as f64;
+        let sum = |class, counter: fn(&ClassStats) -> &Counter| {
+            links
+                .iter()
+                .map(|&l| counter(sim.net.link(l).stats.class(class)).since_mark())
+                .sum::<u64>()
+        };
+        let data_b = sum(TrafficClass::Data, |c| &c.transmitted_bytes);
+        let probe_b = sum(TrafficClass::Probe, |c| &c.transmitted_bytes);
         Links {
             utils,
             loss,
-            probe_overhead: 0.0,
-            mark_fraction: 0.0,
+            probe_overhead: share(probe_b, data_b + probe_b),
+            mark_fraction: share(
+                sum(TrafficClass::Data, |c| &c.marked),
+                sum(TrafficClass::Data, |c| &c.transmitted),
+            ),
         }
     }
 
@@ -229,8 +243,7 @@ impl Plan<'_> {
     /// The report of a finished run. Group `g` (the `g`th of `names`)
     /// counts slot `g` of every host and sink: a scenario whose hosts each
     /// generate one group gives every host the full group list, so the
-    /// slots line up. Delay mean and deviation are left at zero for a
-    /// caller that measures them to fill in.
+    /// slots line up.
     pub fn report(
         &self,
         world: &mut World,
@@ -290,8 +303,6 @@ impl Plan<'_> {
             blocking,
             probe_overhead: links.probe_overhead,
             mark_fraction: links.mark_fraction,
-            delay_ms_mean: 0.0,
-            delay_ms_std: 0.0,
             delay_hist: HistSummary::from_nanos(&delay),
             groups,
             link_utils: links.utils,
@@ -308,8 +319,23 @@ impl Plan<'_> {
 mod tests {
     use super::*;
     use crate::probe::{Placement, ProbeStyle, Signal};
-    use netsim::{Agent, Api, Packet};
+    use netsim::{Agent, Api, FlowId, Packet, VirtualQueue};
     use std::any::Any;
+
+    fn plan(telemetry: Option<&FlightRecorder>) -> Plan<'_> {
+        Plan {
+            design: Design::endpoint(Signal::Drop, Placement::InBand, ProbeStyle::SlowStart, 0.01),
+            lifetime_s: 300.0,
+            probe_total: SimDuration::from_secs(5),
+            retry: None,
+            warmup_s: 1.0,
+            horizon_s: 2.0,
+            drain: SimDuration::from_secs(1),
+            run_config: RunConfig::default(),
+            telemetry,
+            seed: 1,
+        }
+    }
 
     /// Counts a send it never makes, so the books cannot balance.
     struct PhantomSender;
@@ -323,27 +349,29 @@ mod tests {
         }
     }
 
+    /// Sends `n` data and `n` probe packets to `peer` at time zero.
+    struct Burst {
+        peer: NodeId,
+        n: u64,
+    }
+    impl Agent for Burst {
+        fn on_start(&mut self, api: &mut Api) {
+            for i in 0..2 * self.n {
+                let class = [TrafficClass::Data, TrafficClass::Probe][i as usize % 2];
+                let pkt = Packet::new(i, FlowId(1), api.node, self.peer, 125, class, i, api.now());
+                api.send(pkt);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _api: &mut Api) {}
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
     #[test]
     fn default_run_config_still_audits() {
         let recorder = FlightRecorder::new(64);
         for telemetry in [None, Some(&recorder)] {
-            let plan = Plan {
-                design: Design::endpoint(
-                    Signal::Drop,
-                    Placement::InBand,
-                    ProbeStyle::SlowStart,
-                    0.01,
-                ),
-                lifetime_s: 300.0,
-                probe_total: SimDuration::from_secs(5),
-                retry: None,
-                warmup_s: 1.0,
-                horizon_s: 2.0,
-                drain: SimDuration::from_secs(1),
-                run_config: RunConfig::default(),
-                telemetry,
-                seed: 1,
-            };
             let mut net = Network::new();
             let a = net.add_node();
             let mut sim = Sim::new(net);
@@ -353,7 +381,7 @@ mod tests {
                 hosts: &[],
                 sinks: &[],
             };
-            let Err(err) = plan.run(&mut world, |_| ()) else {
+            let Err(err) = plan(telemetry).run(&mut world, |_| ()) else {
                 panic!("unbalanced books passed the audit");
             };
             assert!(matches!(err, ScenarioError::Audit(_)), "got {err}");
@@ -362,5 +390,32 @@ mod tests {
             recorder.snapshot().iter().any(|e| e.kind == "audit.error"),
             "the failed audit is in the flight ring"
         );
+    }
+
+    #[test]
+    fn one_link_readout_is_the_single_link_expression() {
+        let mut net = Network::new();
+        let (a, b) = (net.add_node(), net.add_node());
+        let bps = 10_000_000;
+        let qdisc = Box::new(DropTail::new(Limit::Packets(1_000)));
+        let marker = VirtualQueue::new(bps, 0.9, 10.0 * 125.0);
+        let link = net.add_link(a, b, bps, SimDuration::ZERO, qdisc, Some(marker));
+        let mut sim = Sim::new(net);
+        sim.attach(a, Box::new(Burst { peer: b, n: 50 }));
+        sim.try_run_until(SimTime::from_secs(1)).unwrap();
+
+        let links = plan(None).read_links(&sim, &[link], bps);
+        let stats = &sim.net.link(link).stats;
+        let data = stats.class(TrafficClass::Data);
+        let data_b = data.transmitted_bytes.since_mark();
+        let probe_b = stats
+            .class(TrafficClass::Probe)
+            .transmitted_bytes
+            .since_mark();
+        let probe_overhead = share(probe_b, data_b + probe_b);
+        let mark_fraction = share(data.marked.since_mark(), data.transmitted.since_mark());
+        assert!(probe_overhead > 0.0 && mark_fraction > 0.0);
+        assert_eq!(links.probe_overhead.to_bits(), probe_overhead.to_bits());
+        assert_eq!(links.mark_fraction.to_bits(), mark_fraction.to_bits());
     }
 }

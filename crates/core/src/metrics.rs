@@ -66,25 +66,17 @@ pub struct Report {
     pub link_loss: f64,
     /// Overall blocking probability.
     pub blocking: f64,
-    /// Fraction of transmitted admission-controlled bytes that were
-    /// probes (probe overhead). Single-link scenarios only: the
-    /// multi-hop scenario leaves it 0, which is not a measurement.
+    /// Fraction of the admission-controlled bytes the measured links
+    /// transmitted that were probes (probe overhead), summed over the
+    /// links.
     pub probe_overhead: f64,
-    /// Data packets the bottleneck's virtual queue marked on arrival, per
-    /// data packet the bottleneck transmitted, over the measured window.
-    /// The marker runs before the real queue decides, so the numerator
-    /// also counts marked packets that the queue then dropped.
-    /// Single-link scenarios only; 0 in multi-hop reports.
+    /// Fraction of the data packets the measured links transmitted that
+    /// carried a congestion mark, summed over the links, over the
+    /// measured window.
     pub mark_fraction: f64,
-    /// Mean end-to-end delay of delivered data packets, milliseconds.
-    /// Single-link scenarios only; 0 in multi-hop reports, whose delays
-    /// are in `delay_hist`.
-    pub delay_ms_mean: f64,
-    /// Standard deviation of that delay, milliseconds. Single-link
-    /// scenarios only; 0 in multi-hop reports.
-    pub delay_ms_std: f64,
-    /// Delay distribution summary (quantiles in milliseconds), from the
-    /// sink's log-bucketed histogram over the measurement window.
+    /// End-to-end delay of delivered data packets (quantiles in
+    /// milliseconds), from the sinks' log-bucketed histograms over the
+    /// measured window.
     pub delay_hist: HistSummary,
     /// Per-group breakdowns.
     pub groups: Vec<GroupReport>,
@@ -121,8 +113,6 @@ impl Report {
         out.blocking = mean(|r| r.blocking);
         out.probe_overhead = mean(|r| r.probe_overhead);
         out.mark_fraction = mean(|r| r.mark_fraction);
-        out.delay_ms_mean = mean(|r| r.delay_ms_mean);
-        out.delay_ms_std = mean(|r| r.delay_ms_std);
         out.delay_hist = {
             let hists: Vec<&HistSummary> = reports.iter().map(|r| &r.delay_hist).collect();
             HistSummary::average(&hists)
@@ -160,8 +150,6 @@ mod tests {
             blocking: rej as f64 / (acc + rej) as f64,
             probe_overhead: 0.1,
             mark_fraction: 0.0,
-            delay_ms_mean: 22.0,
-            delay_ms_std: 1.0,
             delay_hist: HistSummary::default(),
             groups: vec![GroupReport {
                 name: "g".into(),

@@ -289,6 +289,29 @@ mod tests {
     }
 
     #[test]
+    fn marking_run_reads_its_backbone_links() {
+        let d = Design::endpoint(
+            Signal::Mark,
+            Placement::InBand,
+            crate::probe::ProbeStyle::SlowStart,
+            0.05,
+        );
+        let r = MultihopScenario::tables56()
+            .design(d)
+            .horizon_secs(400.0)
+            .warmup_secs(100.0)
+            .seed(3)
+            .run()
+            .unwrap();
+        assert!(
+            r.probe_overhead > 0.0,
+            "probe overhead {}",
+            r.probe_overhead
+        );
+        assert!(r.mark_fraction > 0.0, "mark fraction {}", r.mark_fraction);
+    }
+
+    #[test]
     fn exhausted_event_budget_is_an_error() {
         let r = MultihopScenario::tables56().event_budget(50).run();
         assert!(

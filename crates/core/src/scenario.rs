@@ -12,7 +12,7 @@ use crate::design::{effective_epsilons, Design, Group};
 use crate::driver::{fast_link, Plan, World};
 use crate::host::HostAgent;
 use crate::mbac::MbacRegistry;
-use crate::metrics::{share, Report};
+use crate::metrics::Report;
 use crate::probe::{Placement, Signal};
 use crate::sink::{stage_grace, SinkAgent};
 use netsim::{
@@ -366,28 +366,10 @@ impl Scenario {
             sinks: &[sink_n],
         };
         let (links, telemetry) = plan.run(&mut world, |sim| {
-            let mut links = plan.read_links(sim, &[bottleneck], self.link_bps);
-            let stats = &sim.net.link(bottleneck).stats;
-            let data = stats.class(TrafficClass::Data);
-            let data_b = data.transmitted_bytes.since_mark();
-            let probe_b = stats
-                .class(TrafficClass::Probe)
-                .transmitted_bytes
-                .since_mark();
-            links.probe_overhead = share(probe_b, data_b + probe_b);
-            links.mark_fraction = share(data.marked.since_mark(), data.transmitted.since_mark());
-            links
+            plan.read_links(sim, &[bottleneck], self.link_bps)
         })?;
         let names = self.groups.iter().map(|g| g.name.clone());
-        let mut report = plan.report(&mut world, names, links);
-        let delay = &world
-            .sim
-            .agent::<SinkAgent>(sink_n)
-            .expect("sink")
-            .stats
-            .data_delay;
-        report.delay_ms_mean = delay.mean() * 1_000.0;
-        report.delay_ms_std = delay.std_dev() * 1_000.0;
+        let report = plan.report(&mut world, names, links);
         Ok(RunOutput { report, telemetry })
     }
 }

@@ -17,7 +17,7 @@
 use crate::msg::{decode_data_aux, decode_probe_aux, Msg};
 use crate::probe::{congestion_fraction, Signal};
 use netsim::{Agent, Api, FlowId, NodeId, Packet, TrafficClass};
-use simcore::stats::{Counter, Welford};
+use simcore::stats::Counter;
 use simcore::{IdMap, SimDuration};
 use std::any::Any;
 use telemetry::LogHistogram;
@@ -56,13 +56,11 @@ pub struct SinkConfig {
 pub struct SinkStats {
     /// Data packets received, per group.
     pub data_received: Vec<Counter>,
-    /// End-to-end delay of delivered data packets, seconds. The paper
+    /// End-to-end delay of delivered data packets, log-bucketed in
+    /// nanoseconds (quantiles for the report's delay summary). The paper
     /// argues Controlled-Load delays stay small because the
     /// admission-controlled queue is bounded; this lets reports verify
     /// that claim.
-    pub data_delay: Welford,
-    /// Full distribution of that delay, log-bucketed in nanoseconds
-    /// (quantiles for the report's delay summary).
     pub data_delay_hist: LogHistogram,
     /// Undecided flow records reclaimed by the TTL garbage collector.
     pub expired: Counter,
@@ -74,7 +72,6 @@ impl SinkStats {
     fn new(groups: usize) -> Self {
         SinkStats {
             data_received: (0..groups).map(|_| Counter::new()).collect(),
-            data_delay: Welford::new(),
             data_delay_hist: LogHistogram::new(),
             expired: Counter::new(),
             stray_timers: Counter::new(),
@@ -88,7 +85,6 @@ impl SinkStats {
         }
         self.expired.mark();
         self.stray_timers.mark();
-        self.data_delay.reset();
         self.data_delay_hist.reset();
     }
 }
@@ -293,9 +289,7 @@ impl Agent for SinkAgent {
                 let g = g as usize;
                 if in_window && g < self.stats.data_received.len() {
                     self.stats.data_received[g].inc();
-                    let delay = api.now().since(pkt.created);
-                    self.stats.data_delay.add(delay.as_secs_f64());
-                    let delay_ns = delay.as_nanos();
+                    let delay_ns = api.now().since(pkt.created).as_nanos();
                     self.stats.data_delay_hist.record(delay_ns);
                     if let Some(tel) = api.net.telemetry.as_deref_mut() {
                         tel.metrics.observe("sink.delay_ns", delay_ns);

@@ -104,8 +104,6 @@ proptest! {
             blocking: 0.1,
             probe_overhead: 0.05,
             mark_fraction: 0.0,
-            delay_ms_mean: 20.0,
-            delay_ms_std: 2.0,
             delay_hist: Default::default(),
             groups: vec![GroupReport {
                 name: "g".into(),

@@ -15,9 +15,7 @@ pub struct ClassStats {
     pub offered_bytes: Counter,
     /// Packets dropped (tail drop or push-out eviction).
     pub dropped: Counter,
-    /// Packets the virtual-queue marker marked on arrival. The marker runs
-    /// before the real queue decides, so this includes marked packets that
-    /// the queue then dropped.
+    /// Packets transmitted onto the wire carrying a congestion mark.
     pub marked: Counter,
     /// Packets transmitted onto the wire.
     pub transmitted: Counter,
@@ -153,11 +151,7 @@ impl Link {
             .offered_bytes
             .add(pkt.size as u64);
         if let Some(m) = &mut self.marker {
-            let was_marked = pkt.marked;
             m.process(&mut pkt, now);
-            if pkt.marked && !was_marked {
-                self.stats.class_mut(class).marked.inc();
-            }
         }
         self.evict_buf.clear();
         let accepted = self.qdisc.enqueue_into(pkt, now, &mut self.evict_buf);
@@ -198,6 +192,9 @@ impl Link {
         let cs = self.stats.class_mut(p.class);
         cs.transmitted.inc();
         cs.transmitted_bytes.add(p.size as u64);
+        if p.marked {
+            cs.marked.inc();
+        }
         p
     }
 
@@ -294,23 +291,46 @@ mod tests {
     }
 
     #[test]
-    fn marker_marks_and_counts() {
-        let mut l = Link::new(
-            LinkId(0),
-            NodeId(0),
-            NodeId(1),
-            10_000_000,
-            SimDuration::ZERO,
-            Box::new(DropTail::new(Limit::Packets(1000))),
-            Some(VirtualQueue::new(10_000_000, 0.9, 2.0 * 125.0)),
-        );
+    fn marks_count_when_transmitted() {
+        let marking_link = |buffer_pkts| {
+            Link::new(
+                LinkId(0),
+                NodeId(0),
+                NodeId(1),
+                10_000_000,
+                SimDuration::ZERO,
+                Box::new(DropTail::new(Limit::Packets(buffer_pkts))),
+                Some(VirtualQueue::new(10_000_000, 0.9, 2.0 * 125.0)),
+            )
+        };
+        let send_all = |l: &mut Link| {
+            while l.try_start(SimTime::ZERO).is_some() {
+                l.tx_complete();
+            }
+        };
         // Burst enough packets at one instant to overwhelm the tiny VQ.
+        let mut l = marking_link(1000);
         for i in 0..10 {
             l.receive(pkt(i), SimTime::ZERO);
         }
-        assert!(l.stats.class(TrafficClass::Data).marked.total() >= 8);
-        // Marked packets are still queued (marking, not dropping).
+        // Marked packets are still queued (marking, not dropping), and
+        // count only once they leave.
         assert_eq!(l.queue_len(), 10);
+        assert_eq!(l.stats.class(TrafficClass::Data).marked.total(), 0);
+        send_all(&mut l);
+        assert!(l.stats.class(TrafficClass::Data).marked.total() >= 8);
+
+        // A marked packet the real queue drops is never counted: the VQ
+        // passes the first two and marks the other eight, which the
+        // two-packet buffer then drops.
+        let mut l = marking_link(2);
+        for i in 0..10 {
+            l.receive(pkt(i), SimTime::ZERO);
+        }
+        send_all(&mut l);
+        let data = l.stats.class(TrafficClass::Data);
+        assert_eq!((data.dropped.total(), data.transmitted.total()), (8, 2));
+        assert_eq!(data.marked.total(), 0);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   flow tables on the per-packet path;
 //! - [`rng::SimRng`]: a seeded RNG with cheap derived streams and the
 //!   distribution samplers the paper's workloads need (exponential, Pareto);
-//! - [`stats`]: statistics accumulators (Welford mean/variance and
-//!   warm-up-marked counters).
+//! - [`stats`]: warm-up-marked counters.
 //!
 //! The engine is deliberately synchronous and single-threaded per
 //! simulation run: determinism is a feature (identical seeds produce

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use simcore::queue::HeapEventQueue;
-use simcore::stats::Welford;
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 proptest! {
@@ -104,20 +103,6 @@ proptest! {
         let t = SimDuration::transmission(bytes, rate);
         prop_assert!(SimDuration::transmission(bytes + 1, rate) >= t);
         prop_assert!(SimDuration::transmission(bytes, rate * 2) <= t);
-    }
-
-    /// Welford matches the two-pass formulas.
-    #[test]
-    fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((w.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((w.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
     }
 
     /// Derived RNG streams are reproducible and tag-sensitive.

@@ -58,7 +58,8 @@ pub struct OnOff {
 }
 
 impl OnOff {
-    /// Build an on/off source.
+    /// Build an on/off source. Both period means must be positive: the
+    /// exponential and Pareto samplers take no zero mean.
     pub fn new(
         burst_rate_bps: f64,
         mean_on_s: f64,
@@ -66,7 +67,7 @@ impl OnOff {
         dist: PeriodDist,
         pkt_bytes: u32,
     ) -> Self {
-        assert!(burst_rate_bps > 0.0 && mean_on_s > 0.0 && mean_off_s >= 0.0 && pkt_bytes > 0);
+        assert!(burst_rate_bps > 0.0 && mean_on_s > 0.0 && mean_off_s > 0.0 && pkt_bytes > 0);
         OnOff {
             burst_rate_bps,
             mean_on_s,
@@ -147,6 +148,12 @@ mod tests {
         let r = measured_rate(&mut s, 7, 5_000.0);
         assert!((r - 128_000.0).abs() / 128_000.0 < 0.03, "rate {r}");
         assert!((s.avg_rate_bps() - 128_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_off_period_is_rejected() {
+        OnOff::new(128_000.0, 1.0, 0.0, PeriodDist::Exponential, 125);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unidirectional links: a queueing discipline feeding a transmitter with
 //! fixed bandwidth and propagation delay, plus per-class statistics.
 
-use crate::packet::{LinkId, NodeId, Packet, TrafficClass};
+use crate::packet::{FlowId, LinkId, NodeId, Packet, TrafficClass};
 use crate::qdisc::{Dequeue, Qdisc, VirtualQueue};
 use simcore::stats::Counter;
 use simcore::{SimDuration, SimTime};
@@ -83,6 +83,28 @@ impl LinkStats {
     }
 }
 
+/// What one [`Link::receive`] dropped: the refused arrival, if the queue
+/// refused it, and the residents it pushed out to make room.
+pub struct Drops<'a> {
+    refused: Option<(FlowId, TrafficClass)>,
+    evicted: &'a [Packet],
+}
+
+impl Drops<'_> {
+    /// How many packets were dropped.
+    pub fn count(&self) -> u64 {
+        u64::from(self.refused.is_some()) + self.evicted.len() as u64
+    }
+
+    /// The flow and class of each dropped packet: the refused arrival
+    /// first, then the evicted residents.
+    pub fn iter(&self) -> impl Iterator<Item = (FlowId, TrafficClass)> + '_ {
+        self.refused
+            .into_iter()
+            .chain(self.evicted.iter().map(|p| (p.flow, p.class)))
+    }
+}
+
 /// A unidirectional link.
 ///
 /// Owns its queueing discipline and (optionally) a [`VirtualQueue`] ECN
@@ -104,6 +126,9 @@ pub struct Link {
     /// Reused eviction scratch: cleared and refilled by every enqueue so
     /// the per-packet hot path never allocates (a push-out free-list).
     evict_buf: Vec<Packet>,
+    /// The last packet size sent and its transmission time: a link
+    /// carries one or two sizes, so the exact division is rarely redone.
+    tx_memo: (u32, SimDuration),
     in_flight: Option<Packet>,
     /// Operational state (fault injection): a down link neither starts
     /// new transmissions nor delivers the one on the wire; queued packets
@@ -134,17 +159,18 @@ impl Link {
             qdisc,
             marker,
             evict_buf: Vec::new(),
+            tx_memo: (0, SimDuration::transmission(0, bandwidth_bps)),
             in_flight: None,
             up: true,
             stats: LinkStats::default(),
         }
     }
 
-    /// Offer a packet to the link's queue, updating statistics. Returns how
-    /// many packets the queue dropped: the arrival if it was refused, plus
+    /// Offer a packet to the link's queue, updating statistics. Returns the
+    /// packets the queue dropped: the arrival if it was refused, plus
     /// every resident it evicted.
-    pub fn receive(&mut self, mut pkt: Packet, now: SimTime) -> u64 {
-        let class = pkt.class;
+    pub fn receive(&mut self, mut pkt: Packet, now: SimTime) -> Drops<'_> {
+        let (flow, class) = (pkt.flow, pkt.class);
         self.stats.class_mut(class).offered.inc();
         self.stats
             .class_mut(class)
@@ -158,11 +184,13 @@ impl Link {
         if !accepted {
             self.stats.class_mut(class).dropped.inc();
         }
-        let dropped = u64::from(!accepted) + self.evict_buf.len() as u64;
-        for victim in self.evict_buf.drain(..) {
+        for victim in &self.evict_buf {
             self.stats.class_mut(victim.class).dropped.inc();
         }
-        dropped
+        Drops {
+            refused: (!accepted).then_some((flow, class)),
+            evicted: &self.evict_buf,
+        }
     }
 
     /// If idle, try to start transmitting; returns when the started
@@ -174,7 +202,13 @@ impl Link {
         }
         match self.qdisc.dequeue(now) {
             Dequeue::Packet(p) => {
-                let tx = SimDuration::transmission(p.size, self.bandwidth_bps);
+                if p.size != self.tx_memo.0 {
+                    self.tx_memo = (
+                        p.size,
+                        SimDuration::transmission(p.size, self.bandwidth_bps),
+                    );
+                }
+                let tx = self.tx_memo.1;
                 self.in_flight = Some(p);
                 Some(now + tx)
             }
@@ -228,7 +262,6 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::FlowId;
     use crate::qdisc::{DropTail, Limit};
 
     fn link() -> Link {
@@ -272,6 +305,35 @@ mod tests {
     }
 
     #[test]
+    fn transmission_times_follow_each_packet_size() {
+        // Repeats hit the memoised duration; a new size, a return to an
+        // older one and a first packet all miss it.
+        let sizes = [125, 125, 40, 1000, 40, 125];
+        let mut l = Link::new(
+            LinkId(0),
+            NodeId(0),
+            NodeId(1),
+            10_000_000,
+            SimDuration::from_millis(20),
+            Box::new(DropTail::new(Limit::Packets(sizes.len()))),
+            None,
+        );
+        for (i, &size) in sizes.iter().enumerate() {
+            let mut p = pkt(i as u64);
+            p.size = size;
+            assert_eq!(l.receive(p, SimTime::ZERO).count(), 0);
+        }
+        let mut now = SimTime::ZERO;
+        for &size in &sizes {
+            let done = l.try_start(now).expect("a queued packet starts");
+            now += SimDuration::transmission(size, 10_000_000);
+            assert_eq!(done, now, "{size} B");
+            assert_eq!(l.tx_complete().size, size);
+        }
+        assert_eq!(l.try_start(now), None);
+    }
+
+    #[test]
     fn busy_link_does_not_restart() {
         let mut l = link();
         l.receive(pkt(0), SimTime::ZERO);
@@ -283,7 +345,9 @@ mod tests {
     #[test]
     fn overflow_counts_drops() {
         let mut l = link();
-        let dropped: Vec<u64> = (0..5).map(|i| l.receive(pkt(i), SimTime::ZERO)).collect();
+        let dropped: Vec<u64> = (0..5)
+            .map(|i| l.receive(pkt(i), SimTime::ZERO).count())
+            .collect();
         assert_eq!(dropped, [0, 0, 1, 1, 1]);
         assert_eq!(l.stats.class(TrafficClass::Data).offered.total(), 5);
         assert_eq!(l.stats.class(TrafficClass::Data).dropped.total(), 3);

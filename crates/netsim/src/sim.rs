@@ -206,15 +206,14 @@ impl Sim {
     }
 
     fn dispatch_start(&mut self) {
-        for i in 0..self.agents.len() {
-            if let Some(mut agent) = self.agents[i].take() {
+        for (i, slot) in self.agents.iter_mut().enumerate() {
+            if let Some(agent) = slot.as_deref_mut() {
                 let mut api = Api {
                     node: NodeId(i as u32),
                     net: &mut self.net,
                     queue: &mut self.queue,
                 };
                 agent.on_start(&mut api);
-                self.agents[i] = Some(agent);
             }
         }
         self.started = true;
@@ -232,27 +231,26 @@ impl Sim {
                     return;
                 }
                 self.net.audit.delivered += 1;
-                let idx = node.0 as usize;
-                match self.agents[idx].take() {
-                    Some(mut agent) => {
+                // The agent is borrowed in place: `Api` reaches the
+                // network and the calendar, never another agent.
+                match self.agents[node.0 as usize].as_deref_mut() {
+                    Some(agent) => {
                         let mut api = Api {
                             node,
                             net: &mut self.net,
                             queue: &mut self.queue,
                         };
                         agent.on_packet(packet, &mut api);
-                        self.agents[idx] = Some(agent);
                     }
                     None => self.net.orphan_packets += 1,
                 }
             }
             Event::Timer { node, kind, data } => {
-                let idx = node.0 as usize;
                 // A timer for an agent-less node is counted and ignored,
                 // not fatal: fault injection can legitimately orphan
                 // timers (e.g. an agent torn down while its timer rode
                 // the calendar).
-                let Some(mut agent) = self.agents[idx].take() else {
+                let Some(agent) = self.agents[node.0 as usize].as_deref_mut() else {
                     self.net.audit.stray_timers += 1;
                     return;
                 };
@@ -262,7 +260,6 @@ impl Sim {
                     queue: &mut self.queue,
                 };
                 agent.on_timer(kind, data, &mut api);
-                self.agents[idx] = Some(agent);
             }
             Event::LinkDown { link } => self.net.set_link_up(link, false, &mut self.queue),
             Event::LinkUp { link } => self.net.set_link_up(link, true, &mut self.queue),

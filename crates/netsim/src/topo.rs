@@ -244,20 +244,24 @@ impl Network {
             return;
         };
         let now = q.now();
-        let (flow, class) = (pkt.flow.0, pkt.class);
         let link = &mut self.links[lid.0 as usize];
-        let dropped = link.receive(pkt, now);
-        let tx_done = link.try_start(now);
-        if dropped > 0 {
-            if let Some(tel) = self.telemetry.as_deref_mut() {
+        let drops = link.receive(pkt, now);
+        if let Some(tel) = self.telemetry.as_deref_mut() {
+            let dropped = drops.count();
+            if dropped > 0 {
                 tel.metrics.inc("net.drops.queue", dropped);
-                tel.recorder.record(
-                    now,
-                    "drop.queue",
-                    format!("l{} flow {flow} class {class:?}", lid.0),
-                );
+                // One event per dropped packet, naming that packet: a
+                // push-out names the evicted resident, not the arrival.
+                for (flow, class) in drops.iter() {
+                    tel.recorder.record(
+                        now,
+                        "drop.queue",
+                        format!("l{} flow {} class {class:?}", lid.0, flow.0),
+                    );
+                }
             }
         }
+        let tx_done = link.try_start(now);
         self.apply(lid, tx_done, q);
     }
 
@@ -571,9 +575,21 @@ mod tests {
             .sum();
         assert_eq!(booked, 2);
         assert_eq!(queue_drops(&net), booked);
+        // One event per dropped packet, each naming that packet: the
+        // push-out names the evicted probe 2, not the data arrival 3.
         let tel = net.telemetry.as_deref().expect("hub installed");
-        let events = tel.recorder.snapshot();
-        assert_eq!(events.iter().filter(|e| e.kind == "drop.queue").count(), 2);
+        let details: Vec<String> = tel
+            .recorder
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == "drop.queue")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            details,
+            ["l0 flow 2 class Probe", "l0 flow 4 class Probe"],
+            "{details:?}"
+        );
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! - [`EventQueue`] — the production calendar: a sliding calendar queue
 //!   (a ring of buckets, i.e. a timer wheel) with a far-future overflow
 //!   heap. The near window covers [`NUM_BUCKETS`] buckets of
-//!   `2^`[`WIDTH_BITS`] ns each (~67 ms) starting at the activation
+//!   `2^`[`WIDTH_BITS`] ns each (~33.5 ms) starting at the activation
 //!   cursor, and it slides forward with every bucket activation, so the
 //!   packet-level hot path (transmission completions, 20 ms propagation
-//!   deliveries, link-up kicks) always lands in an O(1) bucket; only
-//!   long-lived protocol timers (flow arrivals, lifetimes, probe
-//!   deadlines) pay the overflow heap, and they move into the ring once
-//!   the window reaches them. The active region is a sorted run, not a
-//!   heap: activating a bucket swaps its `Vec` in and sorts it once,
-//!   every pop is a `Vec::pop` off the end, and the rare schedule behind
-//!   the cursor is placed by binary search (a zero-delay event usually
-//!   lands at the end). Buffers change places on each swap but none is
-//!   freed, so steady-state scheduling allocates nothing.
+//!   deliveries, in-burst packet spacing, link-up kicks) always lands in
+//!   an O(1) bucket; only long-lived protocol timers (flow arrivals,
+//!   lifetimes, probe deadlines) pay the overflow heap, and they move
+//!   into the ring once the window reaches them. The active region is a
+//!   sorted run, not a heap: activating a bucket swaps its `Vec` in and
+//!   sorts it once, every pop is a `Vec::pop` off the end, and the rare
+//!   schedule behind the cursor is placed by binary search (a zero-delay
+//!   event usually lands at the end). Buffers change places on each
+//!   swap but none is freed, so steady-state scheduling allocates
+//!   nothing.
 //! - [`HeapEventQueue`] — the original binary-heap calendar, kept as the
 //!   reference implementation for differential property tests and the
 //!   engine benchmarks.
@@ -34,10 +35,13 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem;
 
-/// log2 of the calendar bucket width in nanoseconds (2^15 ns ≈ 32.8 µs).
-pub const WIDTH_BITS: u32 = 15;
-/// Number of buckets in the near window (must be a multiple of 64).
-pub const NUM_BUCKETS: usize = 2048;
+/// log2 of the calendar bucket width in nanoseconds (2^16 ns ≈ 65.5 µs).
+pub const WIDTH_BITS: u32 = 16;
+/// Number of buckets in the near window (must be a multiple of 64). The
+/// window, 512 × 2^16 ns ≈ 33.5 ms, holds every delay the packet path
+/// schedules (20 ms propagation, 100 µs transmission, 3.9 ms in-burst
+/// spacing), and its bucket headers, 12 KB, fit in L1.
+pub const NUM_BUCKETS: usize = 512;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
 
 /// A cheap point-in-time view of a calendar, read by periodic samplers

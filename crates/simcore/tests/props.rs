@@ -142,13 +142,16 @@ proptest! {
 
 /// A delay from the simulator's own mix: 100 µs transmissions, 3.9 ms
 /// on/off packet spacing, 20 ms propagation, 0.5 s off periods and 300 s
-/// lifetimes. The fixed values collide often, so same-instant ties are
-/// common too.
+/// lifetimes, plus delays one bucket inside and one bucket past the near
+/// window's edge. The fixed values collide often, so same-instant ties
+/// are common too.
 fn simulator_delay(rng: &mut SimRng) -> SimDuration {
     match rng.next_u64() % 16 {
         0..=5 => SimDuration::from_micros(100),
         6..=8 => SimDuration::from_micros(3_900),
-        9..=12 => SimDuration::from_micros(20_100),
+        9..=10 => SimDuration::from_micros(20_100),
+        11 => SimDuration::from_nanos(WINDOW_NS - BUCKET_NS),
+        12 => SimDuration::from_nanos(WINDOW_NS + BUCKET_NS),
         13..=14 => SimDuration::from_secs_f64(rng.exponential(0.5)),
         _ => SimDuration::from_secs_f64(rng.exponential(300.0)),
     }
@@ -246,17 +249,20 @@ fn sliding_window_matches_heap_over_long_runs() {
 
         assert!(t.ops >= 100_000, "only {} operations", t.ops);
         assert_eq!(t.cal.events_fired(), t.heap.events_fired());
-        // The clock crossed the 67 ms window edge thousands of times.
+        // The clock crossed the `WINDOW_NS` window edge thousands of times.
         assert!(
             t.cal.now() > SimTime::from_secs(300),
-            "clock {}",
-            t.cal.now()
+            "clock {}: {} windows of {WINDOW_NS} ns",
+            t.cal.now(),
+            t.cal.now().as_nanos() / WINDOW_NS
         );
     }
 }
 
 /// One calendar bucket's width in nanoseconds.
 const BUCKET_NS: u64 = 1 << simcore::queue::WIDTH_BITS;
+/// The near window's span in nanoseconds.
+const WINDOW_NS: u64 = (simcore::queue::NUM_BUCKETS as u64) << simcore::queue::WIDTH_BITS;
 
 proptest! {
     /// Schedules made while an activated bucket drains land behind the

@@ -50,6 +50,10 @@ pub struct OnOff {
     mean_off_s: f64,
     dist: PeriodDist,
     pkt_bytes: u32,
+    /// Packet spacing while ON, seconds, and as a duration: the gap of
+    /// every in-burst packet, so neither is recomputed per packet.
+    spacing_s: f64,
+    spacing: SimDuration,
     /// Seconds of the current ON period not yet consumed by emissions.
     remaining_on: f64,
     /// Whether the source still has to draw its first period (randomised
@@ -68,26 +72,24 @@ impl OnOff {
         pkt_bytes: u32,
     ) -> Self {
         assert!(burst_rate_bps > 0.0 && mean_on_s > 0.0 && mean_off_s > 0.0 && pkt_bytes > 0);
+        let spacing_s = pkt_bytes as f64 * 8.0 / burst_rate_bps;
         OnOff {
             burst_rate_bps,
             mean_on_s,
             mean_off_s,
             dist,
             pkt_bytes,
+            spacing_s,
+            spacing: SimDuration::from_secs_f64(spacing_s),
             remaining_on: 0.0,
             fresh: true,
         }
-    }
-
-    /// Packet spacing while ON.
-    fn spacing_s(&self) -> f64 {
-        self.pkt_bytes as f64 * 8.0 / self.burst_rate_bps
     }
 }
 
 impl PacketProcess for OnOff {
     fn next_packet(&mut self, rng: &mut SimRng) -> (SimDuration, u32) {
-        let spacing = self.spacing_s();
+        let spacing = self.spacing_s;
         let mut gap = 0.0;
         if self.fresh {
             // Random initial phase so simultaneous flow starts don't sync.
@@ -106,7 +108,14 @@ impl PacketProcess for OnOff {
             if self.remaining_on >= need {
                 self.remaining_on -= need;
                 gap += need;
-                return (SimDuration::from_secs_f64(gap), self.pkt_bytes);
+                // An in-burst gap is exactly the spacing, whose conversion
+                // is cached: the same input gives the same duration.
+                let gap = if gap == spacing {
+                    self.spacing
+                } else {
+                    SimDuration::from_secs_f64(gap)
+                };
+                return (gap, self.pkt_bytes);
             }
             // Exhaust the ON period, wait out an OFF period, keep the
             // residual need so long-run rate is exact.
@@ -139,6 +148,71 @@ mod tests {
             bytes += size as u64;
         }
         bytes as f64 * 8.0 / horizon_s
+    }
+
+    /// `next_packet` as it was before the spacing and its duration were
+    /// cached: both recomputed on every call.
+    fn reference_next_packet(s: &mut OnOff, rng: &mut SimRng) -> (SimDuration, u32) {
+        let spacing = s.pkt_bytes as f64 * 8.0 / s.burst_rate_bps;
+        let mut gap = 0.0;
+        if s.fresh {
+            s.fresh = false;
+            let duty = s.mean_on_s / (s.mean_on_s + s.mean_off_s);
+            if rng.chance(duty) {
+                s.remaining_on = s.dist.sample(s.mean_on_s, rng) * rng.uniform();
+            } else {
+                gap += s.dist.sample(s.mean_off_s, rng) * rng.uniform();
+                s.remaining_on = s.dist.sample(s.mean_on_s, rng);
+            }
+        }
+        let mut need = spacing;
+        loop {
+            if s.remaining_on >= need {
+                s.remaining_on -= need;
+                gap += need;
+                return (SimDuration::from_secs_f64(gap), s.pkt_bytes);
+            }
+            gap += s.remaining_on;
+            need -= s.remaining_on;
+            gap += s.dist.sample(s.mean_off_s, rng);
+            s.remaining_on = s.dist.sample(s.mean_on_s, rng);
+        }
+    }
+
+    #[test]
+    fn cached_spacing_matches_the_reference_bit_for_bit() {
+        use crate::spec::{SourceKind, SourceSpec};
+        for spec in [
+            SourceSpec::exp1(),
+            SourceSpec::exp2(),
+            SourceSpec::exp4(),
+            SourceSpec::poo1(),
+        ] {
+            let SourceKind::OnOff {
+                burst_rate_bps,
+                mean_on_s,
+                mean_off_s,
+                dist,
+            } = spec.kind
+            else {
+                panic!("{} is not an on/off source", spec.name);
+            };
+            let make = || OnOff::new(burst_rate_bps, mean_on_s, mean_off_s, dist, spec.pkt_bytes);
+            for seed in [1, 2] {
+                let (mut cached, mut reference) = (make(), make());
+                let (mut rng_c, mut rng_r) = (SimRng::new(seed), SimRng::new(seed));
+                let mut in_burst = 0;
+                for i in 0..100_000 {
+                    let got = cached.next_packet(&mut rng_c);
+                    let want = reference_next_packet(&mut reference, &mut rng_r);
+                    assert_eq!(got, want, "{} seed {seed} packet {i}", spec.name);
+                    in_burst += usize::from(got.0 == cached.spacing);
+                }
+                // Most packets take the cached path, so it is what the
+                // comparison exercises.
+                assert!(in_burst > 90_000, "{}: {in_burst} in-burst gaps", spec.name);
+            }
+        }
     }
 
     #[test]

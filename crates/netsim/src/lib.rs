@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use audit::{check_conservation, AuditCounters, AuditError};
 pub use fault::{FaultPlan, FaultStats, Impairment, LinkFlap};
-pub use link::{ClassStats, Drops, Link, LinkStats};
+pub use link::{ClassStats, Link, LinkStats};
 pub use packet::{FlowId, LinkId, NodeId, Packet, TrafficClass};
 pub use qdisc::{class_band_map, Band, Dequeue, DropTail, Limit, Qdisc, StrictPrio, VirtualQueue};
 pub use sim::{Agent, Api, Event, RunError, Sim};

@@ -86,15 +86,13 @@ impl Workload {
     }
 }
 
-/// The four endpoint prototype designs: label, signal and placement.
-pub fn endpoint_designs() -> Vec<(&'static str, Signal, Placement)> {
-    vec![
-        ("drop (in band)", Signal::Drop, Placement::InBand),
-        ("drop (out of band)", Signal::Drop, Placement::OutOfBand),
-        ("mark (in band)", Signal::Mark, Placement::InBand),
-        ("mark (out of band)", Signal::Mark, Placement::OutOfBand),
-    ]
-}
+/// The four endpoint prototype designs: signal and placement.
+pub const ENDPOINT_DESIGNS: [(Signal, Placement); 4] = [
+    (Signal::Drop, Placement::InBand),
+    (Signal::Drop, Placement::OutOfBand),
+    (Signal::Mark, Placement::InBand),
+    (Signal::Mark, Placement::OutOfBand),
+];
 
 /// The ε grid appropriate to a placement.
 pub fn eps_grid(placement: Placement) -> Vec<f64> {

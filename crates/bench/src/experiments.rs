@@ -2,7 +2,7 @@
 //! rows/series the paper reports and persists raw JSON under `results/`.
 //! [`TARGETS`] names them for the `experiments` CLI.
 
-use crate::catalog::{endpoint_designs, eps_grid, fig9_eps, Workload, ETAS_MBAC};
+use crate::catalog::{eps_grid, fig9_eps, Workload, ENDPOINT_DESIGNS, ETAS_MBAC};
 use crate::output::{fmt_prob, print_table, save_json};
 use crate::pool;
 use crate::runner::{Fidelity, Session};
@@ -70,9 +70,9 @@ pub const TARGETS: &[Target] = &[
     },
 ];
 
-fn curve_row(label: &str, r: &Report) -> Vec<String> {
+fn curve_row(r: &Report) -> Vec<String> {
     vec![
-        label.to_string(),
+        r.design.clone(),
         format!("{:.3}", r.param),
         format!("{:.4}", r.utilization),
         fmt_prob(r.data_loss),
@@ -90,53 +90,65 @@ const CURVE_HEADER: [&str; 6] = [
     "probe-ovh",
 ];
 
-/// One loss-load curve: a label, the scenario and the designs it sweeps.
-type Curve = (&'static str, Scenario, Vec<Design>);
+/// A row's label: the design's name, then ` / <variant>` where a table
+/// holds several curves or scenarios of one design.
+fn label(d: &Design, variant: Option<&str>) -> String {
+    match variant {
+        Some(v) => format!("{} / {v}", d.name()),
+        None => d.name(),
+    }
+}
+
+/// One loss-load curve: its variant (see [`label`]), the scenario and
+/// the designs it sweeps.
+type Curve = (Option<&'static str>, Scenario, Vec<Design>);
 
 /// Run every curve's points as one sweep, print the loss-load table and
 /// save every point as `id`.
 fn loss_load_figure(id: &str, curves: Vec<Curve>, session: &Session) {
-    let grid = curves.into_iter().flat_map(|(label, base, designs)| {
+    let grid = curves.into_iter().flat_map(|(variant, base, designs)| {
         designs
             .into_iter()
-            .map(move |d| (label, base.clone().design(d)))
+            .map(move |d| (label(&d, variant), base.clone().design(d)))
     });
-    let (rows, all): (Vec<_>, Vec<_>) = points(session, grid)
-        .into_iter()
-        .map(|(label, r)| (curve_row(label, &r), r))
-        .unzip();
-    print_table(&CURVE_HEADER, &rows);
-    save_json(id, &all);
+    save_table(id, &CURVE_HEADER, &points(session, grid), curve_row);
 }
 
-/// Run every labelled scenario as one session sweep, and pair each
-/// label with its point's seed average.
-fn points<L, P: Point>(
-    session: &Session,
-    grid: impl IntoIterator<Item = (L, P)>,
-) -> Vec<(L, Report)> {
-    let (labels, scenarios): (Vec<L>, Vec<P>) = grid.into_iter().unzip();
+/// Print one table row per report, then save every report as `id`.
+fn save_table(id: &str, header: &[&str], reports: &[Report], row: fn(&Report) -> Vec<String>) {
+    print_table(header, &reports.iter().map(row).collect::<Vec<_>>());
+    save_json(id, &reports);
+}
+
+/// Run every labelled scenario as one session sweep: each point's seed
+/// average, with its label as `design`.
+fn points<P: Point>(session: &Session, grid: impl IntoIterator<Item = (String, P)>) -> Vec<Report> {
+    let (labels, scenarios): (Vec<String>, Vec<P>) = grid.into_iter().unzip();
     let reports = session.sweep(scenarios).run().expect_reports();
-    labels.into_iter().zip(reports).collect()
+    labels
+        .into_iter()
+        .zip(reports)
+        .map(|(design, r)| Report { design, ..r })
+        .collect()
 }
 
 /// The MBAC benchmark's η sweep on `base`.
 fn mbac_curve(base: Scenario) -> Curve {
     let etas = ETAS_MBAC.iter().map(|&eta| Design::mbac(eta)).collect();
-    ("MBAC", base, etas)
+    (None, base, etas)
 }
 
 /// The four endpoint designs (each over its ε grid) plus the MBAC η
 /// sweep, all on `base`.
 fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
-    let mut curves: Vec<Curve> = endpoint_designs()
+    let mut curves: Vec<Curve> = ENDPOINT_DESIGNS
         .into_iter()
-        .map(|(label, signal, placement)| {
+        .map(|(signal, placement)| {
             let designs = eps_grid(placement)
                 .into_iter()
                 .map(|e| Design::endpoint(signal, placement, style, e))
                 .collect();
-            (label, base.clone(), designs)
+            (None, base.clone(), designs)
         })
         .collect();
     curves.push(mbac_curve(base));
@@ -145,16 +157,23 @@ fn design_curves(base: Scenario, style: ProbeStyle) -> Vec<Curve> {
 
 /// Tables 4–6's rows: the four endpoint designs under slow-start probing
 /// at `eps(placement)`, then MBAC at η = 0.9.
-fn table_designs(eps: fn(Placement) -> f64) -> Vec<(&'static str, Design)> {
-    let mut designs: Vec<(&'static str, Design)> = endpoint_designs()
+fn table_designs(eps: fn(Placement) -> f64) -> Vec<Design> {
+    let mut designs: Vec<Design> = ENDPOINT_DESIGNS
         .into_iter()
-        .map(|(label, signal, placement)| {
-            let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, eps(placement));
-            (label, d)
+        .map(|(signal, placement)| {
+            Design::endpoint(signal, placement, ProbeStyle::SlowStart, eps(placement))
         })
         .collect();
-    designs.push(("MBAC", Design::mbac(0.9)));
+    designs.push(Design::mbac(0.9));
     designs
+}
+
+/// One Fig 1 point as `fig1.json` saves it.
+#[derive(serde::Serialize)]
+struct Fig1Row {
+    probe_s: f64,
+    utilization: f64,
+    loss: f64,
 }
 
 /// Fig 1 — fluid-model thrashing: utilization and in-band loss vs mean
@@ -187,9 +206,13 @@ fn fig1(session: &Session) {
         &["probe-s", "utilization", "loss(in-band)", "E[probing]"],
         &rows,
     );
-    let ser: Vec<(f64, f64, f64)> = pts
+    let ser: Vec<Fig1Row> = pts
         .iter()
-        .map(|p| (p.mean_probe_s, p.utilization, p.loss_in_band))
+        .map(|p| Fig1Row {
+            probe_s: p.mean_probe_s,
+            utilization: p.utilization,
+            loss: p.loss_in_band,
+        })
         .collect();
     save_json("fig1", &ser);
 }
@@ -206,7 +229,7 @@ fn fig3(session: &Session) {
     println!("# Fig 3 — basic scenario with long probing (in-band dropping)\n");
     let mut curves: Vec<Curve> = [("5 second probes", 5.0), ("25 second probes", 25.0)]
         .into_iter()
-        .map(|(label, probe_s)| {
+        .map(|(variant, probe_s)| {
             let designs = eps_grid(Placement::InBand)
                 .into_iter()
                 .map(|e| {
@@ -214,7 +237,7 @@ fn fig3(session: &Session) {
                 })
                 .collect();
             (
-                label,
+                Some(variant),
                 Workload::Basic.scenario().probe_secs(probe_s),
                 designs,
             )
@@ -245,12 +268,12 @@ fn fig4to7(which: u8, session: &Session) {
         ("Early Reject", ProbeStyle::EarlyReject),
     ]
     .into_iter()
-    .map(|(label, style)| {
+    .map(|(variant, style)| {
         let designs = eps_grid(placement)
             .into_iter()
             .map(|e| Design::endpoint(signal, placement, style, e))
             .collect();
-        (label, base.clone(), designs)
+        (Some(variant), base.clone(), designs)
     })
     .collect();
     curves.push(mbac_curve(base));
@@ -277,64 +300,52 @@ fn fig8(letter: char, session: &Session) {
 fn fig9(session: &Session) {
     println!("# Fig 9 — loss for many scenarios at fixed eps");
     println!("# (eps = 0.01 in-band, 0.05 out-of-band)\n");
-    let grid = endpoint_designs()
+    let grid = ENDPOINT_DESIGNS
         .into_iter()
-        .flat_map(|(label, signal, placement)| {
+        .flat_map(|(signal, placement)| {
             let eps = fig9_eps(placement);
             let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, eps);
             Workload::ALL
                 .into_iter()
-                .map(move |w| ((label, w.name(), eps), w.scenario().design(d)))
+                .map(move |w| (label(&d, Some(w.name())), w.scenario().design(d)))
         });
-    let mut rows = Vec::new();
-    let mut ser: Vec<(String, String, f64)> = Vec::new();
-    for ((label, name, eps), r) in points(session, grid) {
-        rows.push(vec![
-            label.to_string(),
-            name.to_string(),
-            format!("{:.3}", eps),
+    let header = ["design", "eps", "loss", "utilization"];
+    save_table("fig9", &header, &points(session, grid), |r| {
+        vec![
+            r.design.clone(),
+            format!("{:.3}", r.param),
             fmt_prob(r.data_loss),
             format!("{:.3}", r.utilization),
-        ]);
-        ser.push((label.to_string(), name.to_string(), r.data_loss));
-    }
-    print_table(&["design", "scenario", "eps", "loss", "utilization"], &rows);
-    save_json("fig9", &ser);
+        ]
+    });
 }
 
 /// Table 3 — heterogeneous thresholds: blocking for low- vs high-ε flows.
 fn table3(session: &Session) {
     println!("# Table 3 — blocking probabilities for low and high eps\n");
-    let grid = endpoint_designs()
-        .into_iter()
-        .map(|(label, signal, placement)| {
-            let high = match placement {
-                Placement::InBand => 0.05,
-                Placement::OutOfBand => 0.20,
-            };
-            let groups = vec![
-                Group::new("low-eps", SourceSpec::exp1(), 1.0).with_epsilon(0.0),
-                Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
-            ];
-            let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, 0.0);
-            (label, Workload::Basic.scenario().groups(groups).design(d))
-        });
-    let mut rows = Vec::new();
-    let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, r) in points(session, grid) {
-        rows.push(vec![
-            label.to_string(),
+    let grid = ENDPOINT_DESIGNS.into_iter().map(|(signal, placement)| {
+        let high = match placement {
+            Placement::InBand => 0.05,
+            Placement::OutOfBand => 0.20,
+        };
+        let groups = vec![
+            Group::new("low-eps", SourceSpec::exp1(), 1.0).with_epsilon(0.0),
+            Group::new("high-eps", SourceSpec::exp1(), 1.0).with_epsilon(high),
+        ];
+        let d = Design::endpoint(signal, placement, ProbeStyle::SlowStart, 0.0);
+        (
+            d.name(),
+            Workload::Basic.scenario().groups(groups).design(d),
+        )
+    });
+    let header = ["design", "low-eps blocking", "high-eps blocking"];
+    save_table("table3", &header, &points(session, grid), |r| {
+        vec![
+            r.design.clone(),
             format!("{:.4}", r.groups[0].blocking),
             format!("{:.4}", r.groups[1].blocking),
-        ]);
-        ser.push((
-            label.to_string(),
-            r.groups[0].blocking,
-            r.groups[1].blocking,
-        ));
-    }
-    print_table(&["design", "low-eps blocking", "high-eps blocking"], &rows);
-    save_json("table3", &ser);
+        ]
+    });
 }
 
 /// Table 4 — blocking for small vs large flows in the heterogeneous mix.
@@ -343,26 +354,19 @@ fn table4(session: &Session) {
     println!("# large = EXP2 (token rate 1024k, 4x the others)\n");
     let grid = table_designs(fig9_eps)
         .into_iter()
-        .map(|(label, d)| (label, Workload::Hetero.scenario().design(d)));
-    let mut rows = Vec::new();
-    let mut ser: Vec<(String, f64, f64)> = Vec::new();
-    for (label, r) in points(session, grid) {
+        .map(|d| (d.name(), Workload::Hetero.scenario().design(d)));
+    let header = ["design", "small flows", "large flows"];
+    save_table("table4", &header, &points(session, grid), |r| {
         // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
-        let small: Vec<&eac::metrics::GroupReport> =
-            r.groups.iter().filter(|g| g.name != "EXP2").collect();
-        let dec: u64 = small.iter().map(|g| g.decided).sum();
-        let rej: u64 = small.iter().map(|g| g.rejected).sum();
-        let small_b = share(rej, dec);
-        let large_b = r.groups[1].blocking;
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.4}", small_b),
-            format!("{:.4}", large_b),
-        ]);
-        ser.push((label.to_string(), small_b, large_b));
-    }
-    print_table(&["design", "small flows", "large flows"], &rows);
-    save_json("table4", &ser);
+        let small = r.groups.iter().filter(|g| g.name != "EXP2");
+        let dec: u64 = small.clone().map(|g| g.decided).sum();
+        let rej: u64 = small.map(|g| g.rejected).sum();
+        vec![
+            r.design.clone(),
+            format!("{:.4}", share(rej, dec)),
+            format!("{:.4}", r.groups[1].blocking),
+        ]
+    });
 }
 
 /// Tables 5 and 6 — the multi-hop topology: per-class loss and blocking
@@ -371,27 +375,26 @@ fn tables56(session: &Session) {
     println!("# Tables 5 & 6 — multi-hop topology (Fig 10), eps = 0\n");
     let grid = table_designs(|_| 0.0)
         .into_iter()
-        .map(|(label, d)| (label, MultihopScenario::tables56().design(d)));
+        .map(|d| (d.name(), MultihopScenario::tables56().design(d)));
+    let reports = points(session, grid);
     let mut loss_rows = Vec::new();
     let mut block_rows = Vec::new();
-    let mut ser: Vec<Report> = Vec::new();
-    for (label, r) in points(session, grid) {
+    for r in &reports {
         let short_loss = (r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0;
         loss_rows.push(vec![
-            label.to_string(),
+            r.design.clone(),
             fmt_prob(short_loss),
             fmt_prob(r.groups[3].loss),
         ]);
         let cross: Vec<f64> = (0..3).map(|i| r.groups[i].blocking).collect();
         block_rows.push(vec![
-            label.to_string(),
+            r.design.clone(),
             format!("{:.3}", cross[0]),
             format!("{:.3}", cross[1]),
             format!("{:.3}", cross[2]),
             format!("{:.3}", r.groups[3].blocking),
             format!("{:.3}", product_blocking(&cross)),
         ]);
-        ser.push(r);
     }
     println!("Table 5 — loss probability (short flows averaged over links)");
     print_table(&["design", "short flows", "long flows"], &loss_rows);
@@ -407,7 +410,7 @@ fn tables56(session: &Session) {
         ],
         &block_rows,
     );
-    save_json("tables56", &ser);
+    save_json("tables56", &reports);
 }
 
 /// Fig 11 — TCP coexistence at a legacy drop-tail router.
@@ -462,9 +465,9 @@ fn ablation(
     header.extend(extra.map(|(name, _)| name));
     let rows: Vec<Vec<String>> = points(session, variants)
         .into_iter()
-        .map(|(label, r)| {
+        .map(|r| {
             let mut row = vec![
-                label,
+                r.design.clone(),
                 format!("{:.4}", r.utilization),
                 fmt_prob(r.data_loss),
                 format!("{:.4}", r.blocking),
@@ -583,9 +586,9 @@ fn ablate_retry(session: &Session) {
     );
 }
 
-/// One robustness variant: its leading table cells, the `design` label
-/// its saved row carries, and the scenario it runs.
-type RobustVariant = ((Vec<String>, String), Scenario);
+/// One robustness variant: the `design` label its row prints and saves,
+/// and the scenario it runs.
+type RobustVariant = (String, Scenario);
 
 /// In-band dropping at `eps` on the basic workload, with the event budget
 /// on every seed. Like every run, each seed ends with the conservation
@@ -602,19 +605,16 @@ fn robust_base(eps: f64) -> Scenario {
 /// sweep, whose seeds fail alone, so one pathological run cannot take
 /// down the rest: each variant averages its surviving seeds and counts
 /// them as `ok/n`. A variant whose seeds all died prints `-` cells and
-/// `ok/n: error`; the others are saved to `<id>.json` under their
-/// relabelled design.
+/// `ok/n: error`; the others are saved to `<id>.json` under their label.
 fn robustness(
     session: &Session,
     title: &str,
     id: &str,
-    lead: &[&str],
     with_loss: bool,
     variants: impl IntoIterator<Item = RobustVariant>,
 ) {
     println!("{title}\n");
-    let mut header = lead.to_vec();
-    header.push("utilization");
+    let mut header = vec!["design", "utilization"];
     if with_loss {
         header.push("loss");
     }
@@ -624,8 +624,9 @@ fn robustness(
     let mut rows = Vec::new();
     let mut ser: Vec<Report> = Vec::new();
     let per_variant = result.reports.into_iter().zip(result.outcomes);
-    for ((mut row, relabel), (report, outcomes)) in labels.into_iter().zip(per_variant) {
+    for (label, (report, outcomes)) in labels.into_iter().zip(per_variant) {
         let ok = outcomes.iter().filter(|o| o.is_ok()).count();
+        let mut row = vec![label.clone()];
         match report {
             Ok(mut r) => {
                 row.push(format!("{:.4}", r.utilization));
@@ -638,7 +639,7 @@ fn robustness(
                     format!("{}", r.leaked_flows),
                     format!("{ok}/{}", outcomes.len()),
                 ]);
-                r.design = relabel;
+                r.design = label;
                 ser.push(r);
             }
             Err(e) => {
@@ -674,8 +675,7 @@ fn robust_flap(session: &Session) {
                     s = s.flap(down, up);
                 }
             }
-            let relabel = format!("{label} / {} / eps {eps:.2}", s.design.name());
-            variants.push(((vec![label.to_string(), format!("{eps:.2}")], relabel), s));
+            variants.push((format!("{label} / {} / eps {eps:.2}", s.design.name()), s));
         }
     }
     robustness(
@@ -683,7 +683,6 @@ fn robust_flap(session: &Session) {
         "# robust-flap — in-band dropping under a flapping bottleneck\n\
          # (5 s verdict timeout; packet-conservation audit on every seed)",
         "robust-flap",
-        &["variant", "eps"],
         true,
         variants,
     );
@@ -704,8 +703,7 @@ fn robust_ctrl_loss(session: &Session) {
             if let Some(t) = timeout {
                 s = s.verdict_timeout(t);
             }
-            let relabel = format!("ctrl-loss {p:.2} / {label}");
-            variants.push(((vec![format!("{p:.2}"), label.to_string()], relabel), s));
+            variants.push((format!("ctrl-loss {p:.2} / {label}"), s));
         }
     }
     robustness(
@@ -713,7 +711,6 @@ fn robust_ctrl_loss(session: &Session) {
         "# robust-ctrl-loss — Bernoulli loss on the control channel\n\
          # (in-band dropping, eps=0.01; audit + event budget on every seed)",
         "robust-ctrl-loss",
-        &["ctrl-loss", "variant"],
         false,
         variants,
     );

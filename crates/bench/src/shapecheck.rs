@@ -30,9 +30,8 @@ use std::path::Path;
 /// One result row, flattened to named string and numeric fields.
 ///
 /// Report-shaped rows expose `design`, `param`, `utilization`, ... plus
-/// per-group fields `g0.loss`, `g0.blocking`, `g0.name`, ...; tuple rows
-/// are named positionally by the target's [`RowShape::Tuple`] schema;
-/// object rows expose their scalar members (booleans as 0/1).
+/// per-group fields `g0.loss`, `g0.blocking`, `g0.name`, ...; object
+/// rows expose their scalar members (booleans as 0/1).
 #[derive(Clone, Debug, Default)]
 pub struct Row {
     /// String-valued fields (design labels, group/scenario names).
@@ -44,10 +43,9 @@ pub struct Row {
 /// How a target's JSON maps to [`Row`]s.
 #[derive(Clone, Copy, Debug)]
 pub enum RowShape {
-    /// An array of serialized [`eac::metrics::Report`] objects.
+    /// An array of serialized [`eac::metrics::Report`] objects, each
+    /// named by its `design` label.
     Reports,
-    /// An array of fixed-arity arrays; cells named by position.
-    Tuple(&'static [&'static str]),
     /// An array of flat objects (or a single object — one row). Scalar
     /// members become fields; nested arrays/objects are ignored.
     Objects,
@@ -106,16 +104,12 @@ impl Expr {
     }
 }
 
-/// Row filter. All set conditions must hold; [`Sel::block`] then slices
-/// the filtered sequence (for files whose style/variant blocks are only
-/// distinguishable by position, e.g. Figs 3–7).
+/// Row filter. All set conditions must hold.
 #[derive(Clone, Debug, Default)]
 pub struct Sel {
-    design: Option<&'static str>,
+    design: Option<String>,
     contains: Vec<(&'static str, &'static str)>,
     range: Option<(&'static str, f64, f64)>,
-    skip: usize,
-    take: usize,
 }
 
 impl Sel {
@@ -125,9 +119,9 @@ impl Sel {
     }
 
     /// Rows whose `design` field equals `name` exactly.
-    pub fn design(name: &'static str) -> Sel {
+    pub fn design(name: impl Into<String>) -> Sel {
         Sel {
-            design: Some(name),
+            design: Some(name.into()),
             ..Sel::default()
         }
     }
@@ -145,19 +139,11 @@ impl Sel {
         self
     }
 
-    /// After filtering, keep `take` rows starting at `skip`.
-    pub fn block(mut self, skip: usize, take: usize) -> Sel {
-        self.skip = skip;
-        self.take = take;
-        self
-    }
-
     fn apply<'r>(&self, rows: &'r [Row]) -> Vec<&'r Row> {
-        let picked: Vec<&Row> = rows
-            .iter()
+        rows.iter()
             .filter(|r| {
-                if let Some(d) = self.design {
-                    if r.strs.get("design").map(String::as_str) != Some(d) {
+                if let Some(d) = &self.design {
+                    if r.strs.get("design") != Some(d) {
                         return false;
                     }
                 }
@@ -173,12 +159,7 @@ impl Sel {
                 }
                 true
             })
-            .collect();
-        if self.take == 0 {
-            picked.into_iter().skip(self.skip).collect()
-        } else {
-            picked.into_iter().skip(self.skip).take(self.take).collect()
-        }
+            .collect()
     }
 }
 
@@ -701,29 +682,6 @@ fn report_row(v: &Value) -> Result<Row, String> {
     Ok(row)
 }
 
-/// Flatten a tuple row against a positional schema.
-fn tuple_row(names: &[&'static str], v: &Value) -> Result<Row, String> {
-    let items = v.as_array().ok_or("tuple row is not an array")?;
-    if items.len() != names.len() {
-        return Err(format!(
-            "tuple row has {} cells, schema names {}",
-            items.len(),
-            names.len()
-        ));
-    }
-    let mut row = Row::default();
-    for (name, cell) in names.iter().zip(items) {
-        if let Some(s) = cell.as_str() {
-            row.strs.insert(name.to_string(), s.to_string());
-        } else if let Some(x) = cell.as_f64() {
-            row.nums.insert(name.to_string(), x);
-        } else {
-            return Err(format!("tuple cell '{name}' is neither string nor number"));
-        }
-    }
-    Ok(row)
-}
-
 /// Flatten a flat object: scalars only, booleans as 0/1.
 fn object_row(v: &Value) -> Result<Row, String> {
     let entries = v.as_object().ok_or("row is not a JSON object")?;
@@ -753,10 +711,6 @@ pub fn load_rows(dir: &Path, spec: &TargetSpec) -> Result<Vec<Row>, String> {
         (RowShape::Reports, Value::Array(items)) => items
             .iter()
             .map(report_row)
-            .collect::<Result<Vec<_>, _>>()?,
-        (RowShape::Tuple(names), Value::Array(items)) => items
-            .iter()
-            .map(|v| tuple_row(names, v))
             .collect::<Result<Vec<_>, _>>()?,
         (RowShape::Objects, Value::Array(items)) => items
             .iter()
@@ -936,19 +890,6 @@ mod tests {
             .eval(&rows)
             .is_err());
         assert!(ext(Sel::design("a"), "nope", Agg::Min).eval(&rows).is_err());
-    }
-
-    #[test]
-    fn selector_blocks_slice_after_filtering() {
-        let rows = grid();
-        let first_two = ext(Sel::design("a").block(0, 2), "loss", Agg::Max)
-            .eval(&rows)
-            .unwrap();
-        assert_eq!(first_two, 0.005);
-        let last = ext(Sel::design("a").block(2, 1), "loss", Agg::Max)
-            .eval(&rows)
-            .unwrap();
-        assert_eq!(last, 0.006);
     }
 
     #[test]

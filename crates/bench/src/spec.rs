@@ -17,7 +17,9 @@ use crate::shapecheck::{
     Rhs, RowShape, Sel, TargetSpec,
 };
 
-/// Design label constants (Report rows hyphenate, tuple rows do not).
+/// Design labels, as `Design::name` spells them. A row whose table
+/// holds several curves or scenarios of one design appends
+/// ` / <variant>` to its design's label.
 const DROP_IB: &str = "drop (in-band)";
 const DROP_OOB: &str = "drop (out-of-band)";
 const MARK_IB: &str = "mark (in-band)";
@@ -110,7 +112,7 @@ fn fig1() -> TargetSpec {
         target: "fig1",
         code: "✓~",
         title: "Fig 1 — fluid-model thrashing",
-        shape: RowShape::Tuple(&["probe_s", "utilization", "loss"]),
+        shape: RowShape::Objects,
         derive: vec![],
         checks: vec![
             grid_complete("grid", 14),
@@ -186,9 +188,8 @@ fn fig2() -> TargetSpec {
 }
 
 fn fig3() -> TargetSpec {
-    // Rows 0-5: 5 s probes; rows 6-11: 25 s probes; rows 12-17: MBAC.
-    let short = || Sel::design(DROP_IB).block(0, 6);
-    let long = || Sel::design(DROP_IB).block(6, 6);
+    let short = || Sel::design("drop (in-band) / 5 second probes");
+    let long = || Sel::design("drop (in-band) / 25 second probes");
     TargetSpec {
         target: "fig3",
         code: "✓",
@@ -229,8 +230,13 @@ fn fig3() -> TargetSpec {
     }
 }
 
-/// Figs 4-7 share a layout: three probe-style blocks (Simple, Slow Start,
-/// Early Reject) of `w` rows each for one design, then MBAC.
+/// The rows of `design`'s curve under one probing style in Figs 4-7.
+fn style(design: &str, probing: &str) -> Sel {
+    Sel::design(format!("{design} / {probing}"))
+}
+
+/// Figs 4-7 share a layout: one curve of `w` points per probing style
+/// (Simple Probing, Slow Start, Early Reject) for one design, then MBAC.
 fn fig4to7(
     target: &'static str,
     title: &'static str,
@@ -238,8 +244,8 @@ fn fig4to7(
     w: usize,
     extra: Vec<Check>,
 ) -> TargetSpec {
-    let simple = move || Sel::design(design).block(0, w);
-    let slowstart = move || Sel::design(design).block(w, w);
+    let simple = || style(design, "Simple Probing");
+    let slowstart = || style(design, "Slow Start");
     let mut checks = vec![
         grid_complete("grid", 3 * w + 6),
         check(
@@ -265,8 +271,8 @@ fn fig4to7(
 }
 
 fn fig4() -> TargetSpec {
-    let simple = || Sel::design(DROP_IB).block(0, 6);
-    let slowstart = || Sel::design(DROP_IB).block(6, 6);
+    let simple = || style(DROP_IB, "Simple Probing");
+    let slowstart = || style(DROP_IB, "Slow Start");
     fig4to7(
         "fig4",
         "Fig 4 — high load, drop (in-band)",
@@ -295,7 +301,7 @@ fn fig4() -> TargetSpec {
                 "high-load-blocking",
                 "under tau = 1 s overload most flows are rejected",
                 Pred::EachRow {
-                    sel: Sel::design(DROP_IB),
+                    sel: Sel::all().has("design", DROP_IB),
                     expr: Expr::Field("blocking"),
                     op: Op::Ge,
                     value: 0.6,
@@ -315,7 +321,7 @@ fn fig5() -> TargetSpec {
             "loss-stays-small",
             "out-of-band dropping keeps data loss below 2% even at high load",
             Pred::EachRow {
-                sel: Sel::design(DROP_OOB),
+                sel: Sel::all().has("design", DROP_OOB),
                 expr: Expr::Field("data_loss"),
                 op: Op::Le,
                 value: 2e-2,
@@ -325,8 +331,8 @@ fn fig5() -> TargetSpec {
 }
 
 fn fig6() -> TargetSpec {
-    let simple = || Sel::design(MARK_IB).block(0, 6);
-    let slowstart = || Sel::design(MARK_IB).block(6, 6);
+    let simple = || style(MARK_IB, "Simple Probing");
+    let slowstart = || style(MARK_IB, "Slow Start");
     fig4to7(
         "fig6",
         "Fig 6 — high load, mark (in-band)",
@@ -354,7 +360,7 @@ fn fig7() -> TargetSpec {
             "loss-stays-small",
             "out-of-band marking is the cleanest design: loss below 0.5%",
             Pred::EachRow {
-                sel: Sel::design(MARK_OOB),
+                sel: Sel::all().has("design", MARK_OOB),
                 expr: Expr::Field("data_loss"),
                 op: Op::Le,
                 value: 5e-3,
@@ -378,11 +384,12 @@ fn fig8(target: &'static str, title: &'static str, eps0_ceiling: f64) -> TargetS
 }
 
 fn fig9() -> TargetSpec {
+    let drop_ib = || Sel::all().has("design", DROP_IB);
     TargetSpec {
         target: "fig9",
         code: "✓",
         title: "Fig 9 — loss across scenarios at fixed eps",
-        shape: RowShape::Tuple(&["design", "scenario", "loss"]),
+        shape: RowShape::Reports,
         derive: vec![],
         checks: vec![
             grid_complete("grid", 32),
@@ -390,8 +397,8 @@ fn fig9() -> TargetSpec {
                 "oob-uniformly-small",
                 "out-of-band designs keep loss below 5% in every scenario",
                 Pred::EachRow {
-                    sel: Sel::all().has("design", "out of band"),
-                    expr: Expr::Field("loss"),
+                    sel: Sel::all().has("design", "out-of-band"),
+                    expr: Expr::Field("data_loss"),
                     op: Op::Le,
                     value: 5e-2,
                 },
@@ -400,19 +407,23 @@ fn fig9() -> TargetSpec {
                 "inband-spread",
                 "in-band dropping's loss varies by over an order of magnitude across scenarios",
                 Pred::Cmp {
-                    lhs: ext(Sel::design("drop (in band)"), "loss", Agg::Max),
+                    lhs: ext(drop_ib(), "data_loss", Agg::Max),
                     op: Op::Ge,
-                    rhs: Rhs::Scaled(ext(Sel::design("drop (in band)"), "loss", Agg::Min), 10.0),
+                    rhs: Rhs::Scaled(ext(drop_ib(), "data_loss", Agg::Min), 10.0),
                 },
             ),
             check(
                 "worst-scenarios",
                 "the hardest scenarios for in-band dropping are the bursty/low-multiplexing ones",
                 Pred::ArgmaxIn {
-                    sel: Sel::design("drop (in band)"),
-                    metric: "loss",
-                    label: "scenario",
-                    allowed: &["Heavy Load", "Low multiplexing", "Star Wars"],
+                    sel: drop_ib(),
+                    metric: "data_loss",
+                    label: "design",
+                    allowed: &[
+                        "drop (in-band) / Heavy Load",
+                        "drop (in-band) / Low multiplexing",
+                        "drop (in-band) / Star Wars",
+                    ],
                 },
             ),
         ],
@@ -424,7 +435,7 @@ fn table3() -> TargetSpec {
         target: "table3",
         code: "✓",
         title: "Table 3 — heterogeneous eps: who gets blocked",
-        shape: RowShape::Tuple(&["design", "low_eps_blocking", "high_eps_blocking"]),
+        shape: RowShape::Reports,
         derive: vec![],
         checks: vec![
             grid_complete("grid", 4),
@@ -433,7 +444,7 @@ fn table3() -> TargetSpec {
                 "picky (low-eps) flows see higher blocking than tolerant ones in every design",
                 Pred::EachRow {
                     sel: Sel::all(),
-                    expr: Expr::Ratio("low_eps_blocking", "high_eps_blocking"),
+                    expr: Expr::Ratio("g0.blocking", "g1.blocking"),
                     op: Op::Ge,
                     value: 1.2,
                 },
@@ -442,11 +453,7 @@ fn table3() -> TargetSpec {
                 "inband-magnitude",
                 "in-band dropping's low-eps blocking lands near the paper's magnitude",
                 within(
-                    ext(
-                        Sel::design("drop (in band)"),
-                        "low_eps_blocking",
-                        Agg::First,
-                    ),
+                    ext(Sel::design(DROP_IB), "g0.blocking", Agg::First),
                     0.238,
                     0.3,
                 ),
@@ -456,19 +463,34 @@ fn table3() -> TargetSpec {
 }
 
 fn table4() -> TargetSpec {
+    // Groups: EXP1, EXP2, EXP4, POO1. Large = EXP2 (g1); small = the rest,
+    // pooled: their rejections over their decisions.
     TargetSpec {
         target: "table4",
         code: "✓",
         title: "Table 4 — small vs large flows",
-        shape: RowShape::Tuple(&["design", "small_blocking", "large_blocking"]),
-        derive: vec![],
+        shape: RowShape::Reports,
+        derive: vec![
+            (
+                "small_rejected",
+                Expr::MeanOf(&["g0.rejected", "g2.rejected", "g3.rejected"]),
+            ),
+            (
+                "small_decided",
+                Expr::MeanOf(&["g0.decided", "g2.decided", "g3.decided"]),
+            ),
+            (
+                "small_blocking",
+                Expr::Ratio("small_rejected", "small_decided"),
+            ),
+        ],
         checks: vec![
             grid_complete("grid", 5),
             check(
                 "mbac-discriminates",
                 "MBAC penalizes large flows far more than small ones",
                 Pred::Cmp {
-                    lhs: ext(Sel::design(MBAC), "large_blocking", Agg::First),
+                    lhs: ext(Sel::design(MBAC), "g1.blocking", Agg::First),
                     op: Op::Ge,
                     rhs: Rhs::Scaled(ext(Sel::design(MBAC), "small_blocking", Agg::First), 1.5),
                 },
@@ -477,9 +499,9 @@ fn table4() -> TargetSpec {
                 "endpoint-fairer",
                 "every endpoint design discriminates less than MBAC does",
                 Pred::Cmp {
-                    lhs: ext(Sel::all().has("design", "band"), "large_blocking", Agg::Max),
+                    lhs: ext(Sel::all().has("design", "band"), "g1.blocking", Agg::Max),
                     op: Op::Le,
-                    rhs: Rhs::Scaled(ext(Sel::design(MBAC), "large_blocking", Agg::First), 0.95),
+                    rhs: Rhs::Scaled(ext(Sel::design(MBAC), "g1.blocking", Agg::First), 0.95),
                 },
             ),
         ],

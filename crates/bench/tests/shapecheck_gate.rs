@@ -2,9 +2,10 @@
 //! satisfy the spec catalog, a perturbed or stripped copy must fail it,
 //! and the generated docs block must be idempotent.
 
-use eac_bench::shapecheck::{self, check_targets};
+use eac_bench::shapecheck::{self, check_targets, RowShape};
 use eac_bench::spec::catalog;
 use serde::Value;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -27,6 +28,29 @@ fn committed_results_pass_every_spec() {
         .collect();
     assert!(v.pass, "gate failed on committed results:\n{failures:#?}");
     assert_eq!(v.targets_checked, catalog().len());
+}
+
+#[test]
+fn report_rows_name_themselves() {
+    // Checks select Report rows by label, never by position, so no two
+    // rows of a file may share a design label and a parameter.
+    for spec in catalog() {
+        if !matches!(spec.shape, RowShape::Reports) {
+            continue;
+        }
+        let rows = shapecheck::load_rows(&results_dir(), &spec).unwrap();
+        let mut seen = BTreeSet::new();
+        for row in &rows {
+            let key = (row.strs["design"].clone(), row.nums["param"].to_bits());
+            assert!(
+                seen.insert(key),
+                "{}: two rows are ('{}', {})",
+                spec.target,
+                row.strs["design"],
+                row.nums["param"]
+            );
+        }
+    }
 }
 
 #[test]
@@ -75,10 +99,36 @@ fn failing_checks(target: &str, edit: impl Fn(&str, &mut [(String, Value)])) -> 
         .collect()
 }
 
+/// The row field `key`.
+fn field<'r>(entries: &'r mut [(String, Value)], key: &str) -> &'r mut Value {
+    &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
+/// The numeric row field `key`.
+fn num(entries: &mut [(String, Value)], key: &str) -> f64 {
+    field(entries, key).as_f64().unwrap()
+}
+
 /// Set the row field `key` to `value`.
 fn set(entries: &mut [(String, Value)], key: &str, value: Value) {
-    let slot = entries.iter_mut().find(|(k, _)| k == key).unwrap();
-    slot.1 = value;
+    *field(entries, key) = value;
+}
+
+/// Multiply the numeric row field `key` by `k`.
+fn scale(entries: &mut [(String, Value)], key: &str, k: f64) {
+    let x = num(entries, key);
+    set(entries, key, Value::Float(x * k));
+}
+
+/// The fields of a Report row's group `i`.
+fn group(entries: &mut [(String, Value)], i: usize) -> &mut [(String, Value)] {
+    let Value::Array(groups) = field(entries, "groups") else {
+        panic!("groups is not an array");
+    };
+    let Value::Object(g) = &mut groups[i] else {
+        panic!("group {i} is not an object");
+    };
+    g
 }
 
 #[test]
@@ -88,15 +138,78 @@ fn perturbed_fig2_fails_the_gate() {
     // gate must notice.
     let failing = failing_checks("fig2", |design, row| {
         if design == "drop (in-band)" {
-            let loss = row.iter().find(|(k, _)| k == "data_loss").unwrap();
-            let scaled = loss.1.as_f64().unwrap() * 0.1;
-            set(row, "data_loss", Value::Float(scaled));
+            scale(row, "data_loss", 0.1);
         }
     });
     assert!(
         failing.iter().any(|id| id == "inband-floor"),
         "the loss-floor check specifically should fail: {failing:?}"
     );
+}
+
+#[test]
+fn costly_slow_start_fails_slowstart_overhead() {
+    let failing = failing_checks("fig4", |design, row| {
+        if design == "drop (in-band) / Slow Start" {
+            scale(row, "probe_overhead", 3.0);
+        }
+    });
+    assert_eq!(failing, ["slowstart-overhead"]);
+}
+
+#[test]
+fn cheap_long_probes_fail_long_probe_overhead() {
+    let failing = failing_checks("fig3", |design, row| {
+        if design == "drop (in-band) / 25 second probes" {
+            scale(row, "probe_overhead", 0.1);
+        }
+    });
+    assert_eq!(failing, ["long-probe-overhead"]);
+}
+
+#[test]
+fn tolerant_flows_blocked_more_fail_low_eps_blocked_more() {
+    let failing = failing_checks("table3", |design, row| {
+        if design == "drop (out-of-band)" {
+            let low = num(group(row, 0), "blocking");
+            let high = num(group(row, 1), "blocking");
+            set(group(row, 0), "blocking", Value::Float(high));
+            set(group(row, 1), "blocking", Value::Float(low));
+        }
+    });
+    assert_eq!(failing, ["low-eps-blocked-more"]);
+}
+
+#[test]
+fn fair_mbac_fails_mbac_discriminates() {
+    // Give MBAC's large flows (EXP2, group 1) the pooled blocking of its
+    // small ones (groups 0, 2 and 3).
+    let failing = failing_checks("table4", |design, row| {
+        if design == "MBAC" {
+            let mut pooled = |key| {
+                [0, 2, 3]
+                    .map(|i| num(group(row, i), key))
+                    .iter()
+                    .sum::<f64>()
+            };
+            let small = pooled("rejected") / pooled("decided");
+            set(group(row, 1), "blocking", Value::Float(small));
+        }
+    });
+    assert!(
+        failing.iter().any(|id| id == "mbac-discriminates"),
+        "{failing:?}"
+    );
+}
+
+#[test]
+fn lossy_basic_scenario_fails_worst_scenarios() {
+    let failing = failing_checks("fig9", |design, row| {
+        if design == "drop (in-band) / EXP1" {
+            set(row, "data_loss", Value::Float(0.5));
+        }
+    });
+    assert_eq!(failing, ["worst-scenarios"]);
 }
 
 #[test]

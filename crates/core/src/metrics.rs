@@ -85,10 +85,10 @@ pub struct Report {
     /// Flows whose verdict never arrived and timed out into rejection
     /// (lost-control-packet resilience; zero in a fault-free run).
     pub timeouts: u64,
-    /// Per-flow records still stranded at the end of the run: host flows
-    /// stuck awaiting a verdict plus undecided sink records. With the
-    /// verdict timeout and sink TTL enabled this should be ~zero even
-    /// under faults.
+    /// Host flows in `AwaitDecision` plus undecided sink records at the end
+    /// of the run. The verdict timeout and sink TTL bound these records'
+    /// age, not their number: under control loss a few younger than either
+    /// still count. Without the timeout a lost verdict counts for good.
     pub leaked_flows: u64,
     /// Measurement interval, seconds (horizon − warm-up).
     pub measured_s: f64,

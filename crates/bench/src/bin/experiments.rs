@@ -35,7 +35,7 @@
 //! non-zero if any EXPERIMENTS.md claim no longer holds. Without
 //! --target it also rewrites results/verdicts.json; with --write-docs it
 //! additionally regenerates the verdict block between the GENERATED
-//! VERDICTS markers in EXPERIMENTS.md (path override: EAC_DOCS_PATH).
+//! VERDICTS markers in EXPERIMENTS.md.
 //! ```
 
 use eac_bench::experiments::TARGETS;
@@ -161,13 +161,13 @@ fn run_check(args: &[String]) -> ! {
             eprintln!("--write-docs needs the full catalog; drop --target");
             std::process::exit(2);
         }
-        let path = std::env::var("EAC_DOCS_PATH").unwrap_or_else(|_| "EXPERIMENTS.md".to_string());
+        let path = "EXPERIMENTS.md";
         let doc =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let updated = shapecheck::inject_docs(&doc, &shapecheck::render_docs(&verdicts))
             .unwrap_or_else(|e| panic!("cannot update {path}: {e}"));
         if updated != doc {
-            std::fs::write(&path, &updated).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(path, &updated).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             println!("updated {path}");
         } else {
             println!("{path} already up to date");

@@ -3,11 +3,11 @@
 //! [`TARGETS`] names them for the `experiments` CLI.
 
 use crate::catalog::{eps_grid, fig9_eps, Workload, ENDPOINT_DESIGNS, ETAS_MBAC};
-use crate::output::{fmt_prob, print_table, save_json};
+use crate::output::{fmt_prob, print_table, save_json, Column};
 use crate::pool;
 use crate::runner::{Fidelity, Session};
 use crate::sweep::Point;
-use eac::coexist::CoexistScenario;
+use eac::coexist::{CoexistReport, CoexistScenario};
 use eac::design::{Design, Group};
 use eac::metrics::{share, Report};
 use eac::multihop::{product_blocking, MultihopScenario};
@@ -70,24 +70,21 @@ pub const TARGETS: &[Target] = &[
     },
 ];
 
-fn curve_row(r: &Report) -> Vec<String> {
-    vec![
-        r.design.clone(),
-        format!("{:.3}", r.param),
-        format!("{:.4}", r.utilization),
-        fmt_prob(r.data_loss),
-        format!("{:.4}", r.blocking),
-        format!("{:.4}", r.probe_overhead),
-    ]
-}
+/// The columns most tables share: the row's label, utilization, data
+/// loss and blocking.
+const DESIGN: Column<Report> = ("design", |r| r.design.clone());
+const UTILIZATION: Column<Report> = ("utilization", |r| format!("{:.4}", r.utilization));
+const LOSS: Column<Report> = ("loss", |r| fmt_prob(r.data_loss));
+const BLOCKING: Column<Report> = ("blocking", |r| format!("{:.4}", r.blocking));
 
-const CURVE_HEADER: [&str; 6] = [
-    "design",
-    "eps/eta",
-    "utilization",
-    "loss",
-    "blocking",
-    "probe-ovh",
+/// A loss-load curve's table: one row per ε/η point.
+const CURVE: &[Column<Report>] = &[
+    DESIGN,
+    ("eps/eta", |r| format!("{:.3}", r.param)),
+    UTILIZATION,
+    LOSS,
+    BLOCKING,
+    ("probe-ovh", |r| format!("{:.4}", r.probe_overhead)),
 ];
 
 /// A row's label: the design's name, then ` / <variant>` where a table
@@ -111,12 +108,12 @@ fn loss_load_figure(id: &str, curves: Vec<Curve>, session: &Session) {
             .into_iter()
             .map(move |d| (label(&d, variant), base.clone().design(d)))
     });
-    save_table(id, &CURVE_HEADER, &points(session, grid), curve_row);
+    save_table(id, CURVE, &points(session, grid));
 }
 
 /// Print one table row per report, then save every report as `id`.
-fn save_table(id: &str, header: &[&str], reports: &[Report], row: fn(&Report) -> Vec<String>) {
-    print_table(header, &reports.iter().map(row).collect::<Vec<_>>());
+fn save_table(id: &str, columns: &[Column<Report>], reports: &[Report]) {
+    print_table(columns, reports);
     save_json(id, &reports);
 }
 
@@ -191,21 +188,13 @@ fn fig1(session: &Session) {
         1.0, 1.4, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4, 3.6, 4.0, 5.0,
     ];
     let pts = fluid::fig1_sweep(&xs, horizon, seeds);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.1}", p.mean_probe_s),
-                format!("{:.4}", p.utilization),
-                fmt_prob(p.loss_in_band),
-                format!("{:.1}", p.mean_probing),
-            ]
-        })
-        .collect();
-    print_table(
-        &["probe-s", "utilization", "loss(in-band)", "E[probing]"],
-        &rows,
-    );
+    let columns: [Column<fluid::ThrashPoint>; 4] = [
+        ("probe-s", |p| format!("{:.1}", p.mean_probe_s)),
+        ("utilization", |p| format!("{:.4}", p.utilization)),
+        ("loss(in-band)", |p| fmt_prob(p.loss_in_band)),
+        ("E[probing]", |p| format!("{:.1}", p.mean_probing)),
+    ];
+    print_table(&columns, &pts);
     let ser: Vec<Fig1Row> = pts
         .iter()
         .map(|p| Fig1Row {
@@ -309,15 +298,13 @@ fn fig9(session: &Session) {
                 .into_iter()
                 .map(move |w| (label(&d, Some(w.name())), w.scenario().design(d)))
         });
-    let header = ["design", "eps", "loss", "utilization"];
-    save_table("fig9", &header, &points(session, grid), |r| {
-        vec![
-            r.design.clone(),
-            format!("{:.3}", r.param),
-            fmt_prob(r.data_loss),
-            format!("{:.3}", r.utilization),
-        ]
-    });
+    let columns = [
+        DESIGN,
+        ("eps", |r| format!("{:.3}", r.param)),
+        LOSS,
+        ("utilization", |r| format!("{:.3}", r.utilization)),
+    ];
+    save_table("fig9", &columns, &points(session, grid));
 }
 
 /// Table 3 — heterogeneous thresholds: blocking for low- vs high-ε flows.
@@ -338,14 +325,16 @@ fn table3(session: &Session) {
             Workload::Basic.scenario().groups(groups).design(d),
         )
     });
-    let header = ["design", "low-eps blocking", "high-eps blocking"];
-    save_table("table3", &header, &points(session, grid), |r| {
-        vec![
-            r.design.clone(),
-            format!("{:.4}", r.groups[0].blocking),
-            format!("{:.4}", r.groups[1].blocking),
-        ]
-    });
+    let columns = [
+        DESIGN,
+        ("low-eps blocking", |r| {
+            format!("{:.4}", r.groups[0].blocking)
+        }),
+        ("high-eps blocking", |r| {
+            format!("{:.4}", r.groups[1].blocking)
+        }),
+    ];
+    save_table("table3", &columns, &points(session, grid));
 }
 
 /// Table 4 — blocking for small vs large flows in the heterogeneous mix.
@@ -355,18 +344,18 @@ fn table4(session: &Session) {
     let grid = table_designs(fig9_eps)
         .into_iter()
         .map(|d| (d.name(), Workload::Hetero.scenario().design(d)));
-    let header = ["design", "small flows", "large flows"];
-    save_table("table4", &header, &points(session, grid), |r| {
-        // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
-        let small = r.groups.iter().filter(|g| g.name != "EXP2");
-        let dec: u64 = small.clone().map(|g| g.decided).sum();
-        let rej: u64 = small.map(|g| g.rejected).sum();
-        vec![
-            r.design.clone(),
-            format!("{:.4}", share(rej, dec)),
-            format!("{:.4}", r.groups[1].blocking),
-        ]
-    });
+    // Groups: EXP1, EXP2, EXP4, POO1. Small = all but EXP2.
+    let columns = [
+        DESIGN,
+        ("small flows", |r| {
+            let small = r.groups.iter().filter(|g| g.name != "EXP2");
+            let dec: u64 = small.clone().map(|g| g.decided).sum();
+            let rej: u64 = small.map(|g| g.rejected).sum();
+            format!("{:.4}", share(rej, dec))
+        }),
+        ("large flows", |r| format!("{:.4}", r.groups[1].blocking)),
+    ];
+    save_table("table4", &columns, &points(session, grid));
 }
 
 /// Tables 5 and 6 — the multi-hop topology: per-class loss and blocking
@@ -377,40 +366,29 @@ fn tables56(session: &Session) {
         .into_iter()
         .map(|d| (d.name(), MultihopScenario::tables56().design(d)));
     let reports = points(session, grid);
-    let mut loss_rows = Vec::new();
-    let mut block_rows = Vec::new();
-    for r in &reports {
-        let short_loss = (r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0;
-        loss_rows.push(vec![
-            r.design.clone(),
-            fmt_prob(short_loss),
-            fmt_prob(r.groups[3].loss),
-        ]);
-        let cross: Vec<f64> = (0..3).map(|i| r.groups[i].blocking).collect();
-        block_rows.push(vec![
-            r.design.clone(),
-            format!("{:.3}", cross[0]),
-            format!("{:.3}", cross[1]),
-            format!("{:.3}", cross[2]),
-            format!("{:.3}", r.groups[3].blocking),
-            format!("{:.3}", product_blocking(&cross)),
-        ]);
-    }
+    // Groups: the short classes I, II and III (one link each), then long.
+    let table5 = [
+        DESIGN,
+        ("short flows", |r| {
+            fmt_prob((r.groups[0].loss + r.groups[1].loss + r.groups[2].loss) / 3.0)
+        }),
+        ("long flows", |r| fmt_prob(r.groups[3].loss)),
+    ];
+    let table6 = [
+        DESIGN,
+        ("short I", |r| format!("{:.3}", r.groups[0].blocking)),
+        ("short II", |r| format!("{:.3}", r.groups[1].blocking)),
+        ("short III", |r| format!("{:.3}", r.groups[2].blocking)),
+        ("long", |r| format!("{:.3}", r.groups[3].blocking)),
+        ("product", |r| {
+            let cross: Vec<f64> = r.groups[..3].iter().map(|g| g.blocking).collect();
+            format!("{:.3}", product_blocking(&cross))
+        }),
+    ];
     println!("Table 5 — loss probability (short flows averaged over links)");
-    print_table(&["design", "short flows", "long flows"], &loss_rows);
+    print_table(&table5, &reports);
     println!("\nTable 6 — blocking probabilities and product approximation");
-    print_table(
-        &[
-            "design",
-            "short I",
-            "short II",
-            "short III",
-            "long",
-            "product",
-        ],
-        &block_rows,
-    );
-    save_json("tables56", &reports);
+    save_table("tables56", &table6, &reports);
 }
 
 /// Fig 11 — TCP coexistence at a legacy drop-tail router.
@@ -422,8 +400,6 @@ fn fig11(session: &Session) {
         Fidelity::Quick => (2_000.0, 500.0),
         Fidelity::Paper => (14_000.0, 2_000.0),
     };
-    let mut rows = Vec::new();
-    let mut ser = Vec::new();
     let eps_points = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.08, 0.10];
     let raw = pool::run_indexed(eps_points.len(), session.jobs, |i| {
         CoexistScenario::fig11(eps_points[i])
@@ -432,51 +408,32 @@ fn fig11(session: &Session) {
             .seed(1)
             .run()
     });
-    for (i, result) in raw.into_iter().enumerate() {
-        let eps = eps_points[i];
-        let r = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        rows.push(vec![
-            format!("{eps:.2}"),
-            format!("{:.3}", r.tcp_util),
-            format!("{:.3}", r.eac_util),
-            format!("{:.3}", r.blocking),
-        ]);
-        ser.push(r);
-    }
-    print_table(&["eps", "TCP util", "EAC util", "EAC blocking"], &rows);
+    let reports: Vec<CoexistReport> = raw
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect();
+    let columns: [Column<CoexistReport>; 4] = [
+        ("eps", |r| format!("{:.2}", r.epsilon)),
+        ("TCP util", |r| format!("{:.3}", r.tcp_util)),
+        ("EAC util", |r| format!("{:.3}", r.eac_util)),
+        ("EAC blocking", |r| format!("{:.3}", r.blocking)),
+    ];
+    print_table(&columns, &reports);
     println!("\n(time series for each eps saved to results/fig11.json)");
-    save_json("fig11", &ser);
+    save_json("fig11", &reports);
 }
 
-/// An ablation's optional last column: its header and the report field.
-type Extra = Option<(&'static str, fn(&Report) -> f64)>;
-
 /// Run one ablation: print `title`, run its labelled variants as one
-/// sweep and tabulate each one's utilization, loss, blocking and `extra`.
+/// sweep, then print and save their rows as `id`.
 fn ablation(
     session: &Session,
+    id: &str,
     title: &str,
-    label: &str,
-    extra: Extra,
+    columns: &[Column<Report>],
     variants: impl IntoIterator<Item = (String, Scenario)>,
 ) {
     println!("{title}\n");
-    let mut header = vec![label, "utilization", "loss", "blocking"];
-    header.extend(extra.map(|(name, _)| name));
-    let rows: Vec<Vec<String>> = points(session, variants)
-        .into_iter()
-        .map(|r| {
-            let mut row = vec![
-                r.design.clone(),
-                format!("{:.4}", r.utilization),
-                fmt_prob(r.data_loss),
-                format!("{:.4}", r.blocking),
-            ];
-            row.extend(extra.map(|(_, field)| format!("{:.4}", field(&r))));
-            row
-        })
-        .collect();
-    print_table(&header, &rows);
+    save_table(id, columns, &points(session, variants));
 }
 
 /// The scenario every ablation but push-out and retry varies: the basic
@@ -496,9 +453,15 @@ fn ablate_probe_duration(session: &Session) {
     });
     ablation(
         session,
+        "ablate-probe-duration",
         "# Ablation — probe duration (in-band dropping, eps=0.01)",
-        "probe-s",
-        Some(("probe-ovh", |r| r.probe_overhead)),
+        &[
+            ("probe-s", |r| r.design.clone()),
+            UTILIZATION,
+            LOSS,
+            BLOCKING,
+            ("probe-ovh", |r| format!("{:.4}", r.probe_overhead)),
+        ],
         variants,
     );
 }
@@ -512,12 +475,26 @@ fn ablate_vq_factor(session: &Session) {
     });
     ablation(
         session,
+        "ablate-vq-factor",
         "# Ablation — virtual-queue rate factor (in-band marking, eps=0.01)",
-        "vq-factor",
-        Some(("mark-frac", |r| r.mark_fraction)),
+        &[
+            ("vq-factor", |r| r.design.clone()),
+            UTILIZATION,
+            LOSS,
+            BLOCKING,
+            ("mark-frac", |r| format!("{:.4}", r.mark_fraction)),
+        ],
         variants,
     );
 }
+
+/// The columns of the ablations whose variants need no extra column.
+const VARIANT: &[Column<Report>] = &[
+    ("variant", |r| r.design.clone()),
+    UTILIZATION,
+    LOSS,
+    BLOCKING,
+];
 
 /// ablate-pushout — data pushing resident probes out of a full buffer.
 fn ablate_pushout(session: &Session) {
@@ -534,9 +511,9 @@ fn ablate_pushout(session: &Session) {
     });
     ablation(
         session,
+        "ablate-pushout",
         "# Ablation — probe push-out (out-of-band dropping, eps=0.05)",
-        "variant",
-        None,
+        VARIANT,
         variants,
     );
 }
@@ -550,9 +527,14 @@ fn ablate_buffer(session: &Session) {
     });
     ablation(
         session,
+        "ablate-buffer",
         "# Ablation — bottleneck buffer size (in-band dropping, eps=0.01)",
-        "buffer-pkts",
-        None,
+        &[
+            ("buffer-pkts", |r| r.design.clone()),
+            UTILIZATION,
+            LOSS,
+            BLOCKING,
+        ],
         variants,
     );
 }
@@ -577,18 +559,14 @@ fn ablate_retry(session: &Session) {
     });
     ablation(
         session,
+        "ablate-retry",
         "# Ablation — footnote-10 retry extension (in-band dropping,\n\
          # eps=0.01, ~400% offered load): retries act as extra offered\n\
          # load, trading blocking statistics for utilization",
-        "variant",
-        None,
+        VARIANT,
         variants,
     );
 }
-
-/// One robustness variant: the `design` label its row prints and saves,
-/// and the scenario it runs.
-type RobustVariant = (String, Scenario);
 
 /// In-band dropping at `eps` on the basic workload, with the event budget
 /// on every seed. Like every run, each seed ends with the conservation
@@ -601,6 +579,22 @@ fn robust_base(eps: f64) -> Scenario {
         .event_budget(2_000_000_000)
 }
 
+/// One robustness table row: a variant's label, its seed average (or
+/// the error when no seed survived) and how many of its seeds survived.
+struct RobustRow {
+    design: String,
+    report: Result<Report, String>,
+    /// `ok/n`, plus the error when no seed survived.
+    seeds_ok: String,
+}
+
+impl RobustRow {
+    /// A report cell, or `-` when no seed of the variant survived.
+    fn cell(&self, cell: fn(&Report) -> String) -> String {
+        self.report.as_ref().map_or_else(|_| "-".into(), cell)
+    }
+}
+
 /// The body both robustness targets share. All variants run as one
 /// sweep, whose seeds fail alone, so one pathological run cannot take
 /// down the rest: each variant averages its surviving seeds and counts
@@ -610,47 +604,36 @@ fn robustness(
     session: &Session,
     title: &str,
     id: &str,
-    with_loss: bool,
-    variants: impl IntoIterator<Item = RobustVariant>,
+    columns: &[Column<RobustRow>],
+    variants: impl IntoIterator<Item = (String, Scenario)>,
 ) {
     println!("{title}\n");
-    let mut header = vec!["design", "utilization"];
-    if with_loss {
-        header.push("loss");
-    }
-    header.extend(["blocking", "timeouts", "leaked", "seeds-ok"]);
     let (labels, scenarios): (Vec<_>, Vec<_>) = variants.into_iter().unzip();
     let result = session.sweep(scenarios).run();
-    let mut rows = Vec::new();
-    let mut ser: Vec<Report> = Vec::new();
     let per_variant = result.reports.into_iter().zip(result.outcomes);
-    for (label, (report, outcomes)) in labels.into_iter().zip(per_variant) {
-        let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-        let mut row = vec![label.clone()];
-        match report {
-            Ok(mut r) => {
-                row.push(format!("{:.4}", r.utilization));
-                if with_loss {
-                    row.push(fmt_prob(r.data_loss));
-                }
-                row.extend([
-                    format!("{:.4}", r.blocking),
-                    format!("{}", r.timeouts),
-                    format!("{}", r.leaked_flows),
-                    format!("{ok}/{}", outcomes.len()),
-                ]);
-                r.design = label;
-                ser.push(r);
+    let rows: Vec<RobustRow> = labels
+        .into_iter()
+        .zip(per_variant)
+        .map(|(design, (report, outcomes))| {
+            let ok = outcomes.iter().filter(|o| o.is_ok()).count();
+            let mut seeds_ok = format!("{ok}/{}", outcomes.len());
+            if let Err(e) = &report {
+                seeds_ok = format!("{seeds_ok}: {e}");
             }
-            Err(e) => {
-                row.resize(header.len() - 1, "-".into());
-                row.push(format!("{ok}/{}: {e}", outcomes.len()));
+            let report = report.map(|r| Report {
+                design: design.clone(),
+                ..r
+            });
+            RobustRow {
+                design,
+                report,
+                seeds_ok,
             }
-        }
-        rows.push(row);
-    }
-    print_table(&header, &rows);
-    save_json(id, &ser);
+        })
+        .collect();
+    print_table(columns, &rows);
+    let saved: Vec<&Report> = rows.iter().filter_map(|r| r.report.as_ref().ok()).collect();
+    save_json(id, &saved);
 }
 
 /// robust-flap — the Fig 2 loss-load point under a flapping bottleneck.
@@ -683,7 +666,15 @@ fn robust_flap(session: &Session) {
         "# robust-flap — in-band dropping under a flapping bottleneck\n\
          # (5 s verdict timeout; packet-conservation audit on every seed)",
         "robust-flap",
-        true,
+        &[
+            ("design", |r| r.design.clone()),
+            ("utilization", |r| r.cell(UTILIZATION.1)),
+            ("loss", |r| r.cell(LOSS.1)),
+            ("blocking", |r| r.cell(BLOCKING.1)),
+            ("timeouts", |r| r.cell(|r| r.timeouts.to_string())),
+            ("leaked", |r| r.cell(|r| r.leaked_flows.to_string())),
+            ("seeds-ok", |r| r.seeds_ok.clone()),
+        ],
         variants,
     );
 }
@@ -711,7 +702,14 @@ fn robust_ctrl_loss(session: &Session) {
         "# robust-ctrl-loss — Bernoulli loss on the control channel\n\
          # (in-band dropping, eps=0.01; audit + event budget on every seed)",
         "robust-ctrl-loss",
-        false,
+        &[
+            ("design", |r| r.design.clone()),
+            ("utilization", |r| r.cell(UTILIZATION.1)),
+            ("blocking", |r| r.cell(BLOCKING.1)),
+            ("timeouts", |r| r.cell(|r| r.timeouts.to_string())),
+            ("leaked", |r| r.cell(|r| r.leaked_flows.to_string())),
+            ("seeds-ok", |r| r.seeds_ok.clone()),
+        ],
         variants,
     );
 }
@@ -787,19 +785,16 @@ fn bench_sweep(session: &Session) {
         parallel_events_per_s: total_events as f64 / parallel_s.max(1e-9),
         byte_identical,
     };
+    let columns: [Column<(usize, f64, f64)>; 3] = [
+        ("workers", |r| r.0.to_string()),
+        ("wall-clock s", |r| format!("{:.2}", r.1)),
+        ("events/s", |r| format!("{:.0}", r.2)),
+    ];
     print_table(
-        &["workers", "wall-clock s", "events/s"],
+        &columns,
         &[
-            vec![
-                "1".into(),
-                format!("{serial_s:.2}"),
-                format!("{:.0}", record.serial_events_per_s),
-            ],
-            vec![
-                format!("{parallel_jobs}"),
-                format!("{parallel_s:.2}"),
-                format!("{:.0}", record.parallel_events_per_s),
-            ],
+            (1, serial_s, record.serial_events_per_s),
+            (parallel_jobs, parallel_s, record.parallel_events_per_s),
         ],
     );
     println!(

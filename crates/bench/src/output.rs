@@ -4,31 +4,41 @@ use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
 
-/// Print an aligned table: a header row then data rows.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), cols, "ragged table row");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// One table column: its header and the function that prints its cell.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Render an aligned table: the header, a dash rule under it, then one
+/// line per row. Cells are left-aligned and two spaces apart, and each
+/// line's trailing space is trimmed.
+pub fn render_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let header = columns.iter().map(|(h, _)| h.to_string()).collect();
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| columns.iter().map(|(_, cell)| cell(r)).collect())
+        .collect();
+    let mut widths: Vec<usize> = columns.iter().map(|(h, _)| h.len()).collect();
+    for row in &body {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                s.push_str("  ");
-            }
-            s.push_str(&format!("{:<w$}", c, w = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(&header.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
+    let rule = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let mut out = String::new();
+    for cells in [header, rule].iter().chain(&body) {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:<w$}"))
+            .collect();
+        out.push_str(padded.join("  ").trim_end());
+        out.push('\n');
     }
+    out
+}
+
+/// Print [`render_table`]'s table on stdout.
+pub fn print_table<R>(columns: &[Column<R>], rows: &[R]) {
+    print!("{}", render_table(columns, rows));
 }
 
 /// Where results live: `$EAC_RESULTS_DIR` when set, else `results/`.
@@ -73,16 +83,16 @@ mod tests {
     }
 
     #[test]
-    fn tables_do_not_panic() {
-        print_table(
-            &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+    fn tables_render_aligned_columns() {
+        let columns: [Column<(&str, u32)>; 2] =
+            [("name", |r| r.0.to_string()), ("n", |r| r.1.to_string())];
+        let text = render_table(&columns, &[("a", 12345), ("long name", 7)]);
+        assert_eq!(
+            text,
+            "name       n\n\
+             ---------  -----\n\
+             a          12345\n\
+             long name  7\n"
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn ragged_rows_panic() {
-        print_table(&["a"], &[vec!["1".into(), "2".into()]]);
     }
 }

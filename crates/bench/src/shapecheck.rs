@@ -57,7 +57,7 @@ pub enum Expr {
     /// The field itself.
     Field(&'static str),
     /// `num / den` (0/0 evaluates to 0; x/0 fails the check).
-    Ratio(&'static str, &'static str),
+    Ratio(Box<Expr>, Box<Expr>),
     /// Mean of several fields.
     MeanOf(&'static [&'static str]),
     /// Max of several fields.
@@ -65,6 +65,11 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// The ratio of two fields.
+    pub fn ratio(num: &'static str, den: &'static str) -> Expr {
+        Expr::Ratio(Box::new(Expr::Field(num)), Box::new(Expr::Field(den)))
+    }
+
     fn eval(&self, row: &Row) -> Result<f64, String> {
         let field = |name: &'static str| {
             row.nums
@@ -75,12 +80,12 @@ impl Expr {
         match self {
             Expr::Field(f) => field(f),
             Expr::Ratio(num, den) => {
-                let (n, d) = (field(num)?, field(den)?);
+                let (n, d) = (num.eval(row)?, den.eval(row)?);
                 if d == 0.0 {
                     if n == 0.0 {
                         Ok(0.0)
                     } else {
-                        Err(format!("ratio {num}/{den} divides by zero"))
+                        Err(format!("ratio {num:?} / {den:?} divides by zero"))
                     }
                 } else {
                     Ok(n / d)
@@ -602,8 +607,6 @@ pub struct TargetSpec {
     pub title: &'static str,
     /// How the JSON maps to rows.
     pub shape: RowShape,
-    /// Derived per-row fields, added before checks run.
-    pub derive: Vec<(&'static str, Expr)>,
     /// The invariants.
     pub checks: Vec<Check>,
 }
@@ -707,31 +710,15 @@ pub fn load_rows(dir: &Path, spec: &TargetSpec) -> Result<Vec<Row>, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let value =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    let mut rows = match (&spec.shape, &value) {
-        (RowShape::Reports, Value::Array(items)) => items
-            .iter()
-            .map(report_row)
-            .collect::<Result<Vec<_>, _>>()?,
-        (RowShape::Objects, Value::Array(items)) => items
-            .iter()
-            .map(object_row)
-            .collect::<Result<Vec<_>, _>>()?,
-        (RowShape::Objects, v @ Value::Object(_)) => vec![object_row(v)?],
-        _ => {
-            return Err(format!(
-                "{} has an unexpected top-level shape",
-                path.display()
-            ))
-        }
-    };
-    for row in &mut rows {
-        for (name, expr) in &spec.derive {
-            if let Ok(v) = expr.eval(row) {
-                row.nums.insert(name.to_string(), v);
-            }
-        }
+    match (&spec.shape, &value) {
+        (RowShape::Reports, Value::Array(items)) => items.iter().map(report_row).collect(),
+        (RowShape::Objects, Value::Array(items)) => items.iter().map(object_row).collect(),
+        (RowShape::Objects, v @ Value::Object(_)) => Ok(vec![object_row(v)?]),
+        _ => Err(format!(
+            "{} has an unexpected top-level shape",
+            path.display()
+        )),
     }
-    Ok(rows)
 }
 
 /// Evaluate one spec against a results directory.
@@ -984,8 +971,16 @@ mod tests {
         assert!((mean - 0.2).abs() < 1e-12);
         let max = Expr::MaxOf(&["s0", "s1", "s2"]).eval(&r).unwrap();
         assert!((max - 0.3).abs() < 1e-12);
-        let ratio = Expr::Ratio("long", "s1").eval(&r).unwrap();
+        let ratio = Expr::ratio("long", "s1").eval(&r).unwrap();
         assert!((ratio - 1.5).abs() < 1e-12);
+        let nested = Expr::Ratio(
+            Box::new(Expr::Field("long")),
+            Box::new(Expr::MeanOf(&["s0", "s1", "s2"])),
+        );
+        assert!((nested.eval(&r).unwrap() - 1.5).abs() < 1e-12);
+        let zero = row("z", &[("n", 1.0), ("d", 0.0)]);
+        assert!(Expr::ratio("n", "d").eval(&zero).is_err());
+        assert_eq!(Expr::ratio("d", "d").eval(&zero), Ok(0.0));
     }
 
     #[test]

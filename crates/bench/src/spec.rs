@@ -13,8 +13,8 @@
 //! EXPERIMENTS.md is rendered from these outcomes.
 
 use crate::shapecheck::{
-    crossover_between, dominates, ext, monotone_increasing, within, Agg, Check, Expr, Op, Pred,
-    Rhs, RowShape, Sel, TargetSpec,
+    crossover_between, dominates, ext, monotone_increasing, within, Agg, Check, Expr, Extract, Op,
+    Pred, Rhs, RowShape, Sel, TargetSpec,
 };
 
 /// Design labels, as `Design::name` spells them. A row whose table
@@ -113,7 +113,6 @@ fn fig1() -> TargetSpec {
         code: "✓~",
         title: "Fig 1 — fluid-model thrashing",
         shape: RowShape::Objects,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 14),
             check(
@@ -182,7 +181,6 @@ fn fig2() -> TargetSpec {
         code: "✓",
         title: "Fig 2 — basic scenario loss-load curves",
         shape: RowShape::Reports,
-        derive: vec![],
         checks,
     }
 }
@@ -195,7 +193,6 @@ fn fig3() -> TargetSpec {
         code: "✓",
         title: "Fig 3 — longer probing (5 s vs 25 s)",
         shape: RowShape::Reports,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 18),
             check(
@@ -265,7 +262,6 @@ fn fig4to7(
         code: "✓",
         title,
         shape: RowShape::Reports,
-        derive: vec![],
         checks,
     }
 }
@@ -378,7 +374,6 @@ fn fig8(target: &'static str, title: &'static str, eps0_ceiling: f64) -> TargetS
         code: "✓",
         title,
         shape: RowShape::Reports,
-        derive: vec![],
         checks,
     }
 }
@@ -390,7 +385,6 @@ fn fig9() -> TargetSpec {
         code: "✓",
         title: "Fig 9 — loss across scenarios at fixed eps",
         shape: RowShape::Reports,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 32),
             check(
@@ -436,7 +430,6 @@ fn table3() -> TargetSpec {
         code: "✓",
         title: "Table 3 — heterogeneous eps: who gets blocked",
         shape: RowShape::Reports,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 4),
             check(
@@ -444,7 +437,7 @@ fn table3() -> TargetSpec {
                 "picky (low-eps) flows see higher blocking than tolerant ones in every design",
                 Pred::EachRow {
                     sel: Sel::all(),
-                    expr: Expr::Ratio("g0.blocking", "g1.blocking"),
+                    expr: Expr::ratio("g0.blocking", "g1.blocking"),
                     op: Op::Ge,
                     value: 1.2,
                 },
@@ -465,25 +458,15 @@ fn table3() -> TargetSpec {
 fn table4() -> TargetSpec {
     // Groups: EXP1, EXP2, EXP4, POO1. Large = EXP2 (g1); small = the rest,
     // pooled: their rejections over their decisions.
+    let small_blocking = Expr::Ratio(
+        Box::new(Expr::MeanOf(&["g0.rejected", "g2.rejected", "g3.rejected"])),
+        Box::new(Expr::MeanOf(&["g0.decided", "g2.decided", "g3.decided"])),
+    );
     TargetSpec {
         target: "table4",
         code: "✓",
         title: "Table 4 — small vs large flows",
         shape: RowShape::Reports,
-        derive: vec![
-            (
-                "small_rejected",
-                Expr::MeanOf(&["g0.rejected", "g2.rejected", "g3.rejected"]),
-            ),
-            (
-                "small_decided",
-                Expr::MeanOf(&["g0.decided", "g2.decided", "g3.decided"]),
-            ),
-            (
-                "small_blocking",
-                Expr::Ratio("small_rejected", "small_decided"),
-            ),
-        ],
         checks: vec![
             grid_complete("grid", 5),
             check(
@@ -492,7 +475,14 @@ fn table4() -> TargetSpec {
                 Pred::Cmp {
                     lhs: ext(Sel::design(MBAC), "g1.blocking", Agg::First),
                     op: Op::Ge,
-                    rhs: Rhs::Scaled(ext(Sel::design(MBAC), "small_blocking", Agg::First), 1.5),
+                    rhs: Rhs::Scaled(
+                        Extract {
+                            sel: Sel::design(MBAC),
+                            expr: small_blocking,
+                            agg: Agg::First,
+                        },
+                        1.5,
+                    ),
                 },
             ),
             check(
@@ -514,16 +504,6 @@ fn tables56() -> TargetSpec {
         code: "✓",
         title: "Tables 5-6 — multi-hop topology",
         shape: RowShape::Reports,
-        derive: vec![
-            (
-                "cross_max_blocking",
-                Expr::MaxOf(&["g0.blocking", "g1.blocking", "g2.blocking"]),
-            ),
-            (
-                "cross_mean_loss",
-                Expr::MeanOf(&["g0.loss", "g1.loss", "g2.loss"]),
-            ),
-        ],
         checks: vec![
             grid_complete("grid", 5),
             check(
@@ -531,7 +511,10 @@ fn tables56() -> TargetSpec {
                 "the long (multi-hop) class sees higher blocking than any short class",
                 Pred::EachRow {
                     sel: Sel::all(),
-                    expr: Expr::Ratio("g3.blocking", "cross_max_blocking"),
+                    expr: Expr::Ratio(
+                        Box::new(Expr::Field("g3.blocking")),
+                        Box::new(Expr::MaxOf(&["g0.blocking", "g1.blocking", "g2.blocking"])),
+                    ),
                     op: Op::Ge,
                     value: 1.05,
                 },
@@ -542,7 +525,14 @@ fn tables56() -> TargetSpec {
                 Pred::Cmp {
                     lhs: ext(Sel::all(), "g3.loss", Agg::Sum),
                     op: Op::Ge,
-                    rhs: Rhs::Scaled(ext(Sel::all(), "cross_mean_loss", Agg::Sum), 1.2),
+                    rhs: Rhs::Scaled(
+                        Extract {
+                            sel: Sel::all(),
+                            expr: Expr::MeanOf(&["g0.loss", "g1.loss", "g2.loss"]),
+                            agg: Agg::Sum,
+                        },
+                        1.2,
+                    ),
                 },
             ),
             check(
@@ -565,7 +555,6 @@ fn fig11() -> TargetSpec {
         code: "✓~",
         title: "Fig 11 — TCP coexistence at a drop-tail router",
         shape: RowShape::Objects,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 8),
             check(
@@ -646,7 +635,6 @@ fn robust_flap() -> TargetSpec {
         code: "✓",
         title: "Robustness — flapping bottleneck",
         shape: RowShape::Reports,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 4),
             check(
@@ -727,7 +715,6 @@ fn robust_ctrl_loss() -> TargetSpec {
         code: "✓",
         title: "Robustness — lost control packets",
         shape: RowShape::Reports,
-        derive: vec![],
         checks: vec![
             grid_complete("grid", 8),
             check(
@@ -807,7 +794,6 @@ fn bench_sweep() -> TargetSpec {
         code: "✓",
         title: "Bench — parallel sweep determinism",
         shape: RowShape::Objects,
-        derive: vec![],
         checks: vec![
             check(
                 "byte-identical",

@@ -115,3 +115,28 @@ fn multi_point_target_is_identical_at_any_worker_count() {
     assert!(serial_json == pooled_json, "table3.json differs");
     assert_eq!(serial_out, pooled_out, "stdout differs");
 }
+
+#[test]
+fn ablations_save_the_rows_they_print() {
+    let dir = std::env::temp_dir().join(format!("eac-ablate-pushout-{}", std::process::id()));
+    let out = experiments(&["ablate-pushout", "--smoke", "--jobs", "2"], &dir);
+    assert!(out.status.success(), "ablate-pushout --smoke failed");
+    let json = std::fs::read_to_string(dir.join("ablate-pushout.json"))
+        .expect("ablate-pushout saves its rows");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let rows = serde_json::from_str(&json).unwrap();
+    let labels: Vec<&str> = rows
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| r.get("design").and_then(|d| d.as_str()).unwrap())
+        .collect();
+    assert_eq!(labels, ["push-out on", "push-out off"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for label in labels {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(&format!("{label}  "))),
+            "'{label}' is saved but not printed:\n{stdout}"
+        );
+    }
+}

@@ -1,7 +1,5 @@
 //! Columnar time-series: one row per sample tick, one `f64` column per
-//! instrument, exported as CSV (header + rows) or JSONL.
-
-use serde::{Serialize, Value};
+//! instrument, exported as CSV (header + rows).
 
 /// A fixed-column table of samples indexed by simulation time.
 ///
@@ -116,30 +114,6 @@ impl TimeSeries {
             out.push_row(first.times_ns[i], &row);
         }
         out
-    }
-}
-
-impl Serialize for TimeSeries {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "columns".into(),
-                Value::Array(self.columns.iter().map(|c| Value::Str(c.clone())).collect()),
-            ),
-            (
-                "times_ns".into(),
-                Value::Array(self.times_ns.iter().map(|t| Value::UInt(*t)).collect()),
-            ),
-            (
-                "rows".into(),
-                Value::Array(
-                    self.rows
-                        .iter()
-                        .map(|r| Value::Array(r.iter().map(|v| Value::Float(*v)).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 

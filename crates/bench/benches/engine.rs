@@ -9,7 +9,7 @@ use netsim::{
     TrafficClass, VirtualQueue,
 };
 use simcore::queue::WIDTH_BITS;
-use simcore::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime, Ticket};
 use traffic::shaper::TokenBucket;
 use traffic::{OnOff, PacketProcess, PeriodDist};
 
@@ -106,6 +106,15 @@ fn bench_event_queue(c: &mut Criterion) {
     });
     g.bench_function("heap hold-model (recorded mix)", |b| {
         b.iter(|| black_box(heap_hold(&recorded)))
+    });
+    // The recorded mix with a 0.5 s timer re-armed on every pop, as a TCP
+    // sender re-arms its retransmission timer on every ACK: a timer per
+    // re-arm, or one per flow that moves on in its last re-arm's place.
+    g.bench_function("calendar far re-arm (timer per re-arm)", |b| {
+        b.iter(|| black_box(far_rearm(&recorded, false)))
+    });
+    g.bench_function("calendar far re-arm (one ticketed timer)", |b| {
+        b.iter(|| black_box(far_rearm(&recorded, true)))
     });
     // 10k events in one bucket past the near window: the cursor jumps
     // there and the whole bucket enters the active run at once. Moving
@@ -204,6 +213,56 @@ fn heap_hold(delays: &[SimDuration]) -> u64 {
         q.schedule_in(delays[e as usize % delays.len()], e + 1);
     }
     acc
+}
+
+/// Flows whose timers [`far_rearm`] re-arms: Fig 11's twenty TCP senders.
+const FLOWS: usize = 20;
+/// Events at or above this are flow timers; below it, packets.
+const TIMER: u64 = 1 << 32;
+
+/// [`calendar_hold`] for 10k packet pops, each of which re-arms one
+/// flow's timer 0.5 s ahead, past the near window. Without `lazy`,
+/// every re-arm schedules a timer and the earlier ones pop stale. With
+/// it, each flow keeps one timer: a re-arm only takes a ticket, and a
+/// timer that pops before its deadline moves on to it with the last
+/// re-arm's ticket, so the deadline keeps its place in line.
+fn far_rearm(delays: &[SimDuration], lazy: bool) -> u64 {
+    let rto = SimDuration::from_millis(500);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut deadline = [SimTime::ZERO; FLOWS];
+    let mut held: [Option<Ticket>; FLOWS] = Default::default();
+    let mut live = [false; FLOWS];
+    for i in 0..256u64 {
+        q.schedule_at(SimTime::from_nanos(i * 311), i);
+    }
+    let mut packets = 0;
+    while packets < 10_000 {
+        let (now, e) = q.pop().unwrap();
+        if e >= TIMER {
+            // A stale timer pops as a no-op; a live one moves on.
+            let f = (e - TIMER) as usize;
+            if lazy {
+                live[f] = deadline[f] > now;
+                if live[f] {
+                    let ticket = held[f].take().expect("re-armed since");
+                    q.schedule_ticket(deadline[f], ticket, e);
+                }
+            }
+            continue;
+        }
+        packets += 1;
+        q.schedule_in(delays[e as usize % delays.len()], e + 1);
+        let f = e as usize % FLOWS;
+        let ticket = q.ticket();
+        deadline[f] = now + rto;
+        if lazy && live[f] {
+            held[f] = Some(ticket);
+        } else {
+            q.schedule_ticket(deadline[f], ticket, TIMER + f as u64);
+            live[f] = true;
+        }
+    }
+    q.events_fired()
 }
 
 fn run_qdisc(q: &mut dyn Qdisc, n: u64, class: TrafficClass) -> u64 {

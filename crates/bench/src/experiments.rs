@@ -419,7 +419,6 @@ fn fig11(session: &Session) {
         ("EAC blocking", |r| format!("{:.3}", r.blocking)),
     ];
     print_table(&columns, &reports);
-    println!("\n(time series for each eps saved to results/fig11.json)");
     save_json("fig11", &reports);
 }
 

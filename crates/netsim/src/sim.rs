@@ -15,7 +15,7 @@ use crate::fault::FaultPlan;
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::topo::Network;
 use crate::wire::WireSlot;
-use simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, SimDuration, SimRng, SimTime, Ticket};
 use std::any::Any;
 
 /// Simulation events.
@@ -105,6 +105,22 @@ impl<'a> Api<'a> {
         let node = self.node;
         self.queue
             .schedule_at(at, Event::Timer { node, kind, data });
+    }
+
+    /// Take the calendar's next place in line for a timer armed later
+    /// (see [`simcore::Ticket`]).
+    #[inline]
+    pub fn ticket(&mut self) -> Ticket {
+        self.queue.ticket()
+    }
+
+    /// Arm a timer at `at` in the place `ticket` holds: it fires as a
+    /// timer armed by [`timer_at`](Api::timer_at) when the ticket was
+    /// taken would have.
+    pub fn timer_ticket(&mut self, at: SimTime, ticket: Ticket, kind: u32, data: u64) {
+        let node = self.node;
+        self.queue
+            .schedule_ticket(at, ticket, Event::Timer { node, kind, data });
     }
 
     /// Arm a timer `delay` from now.

@@ -11,8 +11,10 @@
 //!   ordering never depends on floating-point rounding;
 //! - [`EventQueue`]: a calendar-queue event calendar (a sliding ring of
 //!   buckets, i.e. a timer wheel, with an overflow heap) with a monotone
-//!   sequence number for stable FIFO ordering of simultaneous events; [`queue::HeapEventQueue`] is the
-//!   binary-heap reference implementation it is property-tested against;
+//!   sequence number for stable FIFO ordering of simultaneous events
+//!   (a [`Ticket`] takes that number ahead of a deferred schedule);
+//!   [`queue::HeapEventQueue`] is the binary-heap reference
+//!   implementation it is property-tested against;
 //! - [`IdMap`]: a `HashMap` with a cheap multiplicative hash, for the
 //!   flow tables on the per-packet path;
 //! - [`rng::SimRng`]: a seeded RNG with cheap derived streams and the
@@ -30,6 +32,6 @@ pub mod stats;
 pub mod time;
 
 pub use idmap::IdMap;
-pub use queue::{EventQueue, HeapEventQueue, QueueSnapshot};
+pub use queue::{EventQueue, HeapEventQueue, QueueSnapshot, Ticket};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

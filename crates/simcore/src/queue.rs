@@ -29,6 +29,14 @@
 //! Because `(time, seq)` is a total order, both implementations produce
 //! bit-identical pop sequences; `tests/props.rs` checks them against each
 //! other on random schedules (including same-instant ties).
+//!
+//! A schedule's sequence number can be taken before the schedule itself:
+//! [`EventQueue::ticket`] hands out the next one as a [`Ticket`], and
+//! [`EventQueue::schedule_ticket`] spends it. An event scheduled later
+//! with an early ticket takes the place in line it would have had if it
+//! had been scheduled when the ticket was taken, so an agent can defer a
+//! schedule (a retransmission timer that is moved on every ACK, say)
+//! without changing the order of anything else.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -55,6 +63,15 @@ pub struct QueueSnapshot {
     /// Events pending.
     pub pending: usize,
 }
+
+/// A place in the calendar's FIFO order at one instant: the sequence
+/// number of a schedule not yet made. Taken with
+/// [`EventQueue::ticket`] (or [`HeapEventQueue::ticket`]) and spent by
+/// `schedule_ticket`, which consumes it, so one ticket orders at most one
+/// event. A dropped ticket leaves a gap in the sequence and nothing else.
+/// Spend a ticket only on the calendar that issued it.
+#[derive(Debug)]
+pub struct Ticket(u64);
 
 struct Entry<E> {
     at: SimTime,
@@ -175,18 +192,48 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `at`. Panics if `at` is in the
     /// past.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let ticket = self.ticket();
+        self.schedule_ticket(at, ticket, event);
+    }
+
+    /// Take the next place in the FIFO order without scheduling anything
+    /// yet (see [`Ticket`]).
+    #[inline]
+    pub fn ticket(&mut self) -> Ticket {
+        let seq = self.seq;
+        self.seq += 1;
+        Ticket(seq)
+    }
+
+    /// Schedule `event` at absolute time `at` in the place `ticket` holds:
+    /// it pops after every event due at `at` whose ticket is older, and
+    /// before every one whose ticket is newer, whenever each was
+    /// scheduled. Panics if `at` is in the past.
+    pub fn schedule_ticket(&mut self, at: SimTime, ticket: Ticket, event: E) {
         if at < self.now {
             panic!("scheduling into the past: {at:?} < now {:?}", self.now);
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_entry(Entry { at, seq, event });
+        self.push_entry(Entry {
+            at,
+            seq: ticket.0,
+            event,
+        });
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
     #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event);
+    }
+
+    /// Every pending event with its due time, in no particular order
+    /// (for tests that inspect the backlog).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.current
+            .iter()
+            .chain(self.buckets.iter().flatten())
+            .chain(self.far.iter())
+            .map(|e| (e.at, &e.event))
     }
 
     /// Timestamp of the next pending event, if any.
@@ -415,14 +462,30 @@ impl<E> HeapEventQueue<E> {
 
     /// Schedule `event` at absolute time `at`. Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let ticket = self.ticket();
+        self.schedule_ticket(at, ticket, event);
+    }
+
+    /// Take the next place in the FIFO order (see [`Ticket`]).
+    pub fn ticket(&mut self) -> Ticket {
+        let seq = self.seq;
+        self.seq += 1;
+        Ticket(seq)
+    }
+
+    /// Schedule `event` at `at` in the place `ticket` holds. Panics if
+    /// `at` is in the past.
+    pub fn schedule_ticket(&mut self, at: SimTime, ticket: Ticket, event: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < now {:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.heap.push(Entry {
+            at,
+            seq: ticket.0,
+            event,
+        });
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -478,6 +541,35 @@ mod tests {
     }
 
     #[test]
+    fn an_early_ticket_keeps_its_place_in_line() {
+        // `a` takes its ticket first but is scheduled last; `b` is
+        // scheduled in between for the same instant. `a` pops first on
+        // both calendars, and so does an event behind the cursor.
+        let t = SimTime::from_secs(1);
+        let mut q = EventQueue::new();
+        let mut h = HeapEventQueue::new();
+        let (qa, ha) = (q.ticket(), h.ticket());
+        q.schedule_at(t, "b");
+        h.schedule_at(t, "b");
+        q.schedule_ticket(t, qa, "a");
+        h.schedule_ticket(t, ha, "a");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b"]);
+        let order: Vec<_> = std::iter::from_fn(|| h.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b"]);
+
+        // The same behind the cursor: `c` goes into the activated
+        // bucket, ahead of `d` at the same instant, whose ticket is newer.
+        q.schedule_at(t, "x");
+        let early = q.ticket();
+        q.schedule_at(t + SimDuration::from_nanos(1), "d");
+        assert_eq!(q.pop(), Some((t, "x")));
+        q.schedule_ticket(t + SimDuration::from_nanos(1), early, "c");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["c", "d"]);
+    }
+
+    #[test]
     fn clock_advances_on_pop() {
         let mut q = EventQueue::new();
         q.schedule_in(SimDuration::from_secs(2), ());
@@ -514,7 +606,10 @@ mod tests {
         q.schedule_in(SimDuration::ZERO, ());
         q.schedule_in(SimDuration::ZERO, ());
         assert_eq!(q.len(), 2);
+        q.schedule_at(SimTime::from_secs(100), ());
+        assert_eq!(q.iter().count(), 3);
         q.pop();
+        assert_eq!(q.iter().count(), 2);
         assert_eq!(q.events_fired(), 1);
         q.clear();
         assert!(q.is_empty());

@@ -31,6 +31,56 @@ proptest! {
         prop_assert_eq!(cal.events_fired(), heap.events_fired());
     }
 
+    /// Some schedules take their ticket first and are made later, when
+    /// other events have been scheduled and popped: a deferred timer.
+    /// Times sit on a 1 ms grid, so held-back events tie with others at
+    /// the same instant. Both calendars pop the same sequence, each
+    /// held-back event in its ticket's place.
+    #[test]
+    fn held_back_tickets_match_heap_reference(
+        ops in prop::collection::vec((0u64..200_000_000, 0u8..4, 0u8..4), 1..300),
+    ) {
+        const GRID: u64 = 1_000_000;
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut held = std::collections::VecDeque::new();
+        let on_grid = |now: SimTime, delay: u64| {
+            SimTime::from_nanos((now.as_nanos() + delay).div_ceil(GRID) * GRID)
+        };
+        for (i, &(delay, pops, action)) in ops.iter().enumerate() {
+            let now = cal.now();
+            match action {
+                0 => held.push_back((cal.ticket(), heap.ticket(), delay, i)),
+                1 | 2 => {
+                    let spent = if action == 1 { held.pop_front() } else { held.pop_back() };
+                    if let Some((ct, ht, delay, j)) = spent {
+                        cal.schedule_ticket(on_grid(now, delay), ct, j);
+                        heap.schedule_ticket(on_grid(now, delay), ht, j);
+                    }
+                }
+                _ => {
+                    cal.schedule_at(on_grid(now, delay), i);
+                    heap.schedule_at(on_grid(now, delay), i);
+                }
+            }
+            for _ in 0..pops {
+                prop_assert_eq!(cal.pop(), heap.pop());
+                prop_assert_eq!(cal.now(), heap.now());
+            }
+        }
+        let now = cal.now();
+        for (ct, ht, delay, j) in held {
+            cal.schedule_ticket(on_grid(now, delay), ct, j);
+            heap.schedule_ticket(on_grid(now, delay), ht, j);
+        }
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() { break; }
+        }
+        prop_assert_eq!(cal.events_fired(), heap.events_fired());
+    }
+
     /// Ties scheduled across both implementations pop FIFO in both.
     #[test]
     fn calendar_matches_heap_on_ties(

@@ -11,6 +11,12 @@
 //! duplicate ACKs, fast recovery (window inflation, deflation on new
 //! ACK), and Jacobson/Karels RTO estimation with exponential backoff and
 //! go-back-N after a timeout. Windows are counted in packets, as in ns-2.
+//!
+//! Each flow keeps one retransmission timer in the calendar. A new ACK
+//! moves the flow's deadline and takes a [`simcore::Ticket`], and the
+//! timer fires at the deadline in the first such arm's place in line, so
+//! runs are the same event for event as with a timer scheduled per ACK,
+//! less the stale pops.
 
 pub mod reno;
 

@@ -2,7 +2,7 @@
 
 use netsim::{Agent, Api, FlowId, NodeId, Packet, TrafficClass};
 use simcore::stats::Counter;
-use simcore::{IdMap, SimDuration, SimTime};
+use simcore::{IdMap, SimDuration, SimTime, Ticket};
 use std::any::Any;
 use std::collections::BTreeSet;
 
@@ -16,8 +16,10 @@ mod timer {
 
 /// ACK packet size, bytes.
 const ACK_BYTES: u32 = 40;
+/// Minimum RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(500);
 /// Minimum RTO, seconds.
-const MIN_RTO_S: f64 = 0.5;
+const MIN_RTO_S: f64 = MIN_RTO.as_nanos() as f64 / 1e9;
 /// Maximum RTO after backoff, seconds.
 const MAX_RTO_S: f64 = 60.0;
 /// Initial RTO before any RTT sample, seconds.
@@ -66,8 +68,16 @@ struct TcpFlow {
     backoff: f64,
     /// Outstanding RTT measurement: (sequence, send time).
     timing: Option<(u64, SimTime)>,
-    /// Current RTO deadline; timers earlier than this are stale.
+    /// Current RTO deadline.
     rto_deadline: Option<SimTime>,
+    /// Deadlines no timer stands at, each with the ticket of the first
+    /// arm that set it, kept while an arm could still set it (again, with
+    /// a smaller RTO): the current deadline's and a few earlier ones.
+    rto_tickets: Vec<(SimTime, Ticket)>,
+    /// The flow's one pending RTO timer: when it is due, and whether it
+    /// stands at the deadline with that deadline's ticket (`false`: a
+    /// waypoint that moves on).
+    rto_timer: Option<(SimTime, bool)>,
 }
 
 impl TcpFlow {
@@ -85,6 +95,8 @@ impl TcpFlow {
             backoff: 1.0,
             timing: None,
             rto_deadline: None,
+            rto_tickets: Vec::new(),
+            rto_timer: None,
         }
     }
 
@@ -110,6 +122,36 @@ impl TcpFlow {
 
     fn effective_rto(&self) -> SimDuration {
         SimDuration::from_secs_f64((self.rto_s * self.backoff).min(MAX_RTO_S))
+    }
+
+    /// Keep `ticket` for `deadline` unless an earlier arm's is kept.
+    fn hold_ticket(&mut self, deadline: SimTime, ticket: Ticket, now: SimTime) {
+        // An arm sets a deadline at least the minimum RTO after itself,
+        // so a deadline sooner than that from now cannot come back.
+        let reach = now + MIN_RTO;
+        self.rto_tickets.retain(|(at, _)| *at >= reach);
+        if !self.rto_tickets.iter().any(|(at, _)| *at == deadline) {
+            self.rto_tickets.push((deadline, ticket));
+        }
+    }
+
+    /// Schedule the RTO timer toward the deadline: at the deadline in its
+    /// first arm's place in line if that is at most the minimum RTO away,
+    /// else at a waypoint the minimum RTO from now. Every deadline an arm
+    /// sets is at least the minimum RTO after that arm, so no later
+    /// deadline comes before this timer: it never needs a second one.
+    fn schedule_rto(&mut self, id: u64, api: &mut Api) {
+        let deadline = self.rto_deadline.expect("an armed flow");
+        let waypoint = api.now() + MIN_RTO;
+        if deadline <= waypoint {
+            let i = self.rto_tickets.iter().position(|(at, _)| *at == deadline);
+            let (_, ticket) = self.rto_tickets.swap_remove(i.expect("a ticket for the deadline"));
+            api.timer_ticket(deadline, ticket, timer::RTO, id);
+            self.rto_timer = Some((deadline, true));
+        } else {
+            api.timer_at(waypoint, timer::RTO, id);
+            self.rto_timer = Some((waypoint, false));
+        }
     }
 }
 
@@ -179,11 +221,28 @@ impl TcpSenderBank {
         api.send(pkt);
     }
 
+    /// Move the flow's RTO deadline to one RTO from now.
+    ///
+    /// Every arm takes a ticket, as a timer scheduled on every arm once
+    /// did, and the first arm that sets a deadline keeps its ticket for
+    /// the timer that fires there. So the timeout fires in the place in
+    /// line that first arm's own timer had, and every other event keeps
+    /// its place; only the timers an ACK made stale are gone. The flow's
+    /// one timer moves on to the deadline when it pops before it.
     fn arm_rto(&mut self, id: u64, api: &mut Api) {
+        let ticket = api.ticket();
+        let now = api.now();
         let flow = self.flows.get_mut(&id).expect("flow exists");
-        let deadline = api.now() + flow.effective_rto();
+        let deadline = now + flow.effective_rto();
         flow.rto_deadline = Some(deadline);
-        api.timer_at(deadline, timer::RTO, id);
+        debug_assert!(flow.rto_timer.is_none_or(|(t, _)| t <= deadline));
+        if flow.rto_timer == Some((deadline, true)) {
+            return; // it already stands there, with an older ticket
+        }
+        flow.hold_ticket(deadline, ticket, now);
+        if flow.rto_timer.is_none() {
+            flow.schedule_rto(id, api);
+        }
     }
 
     /// Send as much new data as the window allows.
@@ -257,10 +316,15 @@ impl TcpSenderBank {
         let Some(flow) = self.flows.get_mut(&id) else {
             return;
         };
-        // Stale timer (rearmed since it was scheduled)?
-        match flow.rto_deadline {
-            Some(d) if d <= now => {}
-            _ => return,
+        let (at, at_deadline) = flow.rto_timer.take().expect("one RTO timer per flow");
+        debug_assert_eq!(at, now);
+        let Some(deadline) = flow.rto_deadline else {
+            return;
+        };
+        if deadline > now || !at_deadline {
+            // Rearmed since this timer was scheduled, or a waypoint.
+            flow.schedule_rto(id, api);
+            return;
         }
         if flow.flight() <= 0.0 {
             flow.rto_deadline = None;
@@ -390,7 +454,7 @@ impl Agent for TcpSinkBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{DropTail, Limit, Network, Qdisc, Sim};
+    use netsim::{DropTail, Event, Limit, Network, Qdisc, Sim};
 
     fn dumbbell(bottleneck_bps: u64, buffer: usize) -> (Sim, NodeId, NodeId) {
         let mut net = Network::new();
@@ -498,5 +562,72 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let s = sim.agent::<TcpSenderBank>(a).unwrap();
         assert!(s.cwnd(0) > 100.0, "cwnd {}", s.cwnd(0));
+    }
+
+    /// The most RTO timers any one flow has in the calendar at once.
+    fn most_rto_timers_per_flow(sim: &Sim) -> usize {
+        let mut per_flow: IdMap<u64, usize> = IdMap::default();
+        for (_, ev) in sim.queue.iter() {
+            if let Event::Timer {
+                kind: timer::RTO,
+                data,
+                ..
+            } = ev
+            {
+                *per_flow.entry(*data).or_default() += 1;
+            }
+        }
+        per_flow.values().copied().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn lossy_dumbbell_keeps_one_rto_timer_per_flow() {
+        // Eight flows through a 3-packet buffer at 1 Mb/s take timeouts
+        // (with backoff) and fast retransmits. The return path makes the
+        // round trip 20 ms to the nanosecond (10 ms + 9.9968 ms + 3.2 µs
+        // for a 40 B ACK at 100 Mb/s), so a deadline an ACK sets, 0.52 s
+        // after the segment left, is 65 transmissions of 8 ms: it ties
+        // with a bottleneck completion, and only the ticket puts the
+        // timeout on the right side of it.
+        let mut net = Network::new();
+        let (a, b) = (net.add_node(), net.add_node());
+        let q: Box<dyn Qdisc> = Box::new(DropTail::new(Limit::Packets(3)));
+        net.add_link(a, b, 1_000_000, SimDuration::from_millis(10), q, None);
+        net.add_link(
+            b,
+            a,
+            100_000_000,
+            SimDuration::from_nanos(9_996_800),
+            Box::new(DropTail::new(Limit::Packets(10_000))),
+            None,
+        );
+        let mut sim = Sim::new(net);
+        sim.attach(
+            a,
+            Box::new(TcpSenderBank::new(b, 8, 1000, 1 << 48, SimTime::ZERO)),
+        );
+        sim.attach(b, Box::new(TcpSinkBank::new()));
+        // Step one instant at a time: no flow ever has two RTO timers in
+        // the calendar. A timer per arm left up to 57 there.
+        let horizon = SimTime::from_secs(60);
+        sim.run_until(SimTime::ZERO);
+        while let Some(t) = sim.queue.peek_time().filter(|&t| t <= horizon) {
+            sim.run_until(t);
+            let most = most_rto_timers_per_flow(&sim);
+            assert!(most <= 1, "{most} RTO timers for one flow at {t}");
+        }
+        // The run a timer per arm gave: the same losses, recoveries and
+        // goodput, to the packet.
+        let s = &sim.agent::<TcpSenderBank>(a).unwrap().stats;
+        let stats = [
+            s.retransmits.total(),
+            s.timeouts.total(),
+            s.fast_retransmits.total(),
+            s.acked.total(),
+            s.stray_timers.total(),
+        ];
+        assert_eq!(stats, [736, 512, 224, 6_185, 0]);
+        let goodput = sim.agent::<TcpSinkBank>(b).unwrap().goodput_bytes.total();
+        assert_eq!(goodput, 6_186_000);
     }
 }
